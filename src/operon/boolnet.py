@@ -15,9 +15,7 @@ from typing import Mapping, Sequence
 from . import logic
 from .errors import ParseError
 from .gf2 import BoolPoly, VarSet, translate_expr
-from .groebner import PolySystem, solve_boolean_system
-
-STATE_GRAPH_CAP = 24
+from .groebner import ENUMERATE_CAP, PolySystem, solve_boolean_system
 
 _RULE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*'\s*=\s*(.+)\Z")
 
@@ -96,41 +94,48 @@ class BooleanNetwork:
         return PolySystem(self.vars, gens)
 
     def fixed_points(self, params, method: str = "groebner") -> list[State]:
-        """States equal to their successor, via exhaustive stepping or algebra."""
+        """States equal to their successor, by enumerating all 2^n states or by algebra."""
         if method == "enumerate":
-            setting = self.check_params(params)
             n = len(self.vars)
-            if n > STATE_GRAPH_CAP:
-                raise ValueError(f"enumeration is capped at {STATE_GRAPH_CAP} variables")
-            out = []
-            for code in range(1 << n):
-                s = decode_state(code, n)
-                if self.step(s, setting) == s:
-                    out.append(s)
-            return sorted(out)
+            return [decode_state(code, n)
+                    for code, nxt in enumerate(self._successors(params)) if nxt == code]
         if method != "groebner":
             raise ValueError(f"unknown method {method!r}")
         return solve_boolean_system(self.to_polynomial_system(params), "groebner")
 
     def state_graph(self, params) -> "StateGraph":
-        setting = self.check_params(params)
-        n = len(self.vars)
-        if n > STATE_GRAPH_CAP:
-            raise ValueError(f"state graphs are capped at {STATE_GRAPH_CAP} variables")
-        succ = []
-        for code in range(1 << n):
-            succ.append(encode_state(self.step(decode_state(code, n), setting)))
+        succ = self._successors(params)
         attractors, attr_id = _attractors(succ)
         # canonical presentation: short cycles first, then smallest member
         ranked = sorted(range(len(attractors)), key=lambda a: (len(attractors[a]), attractors[a][0]))
         remap = {old: new for new, old in enumerate(ranked)}
         attractors = [attractors[a] for a in ranked]
         basin = [0] * len(attractors)
-        for code in range(1 << n):
+        for code in range(len(succ)):
             attr_id[code] = remap[attr_id[code]]
             basin[attr_id[code]] += 1
         return StateGraph(self.vars, tuple(succ), tuple(tuple(c) for c in attractors),
                           tuple(basin), tuple(attr_id))
+
+    def _successors(self, params) -> list[int]:
+        """Successor code of every state code, one rule evaluation per variable.
+
+        Each value is a truth table over all 2^n state codes, code 0 in the
+        most significant digit, so the rule tables read column by column
+        spell out the successor codes.
+        """
+        setting = self.check_params(params)
+        n = len(self.vars)
+        if n > ENUMERATE_CAP:
+            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
+        size = 1 << n
+        full = (1 << size) - 1
+        env = {p: full * v for p, v in setting.items()}
+        for i, name in enumerate(self.vars.names):
+            block = 1 << (n - 1 - i)
+            env[name] = int(("0" * block + "1" * block) * (size // (2 * block)), 2)
+        tables = [format(logic.evaluate(r, env, full), f"0{size}b") for r in self.rules]
+        return [int("".join(column), 2) for column in zip(*tables)]
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 domain errors (bad model files, degenerate
 systems, I/O failures), 2 usage errors.  All output is deterministic for
-identical invocations.  OPERON_THREADS is accepted for compatibility with
-parallel builds of the engines; this implementation runs sequentially.
+identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -89,8 +87,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    net = boolnet.load_network(args.model)
     if args.all_params:
+        net = boolnet.load_network(args.model)
         k = len(net.params)
         rows = []
         for code in range(2 ** k):
@@ -107,11 +105,7 @@ def cmd_fixed_points(args) -> int:
             for label, points in rows:
                 print(f"{label}: " + " ".join(sorted(_bits(p) for p in points)))
     else:
-        values = _parse_set(args.set or "", args.sub.error)
-        try:
-            net.check_params(values)
-        except ValueError as exc:
-            args.sub.error(str(exc))
+        net, values = _load_network_params(args)
         points = net.fixed_points(values, method=args.method)
         if args.json:
             print(boolnet.fixed_points_json(points))
@@ -284,18 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads(parser: argparse.ArgumentParser) -> None:
-    raw = os.environ.get("OPERON_THREADS")
-    if raw is None or raw == "":
-        return
-    if not raw.isdigit():
-        parser.error("OPERON_THREADS must be a nonnegative integer")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_threads(parser)
     try:
         return args.func(args)
     except ParseError as exc:

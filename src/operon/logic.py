@@ -156,17 +156,23 @@ def parse_expr(text: str, line: int | None = None) -> Expr:
     return _Parser(tokens, line).parse()
 
 
-def evaluate(expr: Expr, env: Mapping[str, int]) -> int:
+def evaluate(expr: Expr, env: Mapping[str, int], full: int = 1) -> int:
+    """Value of expr under env, bitwise over the set bits of full.
+
+    With the default full = 1 every value is one bit.  With full = 2^m - 1
+    every env value is an m-bit truth table, and the result is the
+    expression's truth table over the same m rows.
+    """
     if isinstance(expr, Const):
-        return expr.value
+        return full * expr.value
     if isinstance(expr, Var):
         if expr.name not in env:
             raise ValueError(f"no value for identifier '{expr.name}'")
-        return env[expr.name] & 1
+        return env[expr.name] & full
     if isinstance(expr, Not):
-        return 1 - evaluate(expr.arg, env)
-    a = evaluate(expr.left, env)
-    b = evaluate(expr.right, env)
+        return full ^ evaluate(expr.arg, env, full)
+    a = evaluate(expr.left, env, full)
+    b = evaluate(expr.right, env, full)
     if isinstance(expr, And):
         return a & b
     if isinstance(expr, Or):

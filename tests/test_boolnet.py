@@ -1,10 +1,13 @@
 """Synchronous Boolean network dynamics and the network file format."""
 
 import json
+import random
 
 import pytest
 
+from operon import logic
 from operon.boolnet import (
+    BooleanNetwork,
     decode_state,
     encode_state,
     fixed_points_json,
@@ -12,6 +15,9 @@ from operon.boolnet import (
     parse_network,
 )
 from operon.errors import ParseError
+from operon.gf2 import VarSet
+
+from conftest import SEED, random_expr
 
 FIXED_POINTS = {
     (0, 0): ["000110000"],
@@ -219,6 +225,40 @@ def test_state_graph_outputs(net):
 def test_attractor_states(net):
     graph = net.state_graph({"a": 0, "g": 1})
     assert graph.attractor_states(0) == (bits("000010000"),)
+
+
+def random_network(rng, n):
+    """Random network with up to two parameters, constant rules and nested !/^."""
+    names = [f"x{i}" for i in range(n)]
+    params = tuple(f"p{i}" for i in range(rng.randint(0, 2)))
+    idents = names + list(params)
+    rules = []
+    for _ in names:
+        roll = rng.random()
+        if roll < 0.1:
+            rule = logic.Const(rng.randrange(2))
+        else:
+            rule = random_expr(rng, idents, depth=3)
+            if roll < 0.4:
+                rule = logic.Not(logic.Xor(logic.Not(rule), random_expr(rng, idents, depth=2)))
+        rules.append(rule)
+    return BooleanNetwork("random", VarSet(names), params, tuple(rules))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_truth_table_kernel_matches_step(n):
+    # the all-states kernel against one independent step per state
+    rng = random.Random(SEED + n)
+    for _ in range(2):
+        net = random_network(rng, n)
+        for code in range(1 << len(net.params)):
+            setting = dict(zip(net.params, decode_state(code, len(net.params))))
+            graph = net.state_graph(setting)
+            for c in range(1 << n):
+                assert graph.successors[c] == encode_state(net.step(decode_state(c, n), setting))
+            cycles = [decode_state(cyc[0], n) for cyc in graph.attractors if len(cyc) == 1]
+            assert net.fixed_points(setting, method="enumerate") == cycles
+            assert net.fixed_points(setting, method="groebner") == cycles
 
 
 # ---------------------------------------------------------------------------

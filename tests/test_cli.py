@@ -203,6 +203,20 @@ def test_state_graph_dot(capsys, lac_bn, tmp_path):
     assert text.count("->") == 512
 
 
+@pytest.mark.parametrize("argv", [
+    ["state-graph", "--set", ""],
+    ["fixed-points", "--set", "", "--method", "enumerate"],
+])
+def test_enumeration_cap(capsys, tmp_path, argv):
+    names = [f"x{i}" for i in range(25)]
+    rules = [f"{x}' = {names[(i + 1) % 25]}" for i, x in enumerate(names)]
+    model = tmp_path / "wide.bn"
+    model.write_text("network wide\nvars: " + ", ".join(names) + "\n" + "\n".join(rules) + "\n")
+    code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "operon: enumeration is capped at 24 variables (got 25)\n"
+
+
 # ---------------------------------------------------------------------------
 # continuous-model commands
 
@@ -300,16 +314,6 @@ def test_malformed_model_is_a_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "fixed-points", str(bad), "--set", "")
     assert code == 1
     assert "line 3" in err
-
-
-def test_threads_env_guard(capsys, lac_gf2, monkeypatch):
-    monkeypatch.setenv("OPERON_THREADS", "4")
-    code, out, _ = run(capsys, "solve", lac_gf2)
-    assert code == 0 and out.splitlines() == ["111101111"]
-    monkeypatch.setenv("OPERON_THREADS", "many")
-    code, err = run_usage_error(capsys, "solve", lac_gf2)
-    assert code == 2
-    assert "OPERON_THREADS" in err
 
 
 def test_module_entry_point(lac_gf2):

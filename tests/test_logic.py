@@ -63,6 +63,18 @@ def test_evaluate_truncates_to_bit():
     assert evaluate(Var("a"), {"a": 2}) == 0
 
 
+def test_evaluate_truth_tables_match_rows(rng):
+    # one wide evaluation gives every row of the scalar truth table
+    names = ["a", "b", "c", "d"]
+    rows = list(all_assignments(names))
+    full = (1 << len(rows)) - 1
+    tables = {n: sum(env[n] << r for r, env in enumerate(rows)) for n in names}
+    for _ in range(50):
+        expr = random_expr(rng, names)
+        wide = evaluate(expr, tables, full)
+        assert wide == sum(evaluate(expr, env) << r for r, env in enumerate(rows))
+
+
 def test_evaluate_missing_identifier():
     with pytest.raises(ValueError, match="no value for identifier 'q'"):
         evaluate(Var("q"), {})
