@@ -201,6 +201,31 @@ def substitute(p, var: str, value):
     return acc
 
 
+def integer_coeffs(p: Poly) -> tuple[int, ...]:
+    """The coefficients of p as ints, lowest degree first; p must have
+    integer coefficients (a content-cleared univariate polynomial)."""
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Poly) or c.denominator != 1:
+            raise ValueError("expected integer coefficients")
+        out.append(c.numerator)
+    return tuple(out)
+
+
+def homogeneous_value(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den**deg * p(num/den) for the integer coefficients of p.
+
+    Horner on the homogenised form needs no division, so for den > 0 the
+    result has the sign of p(num/den) and is zero exactly when it is.
+    """
+    acc = 0
+    scale = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
 def derivative(p: Poly) -> Poly:
     """Derivative with respect to the polynomial's own main variable."""
     return Poly(p.var, [i * c for i, c in enumerate(p.coeffs)][1:])

@@ -25,12 +25,12 @@ from .exactpoly import (
     clear_content,
     content_and_primitive,
     degree,
-    derivative,
     discriminant,
     format_poly,
+    homogeneous_value,
+    integer_coeffs,
     is_zero,
     resultant,
-    substitute,
 )
 from .realroots import (
     RootBox,
@@ -276,9 +276,15 @@ def steady_states_at(p: LacParams, L,
 
 
 def _refine_residual(elim: Poly, box: RootBox) -> RootBox:
+    # |elim(n/d)| < t/s, for the integer eliminant of degree m, is
+    # |d**m * elim(n/d)| * s < t * d**m
+    coeffs = integer_coeffs(elim)
+    m = len(coeffs) - 1
+    t, s = RESIDUAL_TARGET.numerator, RESIDUAL_TARGET.denominator
     while not box.is_exact:
         mid = box.representative()
-        if abs(substitute(elim, elim.var, mid)) < RESIDUAL_TARGET:
+        n, d = mid.numerator, mid.denominator
+        if abs(homogeneous_value(coeffs, n, d)) * s < t * d ** m:
             break
         box = refine_root_box(elim, box, box.width / 16)
     return box

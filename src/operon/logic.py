@@ -75,11 +75,22 @@ def tokenize(text: str, line: int | None = None) -> list[tuple[str, str, int]]:
     return out
 
 
+MAX_DEPTH = 100
+"""Deepest expression accepted: at most this many parentheses open at once,
+and at most this many operators on any path down the parsed tree.  The
+parser recurses once per parenthesis and the tree walkers (evaluate,
+variables, substitute, gf2.translate_expr) once per operator, so the cap
+keeps them well inside Python's recursion limit."""
+
+
 class _Parser:
+    """Recursive descent; each rule returns (expression, height of its tree)."""
+
     def __init__(self, tokens, line=None):
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.open = 0  # parentheses open at the current position
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -97,49 +108,56 @@ class _Parser:
             raise ParseError(f"expected {op!r} at column {tok[2] + 1}", self.line)
 
     def parse(self) -> Expr:
-        expr = self.or_expr()
+        expr, _ = self.or_expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r} at column {tok[2] + 1}", self.line)
         return expr
 
-    def or_expr(self) -> Expr:
-        expr = self.xor_expr()
-        while self._at_op("|"):
-            self.take()
-            expr = Or(expr, self.xor_expr())
-        return expr
+    def _check_depth(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.line)
+        return depth
 
-    def xor_expr(self) -> Expr:
-        expr = self.and_expr()
-        while self._at_op("^"):
+    def _chain(self, op, cls, operand):
+        expr, height = operand()
+        while self._at_op(op):
             self.take()
-            expr = Xor(expr, self.and_expr())
-        return expr
+            right, right_height = operand()
+            expr = cls(expr, right)
+            height = self._check_depth(max(height, right_height) + 1)
+        return expr, height
 
-    def and_expr(self) -> Expr:
-        expr = self.unary()
-        while self._at_op("&"):
+    def or_expr(self):
+        return self._chain("|", Or, self.xor_expr)
+
+    def xor_expr(self):
+        return self._chain("^", Xor, self.and_expr)
+
+    def and_expr(self):
+        return self._chain("&", And, self.unary)
+
+    def unary(self):
+        nots = 0
+        while self._at_op("!"):
             self.take()
-            expr = And(expr, self.unary())
-        return expr
+            nots += 1
+        expr, height = self.atom()
+        for _ in range(nots):
+            expr = Not(expr)
+        return expr, self._check_depth(height + nots)
 
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "!":
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Expr:
+    def atom(self):
         kind, value, col = self.take()
         if kind == "ident":
-            return Var(value)
+            return Var(value), 0
         if kind == "const":
-            return Const(int(value))
+            return Const(int(value)), 0
         if value == "(":
+            self.open = self._check_depth(self.open + 1)
             inner = self.or_expr()
             self.expect_op(")")
+            self.open -= 1
             return inner
         raise ParseError(f"unexpected {value!r} at column {col + 1}", self.line)
 

@@ -3,12 +3,20 @@
 Everything here is exact: root counts come from Sturm chains, isolating
 intervals are bisected Fractions, and a root is reported as `exact` only
 when a rational value satisfying the polynomial was actually found.
+
+Every sign is taken on integers: the sign of q(n/d) is the sign of
+d**deg * q(n/d), evaluated by homogeneous Horner.  Each polynomial is
+prepared once (squarefree part, Sturm chain, Yun factors) into an oracle
+that the root boxes it produced carry along, so refining a box later does
+not prepare the polynomial again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional
 
 from .exactpoly import (
@@ -16,9 +24,16 @@ from .exactpoly import (
     clear_content,
     derivative,
     divrem,
+    homogeneous_value,
+    integer_coeffs,
     pgcd,
-    substitute,
 )
+
+MIN_PRECISION = Fraction(1, 10 ** 300)
+"""The narrowest interval width that isolation and refinement accept.
+
+Every halving adds a bit to each endpoint, so a finer request only costs
+time and ends in endpoints too long to print."""
 
 
 @dataclass(frozen=True)
@@ -32,6 +47,9 @@ class RootBox:
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
+    # the oracle of the polynomial this box was isolated for, reused when
+    # the box is refined for that same polynomial
+    _oracle: Optional["_Oracle"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -75,6 +93,38 @@ def _require_univariate(p: Poly) -> None:
             raise ValueError("real-root routines need rational coefficients")
 
 
+def _primitive(c) -> tuple[int, ...]:
+    """Nonzero integer coefficients divided by their gcd, signs kept."""
+    g = gcd(*c)
+    return tuple(x // g for x in c)
+
+
+def _derivative(c) -> list[int]:
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _pseudo_remainder(f, g) -> list[int]:
+    """A positive multiple of the remainder of f by g, trailing zeros trimmed.
+
+    Each step scales the dividend by |lc(g)| instead of dividing, so only
+    integers occur; the positive factor vanishes once the content is cleared.
+    """
+    r = list(f)
+    n = len(g) - 1
+    scale = abs(g[-1])
+    sign = 1 if g[-1] > 0 else -1
+    for k in range(len(r) - 1, n - 1, -1):
+        t = r.pop() * sign
+        if t:
+            if scale != 1:
+                r = [scale * x for x in r]
+            for i, gi in enumerate(g[:-1], start=k - n):
+                r[i] -= t * gi
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def squarefree_part(p: Poly) -> Poly:
     """p with repeated factors collapsed to multiplicity one (content cleared)."""
     _require_univariate(p)
@@ -82,9 +132,26 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("the zero polynomial has no squarefree part")
     if p.degree == 0:
         return Poly(p.var, (1,))
-    g = pgcd(p, derivative(p))
-    q = divrem(p, g)[0] if g.degree > 0 else p
-    return clear_content(q)
+    f = integer_coeffs(clear_content(p))
+    # gcd(f, f') by the primitive remainder sequence, up to its sign
+    a, b = f, _primitive(_derivative(f))
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive(r) if r else ())
+    if not b:
+        # f divided by the primitive gcd a, taken with a positive lead, is
+        # primitive and has integer coefficients (Gauss's lemma)
+        g = _primitive(a) if a[-1] > 0 else _primitive([-x for x in a])
+        n = len(g) - 1
+        r = list(f)
+        quo = [0] * (len(f) - n)
+        for k in range(len(f) - 1, n - 1, -1):
+            t = quo[k - n] = r[k] // g[-1]
+            if t:
+                for i, gi in enumerate(g, start=k - n):
+                    r[i] -= t * gi
+        f = tuple(quo)
+    return Poly(p.var, f)
 
 
 def yun_factors(p: Poly) -> list[tuple[Poly, int]]:
@@ -120,16 +187,15 @@ def sturm_chain(p: Poly) -> list[Poly]:
     _require_univariate(p)
     if not p:
         raise ValueError("no Sturm chain for the zero polynomial")
-    chain = [clear_content(p)]
-    if p.degree == 0:
-        return chain
-    chain.append(clear_content(derivative(p)))
-    while chain[-1].degree > 0:
-        rem = divrem(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(clear_content(-rem))
-    return chain
+    chain = [integer_coeffs(clear_content(p))]
+    if p.degree > 0:
+        chain.append(_primitive(_derivative(chain[0])))
+        while len(chain[-1]) > 1:
+            rem = _pseudo_remainder(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(_primitive([-x for x in rem]))
+    return [Poly(p.var, c) for c in chain]
 
 
 def _sign(x) -> int:
@@ -146,10 +212,6 @@ def _variations(signs) -> int:
             count += 1
         last = s
     return count
-
-
-def _chain_variations(chain: list[Poly], x: Fraction) -> int:
-    return _variations(_sign(substitute(q, q.var, x)) for q in chain)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -174,14 +236,13 @@ def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fracti
         raise ValueError("the zero polynomial has infinitely many roots")
     if p.degree == 0:
         return 0
-    q = squarefree_part(p)
-    bound = cauchy_root_bound(q)
+    oracle = _Oracle(p)
+    bound = cauchy_root_bound(oracle.q)
     a = Fraction(lo) if lo is not None else -bound
     b = Fraction(hi) if hi is not None else bound
     if b <= a:
         return 0
-    chain = sturm_chain(q)
-    return _chain_variations(chain, a) - _chain_variations(chain, b)
+    return oracle.count(a, b)
 
 
 def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
@@ -194,62 +255,105 @@ def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
         return Fraction(0)
     if b < 0:
         return -simplest_rational(-b, -a)
-    # 0 < a <= b
-    floor_a = a.numerator // a.denominator
-    if a == floor_a:
-        return Fraction(floor_a)
-    if floor_a + 1 <= b:
-        return Fraction(floor_a + 1)
-    return floor_a + 1 / simplest_rational(1 / (b - floor_a), 1 / (a - floor_a))
+    # 0 < a <= b: walk the continued fraction of [a, b] = [an/ad, bn/bd]
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    terms = []
+    while True:
+        whole, rest = divmod(an, ad)
+        if rest == 0:
+            last = whole
+            break
+        if (whole + 1) * bd <= bn:
+            last = whole + 1
+            break
+        terms.append(whole)
+        # the rest of the expansion is the simplest rational in
+        # [1/(b - whole), 1/(a - whole)]
+        an, ad, bn, bd = bd, bn - whole * bd, ad, rest
+    num, den = last, 1
+    for whole in reversed(terms):
+        num, den = whole * num + den, num
+    return Fraction(num, den)
 
 
-class _IntervalOracle:
-    """Sturm-chain root counting on (a, b] with cached endpoint evaluations."""
+def _check_precision(precision) -> Fraction:
+    precision = Fraction(precision)
+    if precision < MIN_PRECISION:
+        raise ValueError("precision must be at least 1e-300")
+    return precision
 
-    def __init__(self, q: Poly):
-        self.q = q
-        self.chain = sturm_chain(q)
-        self._cache: dict[Fraction, int] = {}
+
+class _Oracle:
+    """Everything isolation and refinement ask of one polynomial p.
+
+    It holds the squarefree part q of p and q's Sturm chain as integer
+    coefficient tuples, the Sturm variations already computed at each
+    endpoint, and, once a multiplicity is asked for, the Yun factors of p.
+    """
+
+    def __init__(self, p: Poly):
+        self.p = p
+        self.q = squarefree_part(p)
+        self.chain = [integer_coeffs(c) for c in sturm_chain(self.q)]
+        self.coeffs = self.chain[0]  # q itself
+        self._variations: dict[Fraction, int] = {}
+
+    def sign(self, num: int, den: int) -> int:
+        """Sign of q(num/den), for den > 0."""
+        return _sign(homogeneous_value(self.coeffs, num, den))
+
+    def is_root(self, x: Fraction) -> bool:
+        return homogeneous_value(self.coeffs, x.numerator, x.denominator) == 0
 
     def variations(self, x: Fraction) -> int:
-        v = self._cache.get(x)
+        v = self._variations.get(x)
         if v is None:
-            v = _chain_variations(self.chain, x)
-            self._cache[x] = v
+            n, d = x.numerator, x.denominator
+            v = _variations(_sign(homogeneous_value(c, n, d)) for c in self.chain)
+            self._variations[x] = v
         return v
 
     def count(self, a: Fraction, b: Fraction) -> int:
         return self.variations(a) - self.variations(b)
 
-    def value(self, x: Fraction):
-        return substitute(self.q, self.q.var, x)
+    @cached_property
+    def factors(self) -> list[tuple[tuple[int, ...], int]]:
+        """Yun factors of p as (integer coefficients, exponent) pairs."""
+        if self.q.degree == self.p.degree:  # p is squarefree
+            return [(self.coeffs, 1)]
+        return [(integer_coeffs(clear_content(f)), k) for f, k in yun_factors(self.p)]
 
 
-def _find_exact(oracle: _IntervalOracle, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+def _find_exact(oracle: _Oracle, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     """Try to name the single root in (lo, hi] exactly; None when not found."""
-    if oracle.value(hi) == 0:
+    if oracle.is_root(hi):
         return hi
     mid = (lo + hi) / 2
-    if oracle.value(mid) == 0:
+    if oracle.is_root(mid):
         return mid
     probe = simplest_rational(lo, hi)
-    if lo < probe <= hi and oracle.value(probe) == 0:
+    if lo < probe <= hi and oracle.is_root(probe):
         return probe
     return None
 
 
-def _multiplicity(p: Poly, box_lo: Fraction, box_hi: Fraction,
-                  exact: Optional[Fraction],
-                  factors: list[tuple[Poly, int]]) -> int:
+def _multiplicity(oracle: _Oracle, box_lo: Fraction, box_hi: Fraction,
+                  exact: Optional[Fraction]) -> int:
+    factors = oracle.factors
+    if len(factors) == 1:
+        return factors[0][1]
     if exact is not None:
         for f, k in factors:
-            if substitute(f, f.var, exact) == 0:
+            if homogeneous_value(f, exact.numerator, exact.denominator) == 0:
                 return k
     else:
+        # q is nonzero at both ends of a box that is not exact, and the box
+        # holds one simple root of q: only the factor owning that root
+        # changes sign across it
         for f, k in factors:
-            if f.degree == 0:
-                continue
-            if count_real_roots(f, box_lo, box_hi) == 1:
+            at_lo = _sign(homogeneous_value(f, box_lo.numerator, box_lo.denominator))
+            at_hi = _sign(homogeneous_value(f, box_hi.numerator, box_hi.denominator))
+            if at_lo != at_hi:
                 return k
     raise ArithmeticError("isolated root matched no squarefree factor")
 
@@ -260,22 +364,19 @@ def isolate_real_roots(p: Poly, region: str = "all",
 
     region selects which roots to report: "all", or "positive" for roots
     strictly greater than zero.  Intervals are narrowed below `precision`
-    and returned in increasing order.  Multiplicities refer to p itself.
+    (at least MIN_PRECISION) and returned in increasing order.
+    Multiplicities refer to p itself.
     """
     _require_univariate(p)
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if region not in ("all", "positive"):
         raise ValueError(f"unknown region {region!r}")
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    precision = _check_precision(precision)
     if p.degree == 0:
         return []
-    q = squarefree_part(p)
-    factors = yun_factors(p)
-    oracle = _IntervalOracle(q)
-    bound = cauchy_root_bound(q)
+    oracle = _Oracle(p)
+    bound = cauchy_root_bound(oracle.q)
     lo = Fraction(0) if region == "positive" else -bound
     hi = bound
     if hi <= lo:
@@ -299,40 +400,61 @@ def isolate_real_roots(p: Poly, region: str = "all",
         exact = _find_exact(oracle, a, b)
         if exact is not None:
             a = b = exact
-        out.append(RootBox(a, b, _multiplicity(p, a, b, exact, factors)))
+        out.append(RootBox(a, b, _multiplicity(oracle, a, b, exact), oracle))
     return out
 
 
-def _refine(oracle: _IntervalOracle, a: Fraction, b: Fraction,
+def _refine(oracle: _Oracle, a: Fraction, b: Fraction,
             precision: Fraction) -> tuple[Fraction, Fraction]:
-    # also push `a` off any neighboring root it may sit on, so a box that is
-    # not an exact hit always brackets a strict sign change
-    while b - a > precision or oracle.value(a) == 0:
-        mid = (a + b) / 2
-        if oracle.count(a, mid) == 1:
-            b = mid
+    """Bisect (a, b], which holds one root of q, to width at most precision.
+
+    The endpoints are integers lo/den and hi/den over one denominator.
+    While q(lo) != 0, the root lies in (lo, mid] exactly when q(mid) is zero
+    or differs in sign from q(lo), so one sign of q decides each step.  The
+    Sturm count decides only while lo sits on a root of q; the loop pushes
+    lo off it, so a box that is not an exact hit brackets a strict sign
+    change.
+    """
+    den = lcm(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    hi = b.numerator * (den // b.denominator)
+    pn, pd = precision.numerator, precision.denominator
+    s_lo = oracle.sign(lo, den)
+    while (hi - lo) * pd > pn * den or s_lo == 0:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if s_lo:
+            left = oracle.sign(mid, den) != s_lo
         else:
-            a = mid
-    return a, b
+            left = oracle.count(Fraction(lo, den), Fraction(mid, den)) == 1
+        if left:
+            hi = mid
+        else:
+            lo = mid
+            if not s_lo:
+                s_lo = oracle.sign(lo, den)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     """Narrow an existing isolating box for p to the requested width.
 
     Exact boxes pass through unchanged; otherwise bisection continues and
-    the exact-root probe is retried on the tighter interval.
+    the exact-root probe is retried on the tighter interval.  A box from
+    `isolate_real_roots(p)` or an earlier refinement for p brings its
+    oracle along, so p is not prepared again.
     """
     if box.is_exact:
         return box
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    oracle = _IntervalOracle(squarefree_part(p))
+    precision = _check_precision(precision)
+    oracle = box._oracle
+    if oracle is None or oracle.p != p:
+        oracle = _Oracle(p)
     a, b = _refine(oracle, box.lo, box.hi, precision)
     exact = _find_exact(oracle, a, b)
     if exact is not None:
         a = b = exact
-    return RootBox(a, b, box.multiplicity)
+    return RootBox(a, b, box.multiplicity, oracle)
 
 
 def decimal_str(x: Fraction, digits: int = 5) -> str:

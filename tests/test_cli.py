@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,8 @@ GB_LINES = [
 ]
 
 ELIMINANT = "4*A^7 + (29 - 21*L)*A^6 - 42*L*A^5 + 4*A^2 + (9 - L)*A - 2*L"
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -277,6 +281,30 @@ def test_ode_bifurcation_csv(capsys, lac_ode, tmp_path):
     assert lines[1].startswith("0.500000,")
 
 
+def test_ode_steady_states_golden_bytes(capsys, lac_ode):
+    # every interval endpoint, not only the rounded values
+    code, out, _ = run(capsys, "ode", "steady-states", lac_ode, "--L", "1")
+    assert code == 0
+    assert out == (GOLDEN / "ode_steady_states_L1.out").read_text()
+
+
+def test_ode_bifurcation_csv_golden_bytes(capsys, lac_ode, tmp_path):
+    target = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "ode", "bifurcation", lac_ode, "--csv", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / "ode_bifurcation.csv").read_bytes()
+
+
+@pytest.mark.parametrize("precision", ["1e-1000", "1e-200000"])
+def test_precision_floor(capsys, lac_ode, precision):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ode", "steady-states", lac_ode, "--L", "1",
+                         "--precision", precision)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "operon: precision must be at least 1e-300\n"
+
+
 def test_ode_bifurcation_range_validation(capsys, lac_ode):
     code, out, err = run(capsys, "ode", "bifurcation", lac_ode, "--range", "2:1")
     assert code == 1
@@ -314,6 +342,19 @@ def test_malformed_model_is_a_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "fixed-points", str(bad), "--set", "")
     assert code == 1
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 3000 + "a" + ")" * 3000,
+    "!" * 5000 + "a",
+    " & ".join(["a"] * 3000),
+])
+def test_deep_expression_is_a_parse_error(capsys, tmp_path, body):
+    deep = tmp_path / "deep.bn"
+    deep.write_text(f"network deep\nvars: a\na' = {body}\n")
+    code, out, err = run(capsys, "state-graph", str(deep), "--set", "")
+    assert code == 1 and out == ""
+    assert err == "operon: line 3: expression nested deeper than 100 levels\n"
 
 
 def test_module_entry_point(lac_gf2):

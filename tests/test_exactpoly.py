@@ -17,6 +17,8 @@ from operon.exactpoly import (
     divrem,
     exact_div,
     format_poly,
+    homogeneous_value,
+    integer_coeffs,
     leading_sign,
     pgcd,
     primitive_part,
@@ -161,6 +163,25 @@ def test_substitute_in_nested_coefficients():
     fixed = substitute(p, "L", F(3))
     assert fixed == Poly("A", [F(4), F(6)])
     assert substitute(p, "A", F(2)) == 1 + l + 4 * l
+
+
+def test_homogeneous_value_matches_fraction_horner(rng):
+    # d**deg * p(n/d) exactly, so its sign is the sign of p(n/d)
+    for _ in range(300):
+        p = clear_content(random_rat_poly(rng, max_degree=12, span=10**rng.randint(1, 12)))
+        coeffs = integer_coeffs(p)
+        n = rng.randint(-10**rng.randint(0, 30), 10**rng.randint(0, 30))
+        d = rng.randint(1, 10**rng.randint(0, 30))
+        assert homogeneous_value(coeffs, n, d) == d**p.degree * substitute(p, "x", F(n, d))
+    assert homogeneous_value((), 3, 4) == 0
+
+
+def test_integer_coeffs_rejects_fractions():
+    assert integer_coeffs(Poly("x", [F(-3), F(0), F(2)])) == (-3, 0, 2)
+    with pytest.raises(ValueError, match="integer"):
+        integer_coeffs(Poly("x", [F(1, 2), F(1)]))
+    with pytest.raises(ValueError, match="integer"):
+        integer_coeffs(Poly("A", [Poly.x("L"), F(1)]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -4,6 +4,7 @@ import pytest
 
 from operon import logic
 from operon.errors import ParseError
+from operon.gf2 import VarSet, translate_expr
 from operon.logic import And, Const, Not, Or, Var, Xor, evaluate, parse_expr
 
 from conftest import all_assignments, random_expr
@@ -104,3 +105,30 @@ def test_substitute_full_binding_leaves_constants(rng):
         reduced = logic.substitute(expr, env)
         assert logic.variables(reduced) == set()
         assert evaluate(reduced, {}) == evaluate(expr, env)
+
+
+def test_depth_cap_boundaries():
+    cap = logic.MAX_DEPTH
+    inside = [
+        "(" * cap + "a" + ")" * cap,
+        "!" * cap + "a",
+        " | ".join(["a"] * (cap + 1)),
+        "a & (" * cap + "a" + ")" * cap,
+    ]
+    for text in inside:
+        expr = parse_expr(text)
+        # the walkers recurse once per level and stay inside the stack
+        assert evaluate(expr, {"a": 1}) in (0, 1)
+        assert logic.variables(expr) == {"a"}
+        assert evaluate(logic.substitute(expr, {"a": 0}), {}) == evaluate(expr, {"a": 0})
+        translate_expr(expr, VarSet(["a"]))
+    outside = [
+        "(" * (cap + 1) + "a" + ")" * (cap + 1),
+        "!" * (cap + 1) + "a",
+        " | ".join(["a"] * (cap + 2)),
+        "!(" + " ^ ".join(["a"] * (cap + 1)) + ")",
+    ]
+    for text in outside:
+        with pytest.raises(ParseError, match=f"deeper than {cap} levels") as info:
+            parse_expr(text, line=4)
+        assert info.value.line == 4

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from operon.exactpoly import Poly, clear_content, derivative, divrem, pgcd, substitute
+from operon import realroots
 from operon.realroots import (
+    MIN_PRECISION,
     RootBox,
     cauchy_root_bound,
     count_real_roots,
@@ -299,6 +301,189 @@ def test_refine_can_discover_exactness():
     box = RootBox(F(0), F(3))
     refined = refine_root_box(X - 2, box, F(1, 1000))
     assert refined.is_exact and refined.exact == 2
+    # the midpoint probe names a root that the simplest rational (0) misses
+    half = refine_root_box(2 * X - 1, RootBox(F(0), F(1)), F(1))
+    assert half.exact == F(1, 2)
+
+
+def test_precision_floor():
+    isolate_real_roots(X**2 - 2, precision=MIN_PRECISION)
+    for bad in (MIN_PRECISION / 2, F(0), F(-1)):
+        with pytest.raises(ValueError, match="at least 1e-300"):
+            isolate_real_roots(X**2 - 2, precision=bad)
+        with pytest.raises(ValueError, match="at least 1e-300"):
+            refine_root_box(X**2 - 2, RootBox(F(1), F(2)), bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the Fraction-based Sturm bisection it replaced
+
+
+def ref_variations(chain, x):
+    signs = [s for s in (ev(c, x) for c in chain) if s != 0]
+    return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
+
+
+def ref_count(chain, a, b):
+    return ref_variations(chain, a) - ref_variations(chain, b)
+
+
+def ref_simplest(a, b):
+    if a <= 0 <= b:
+        return F(0)
+    if b < 0:
+        return -ref_simplest(-b, -a)
+    floor_a = a.numerator // a.denominator
+    if a == floor_a:
+        return F(floor_a)
+    if floor_a + 1 <= b:
+        return F(floor_a + 1)
+    return floor_a + 1 / ref_simplest(1 / (b - floor_a), 1 / (a - floor_a))
+
+
+def ref_refine(q, chain, a, b, precision):
+    while b - a > precision or ev(q, a) == 0:
+        mid = (a + b) / 2
+        if ref_count(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    for x in (b, (a + b) / 2, ref_simplest(a, b)):
+        if a < x <= b and ev(q, x) == 0:
+            return x, x
+    return a, b
+
+
+def ref_isolate(p, region, precision):
+    q = squarefree_part(p)
+    chain = sturm_chain(q)
+    bound = cauchy_root_bound(q)
+    stack = [(F(0) if region == "positive" else -bound, bound)]
+    boxes = []
+    while stack:
+        a, b = stack.pop()
+        n = ref_count(chain, a, b)
+        if n == 1:
+            boxes.append(ref_refine(q, chain, a, b, precision))
+        elif n > 1:
+            mid = (a + b) / 2
+            stack += [(mid, b), (a, mid)]
+    out = []
+    for a, b in sorted(boxes):
+        for f, k in yun_factors(p):
+            if (ev(f, a) == 0 if a == b
+                    else ref_count(sturm_chain(f), a, b) == 1):
+                out.append((a, b, k))
+    return out
+
+
+def planted_poly(rng):
+    """Repeated rational roots (0 and k/2^j among them) times x^2 - c."""
+    roots = {F(0), F(rng.randint(-7, 7), 2 ** rng.randint(0, 4))}
+    roots |= set(random_distinct_rationals(rng, rng.randint(0, 2)))
+    p = poly_from_roots("x", [(r, rng.randint(1, 3)) for r in sorted(roots)],
+                        lead=F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+    if rng.random() < 0.7:
+        p = p * (X**2 - rng.choice([2, 3, F(1, 5), F(9, 4)]))
+    return p
+
+
+def test_isolation_matches_fraction_reference(rng):
+    for _ in range(40):
+        p = planted_poly(rng) if rng.random() < 0.6 else random_rat_poly(rng)
+        if p.degree < 1:
+            continue
+        for region in ("all", "positive"):
+            precision = F(1, rng.choice([4, 1000, 10**6]))
+            boxes = isolate_real_roots(p, region=region, precision=precision)
+            assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
+                ref_isolate(p, region, precision)
+            q = squarefree_part(p)
+            chain = sturm_chain(q)
+            for box in boxes:
+                # narrow in steps of 16, as the residual loop does
+                for _ in range(4):
+                    if box.is_exact:
+                        break
+                    precision = box.width / 16
+                    expected = ref_refine(q, chain, box.lo, box.hi, precision)
+                    box = refine_root_box(p, box, precision)
+                    assert (box.lo, box.hi) == expected
+
+
+def test_integer_kernels_match_fraction_arithmetic(rng):
+    # squarefree part and Sturm chain as the Fraction Euclid computes them
+    def ref_squarefree(p):
+        g = pgcd(p, derivative(p))
+        return clear_content(divrem(p, g)[0] if g.degree > 0 else p)
+
+    def ref_chain(p):
+        chain = [clear_content(p), clear_content(derivative(p))]
+        while chain[-1].degree > 0:
+            rem = divrem(chain[-2], chain[-1])[1]
+            if not rem:
+                break
+            chain.append(clear_content(-rem))
+        return chain
+
+    for _ in range(150):
+        p = planted_poly(rng) if rng.random() < 0.5 else random_rat_poly(rng, max_degree=10)
+        if p.degree < 1:
+            continue
+        assert squarefree_part(p) == ref_squarefree(p)
+        assert sturm_chain(p) == ref_chain(p)
+        assert sturm_chain(squarefree_part(p)) == ref_chain(ref_squarefree(p))
+
+
+def test_left_endpoint_on_a_root_falls_back_to_sturm():
+    # region "positive" starts bisecting at 0, a root of p
+    p = X * (X - F(1, 3)) * (X**2 - 2)
+    boxes = isolate_real_roots(p, region="positive", precision=F(1, 10**6))
+    assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
+        ref_isolate(p, "positive", F(1, 10**6))
+    assert boxes[0].exact == F(1, 3)
+
+
+def test_simplest_rational_matches_recursive(rng):
+    for _ in range(2000):
+        a = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        b = a + F(rng.randint(0, 1000), rng.randint(1, 10**rng.randint(0, 9)))
+        assert simplest_rational(a, b) == ref_simplest(a, b)
+
+
+def test_oracle_is_built_once_per_polynomial(monkeypatch):
+    built = []
+    original = realroots.sturm_chain
+    monkeypatch.setattr(realroots, "sturm_chain",
+                        lambda q: built.append(q) or original(q))
+    p = (X**2 - 2) * (X - 5) * (X**2 - 3)
+    boxes = isolate_real_roots(p)
+    for box in boxes:
+        for _ in range(10):
+            box = refine_root_box(p, box, box.width / 16)
+    assert len(built) == 1
+    # an equal polynomial shares the oracle; another polynomial gets its own
+    refine_root_box(p * 1, boxes[0], boxes[0].width / 16)
+    assert len(built) == 1
+    tight = refine_root_box(X**2 - 2, boxes[0], boxes[0].width / 16)
+    assert len(built) == 2
+    assert tight == RootBox(tight.lo, tight.hi)
+
+
+def test_root_counts_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for _ in range(60):
+        p = random_rat_poly(rng, max_degree=8) if rng.random() < 0.5 else planted_poly(rng)
+        if p.degree < 1:
+            continue
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], x)
+        assert count_real_roots(p) == sp.count_roots()
+        lo, hi = sorted(random_distinct_rationals(rng, 2))
+        # sympy counts on the closed [lo, hi]; ours is (lo, hi]
+        expected = sp.count_roots(lo, hi) - (1 if ev(p, lo) == 0 else 0)
+        assert count_real_roots(p, lo, hi) == expected
 
 
 # ---------------------------------------------------------------------------
