@@ -2,7 +2,7 @@
 
 Two engines share one package: polynomial solving over GF(2) for logical
 network models (fixed points, attractors, Groebner bases), and exact
-rational algebra (resultants, Sturm sequences) for the steady states and
+rational algebra (elimination, Sturm sequences) for the steady states and
 bifurcations of a small ODE model of the same circuit.
 """
 

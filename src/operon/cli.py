@@ -278,9 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser holds no state between calls, so one per process serves
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -7,9 +7,10 @@ The model tracks mRNA M and inducer A with a Hill-type production term:
 
 Setting both right-hand sides to zero and clearing the (strictly positive)
 denominators gives two polynomial equations, linear in M.  Eliminating M
-with a resultant leaves one polynomial in A whose positive roots are the
-steady states; its discriminant in A locates the lactose levels L where
-that root count changes.
+leaves their 2x2 determinant P(A) - L*Q(A), one polynomial in A whose
+positive roots are the steady states.  On the steady-state curve L = P/Q,
+so the lactose levels where that root count changes are the critical
+values of P/Q over A > 0 and its limits at the two ends.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from typing import Optional
 
 from .errors import ParseError
@@ -24,13 +27,10 @@ from .exactpoly import (
     Poly,
     clear_content,
     content_and_primitive,
-    degree,
-    discriminant,
+    derivative,
     format_poly,
     homogeneous_value,
     integer_coeffs,
-    is_zero,
-    resultant,
 )
 from .realroots import (
     RootBox,
@@ -38,6 +38,7 @@ from .realroots import (
     decimal_str,
     isolate_real_roots,
     refine_root_box,
+    simplest_rational,
 )
 
 RESIDUAL_TARGET = Fraction(1, 10 ** 9)
@@ -137,6 +138,8 @@ def build_system(p: LacParams) -> tuple[Poly, Poly]:
     Both denominators are strictly positive for A >= 0, so no positive
     roots are created or lost.  Each equation is scaled by its positive
     rational content so the integer coefficients are as small as possible.
+    The analyses do not use this form; it is the independent route to the
+    eliminant, through `resultant`.
     """
     A = Poly.x("A")
     L = _lactose_value(p)
@@ -146,38 +149,144 @@ def build_system(p: LacParams) -> tuple[Poly, Poly]:
     return clear_content(eq1), clear_content(eq2)
 
 
+def _lactose_curve(p: LacParams) -> tuple[Poly, Poly]:
+    """P and Q in A, with integer coefficients, such that the eliminant is
+    the primitive part of P - L*Q.
+
+    Both steady-state equations are linear in M, so their resultant is a
+    2x2 determinant: P = gamma*delta*A*(A+h)*(A^n+1) + v*A*alpha and
+    Q = alpha*(A+h), with alpha = c0*(A^n+1) + c*A^n.  Both have
+    nonnegative coefficients, so both increase on A >= 0, and Q > 0 on
+    A > 0 unless Q is zero.  On the steady-state curve L = P/Q; the two
+    share one positive scale, which leaves that ratio unchanged.
+
+    Expanded, with g = gamma*delta and s = c0 + c:
+    P = (g*h + v*c0)*A + g*A^2 + (g*h + v*s)*A^(n+1) + g*A^(n+2) and
+    Q = c0*h + c0*A + s*h*A^n + s*A^(n+1); for n = 1 powers coincide and
+    their terms add up.
+    """
+    n, h = p.n, p.h
+    g, s = p.gamma * p.delta, p.c0 + p.c
+    P = [Fraction(0)] * (n + 3)
+    Q = [Fraction(0)] * (n + 2)
+    for k, c in ((1, g * h + p.v * p.c0), (2, g), (n + 1, g * h + p.v * s), (n + 2, g)):
+        P[k] += c
+    for k, c in ((0, p.c0 * h), (1, p.c0), (n, s * h), (n + 1, s)):
+        Q[k] += c
+    scale = lcm(*(c.denominator for c in P + Q))
+    return Poly("A", [c * scale for c in P]), Poly("A", [c * scale for c in Q])
+
+
+def _eliminant(P: Poly, Q: Poly, L: Optional[Fraction]) -> Poly:
+    """The primitive, sign-normalized part of P - L*Q (L symbolic if None)."""
+    pairs = zip_longest(P.coeffs, Q.coeffs, fillvalue=Fraction(0))
+    if L is None:
+        coeffs = [pc if not qc else Poly("L", [pc, -qc]) for pc, qc in pairs]
+    else:
+        coeffs = [pc - L * qc for pc, qc in pairs]
+    elim = Poly("A", coeffs)
+    if not elim:
+        raise ValueError("degenerate system: equations share a factor")
+    return content_and_primitive(elim)[1]
+
+
 def eliminate_M(p: LacParams) -> Poly:
-    """Resultant of the two steady-state equations with respect to M.
+    """The steady-state equations with M eliminated.
 
     Returns the primitive, sign-normalized polynomial in A (coefficients in
     L when the lactose level is symbolic) whose positive roots are exactly
-    the steady-state A values.
+    the steady-state A values: the primitive part of P - L*Q, the 2x2
+    determinant of `build_system(p)` as a linear system in M.
     """
-    eq1, eq2 = build_system(p)
-    if degree(eq1) < 1 and degree(eq2) < 1:
-        raise ValueError("degenerate system: M does not occur in either equation")
-    res = resultant(eq1, eq2)
-    if is_zero(res):
-        raise ValueError("degenerate system: equations share a factor")
-    return content_and_primitive(res)[1]
+    return _eliminant(*_lactose_curve(p), p.L)
 
 
 def critical_lactose_values(p: LacParams,
                             precision: Fraction = DEFAULT_PRECISION) -> list[RootBox]:
-    """Positive L values where the steady-state count changes.
+    """Positive L values where the steady-state count changes, ascending.
 
-    These are the positive real roots of the discriminant (in A) of the
-    eliminant, isolated to the requested precision.  Requires symbolic L.
+    The steady states at L are the A > 0 with P(A)/Q(A) = L, so the count
+    changes only at the local extrema of L(A) = P/Q, the positive roots of
+    odd multiplicity of W = P'Q - PQ', and at the limits of L(A) as A goes
+    to 0 and to infinity.  Each level comes in a certified box no wider
+    than `precision`.  Requires symbolic L.
     """
     if p.L is not None:
         raise ValueError("critical values need a symbolic lactose level (L = sym)")
-    elim = eliminate_M(p)
-    disc = discriminant(elim)
-    if is_zero(disc):
-        raise ValueError("identically zero discriminant: degenerate parameter values")
-    if not isinstance(disc, Poly) or disc.degree < 1:
+    return _critical_levels(*_lactose_curve(p), precision)
+
+
+def _critical_levels(P: Poly, Q: Poly, precision: Fraction) -> list[RootBox]:
+    if not Q:
+        if not P:
+            raise ValueError("degenerate system: equations share a factor")
         return []
-    return isolate_real_roots(disc, region="positive", precision=precision)
+    levels = [RootBox(x, x) for x in _end_levels(P, Q)]
+    W = derivative(P) * Q - P * derivative(Q)
+    if W:
+        for box in isolate_real_roots(W, region="positive", precision=precision):
+            if box.multiplicity % 2:
+                levels.append(_fold_level(P, Q, W, box, precision))
+    levels.sort(key=lambda box: (box.lo, box.hi))
+    return levels
+
+
+def _end_levels(P: Poly, Q: Poly) -> list[Fraction]:
+    """The limits of P/Q at A -> 0+ and at A -> infinity that are positive
+    and finite; with nonnegative coefficients, those where the lowest (or
+    the highest) powers of P and Q agree."""
+    if not P:
+        return []
+    low_p = next(i for i, c in enumerate(P.coeffs) if c)
+    low_q = next(i for i, c in enumerate(Q.coeffs) if c)
+    ends = set()
+    if low_p == low_q:
+        ends.add(P.coeffs[low_p] / Q.coeffs[low_q])
+    if P.degree == Q.degree:
+        ends.add(P.lc / Q.lc)
+    return sorted(ends)
+
+
+def _value(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
+    n, d = x.numerator, x.denominator
+    return Fraction(homogeneous_value(coeffs, n, d), d ** (len(coeffs) - 1))
+
+
+def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
+                precision: Fraction) -> RootBox:
+    """The level L = P/Q at the root of W in box, in a certified box.
+
+    P and Q increase on A >= 0, so for A in (a, b] with Q(a) > 0,
+    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is bisected until that
+    L box is no wider than precision/4.  The root has odd multiplicity and
+    W(a) != 0, so it lies in (a, mid] exactly when W(mid) is zero or
+    differs in sign from W(a).  The L box is then widened to the simplest
+    rationals within precision/8 of its ends: its exact ends have digits
+    in the hundreds, and every later use (printing, census probes, sample
+    flags) is cheaper with short ones.
+    """
+    pc, qc, wc = integer_coeffs(P), integer_coeffs(Q), integer_coeffs(W)
+    a, b = box.lo, box.hi
+    a_sign = _value(wc, a) > 0
+    while a != b:
+        q_a = _value(qc, a)
+        if q_a:
+            lo = _value(pc, a) / _value(qc, b)
+            hi = _value(pc, b) / q_a
+            if hi - lo <= precision / 4:
+                slack = precision / 8
+                return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
+                               simplest_rational(hi, hi + slack))
+        mid = (a + b) / 2
+        w_mid = _value(wc, mid)
+        if not w_mid:
+            a = b = mid
+        elif (w_mid > 0) != a_sign:
+            b = mid
+        else:
+            a = mid
+    level = _value(pc, a) / _value(qc, a)
+    return RootBox(level, level)
 
 
 def _eliminant_at(p: LacParams, L) -> Poly:
@@ -336,11 +445,12 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     if samples < 2:
         raise ValueError("need at least two samples")
     critical = tuple(critical_lactose_values(p, precision))
-    regions = tuple(_census_regions(p, critical))
+    P, Q = _lactose_curve(p)
+    regions = tuple(_census_regions(P, Q, critical))
     pts = []
     for i in range(samples):
         L = lo + (hi - lo) * i / (samples - 1)
-        elim = _eliminant_at(p, L)
+        elim = _eliminant(P, Q, L)
         boxes = tuple(_refine_residual(elim, b)
                       for b in isolate_real_roots(elim, region="positive",
                                                   precision=precision))
@@ -349,27 +459,26 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     return BifurcationReport(critical, regions, tuple(pts))
 
 
-def _census_regions(p: LacParams, critical: tuple) -> list[Region]:
+def _census_regions(P: Poly, Q: Poly, critical: tuple) -> list[Region]:
     reps = [c.representative() for c in critical]
     regions = []
     for i in range(len(critical) + 1):
         left = critical[i - 1] if i > 0 else None
         right = critical[i] if i < len(critical) else None
-        if left is None and right is None:
-            probe = Fraction(1)
-        elif left is None:
-            probe = right.lo / 2
-        elif right is None:
-            probe = left.hi + 1
-        else:
-            # midpoint of the gap between the certified boxes
-            probe = (left.hi + right.lo) / 2
+        # the simplest rational in the middle half of the gap between the
+        # certified boxes, with (0, right.lo) and (left.hi, left.hi + 2) at
+        # the open ends: any level in the gap will do, and a short one
+        # keeps the eliminant's coefficients small
+        a = Fraction(0) if left is None else left.hi
+        b = a + 2 if right is None else right.lo
+        probe = simplest_rational(a + (b - a) / 4, b - (b - a) / 4) if a < b else a
         if probe <= 0 or any(c.contains(probe) for c in critical):
             raise ValueError("critical values are closer than the working "
                              "precision; retry with a smaller precision")
         regions.append(Region(Fraction(0) if left is None else reps[i - 1],
                               None if right is None else reps[i],
-                              steady_state_count(p, probe)))
+                              count_real_roots(_eliminant(P, Q, probe),
+                                               Fraction(0), None)))
     return regions
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from operon import __version__
+from operon import __version__, cli, model_path
 from operon.cli import lactose_range, main, parse_rational
 
 F = Fraction
@@ -295,6 +295,36 @@ def test_ode_bifurcation_csv_golden_bytes(capsys, lac_ode, tmp_path):
     assert target.read_bytes() == (GOLDEN / "ode_bifurcation.csv").read_bytes()
 
 
+def _ode_variant(tmp_path, **values) -> str:
+    """The bundled lac.ode with some constants replaced."""
+    lines = []
+    for line in Path(model_path("lac.ode")).read_text().splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    path = tmp_path / "variant.ode"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("values,expected", [
+    # delta = 0: the level L(oo) = v, where the one steady state leaves
+    (dict(delta="0"),
+     ["critical L1 = 1.00000", "region counts: 1, 0", "samples: 25, boundary: 1"]),
+    # c0 = 0, n = 1: the level L(0+) = gamma*delta/c, where one enters
+    (dict(c0="0", c="13/10", gamma="1/2", v="23/4", delta="39/10", h="7/5", n="1"),
+     ["critical L1 = 1.50000", "region counts: 0, 1", "samples: 25, boundary: 1"]),
+    # the discriminant's extra root at L = 0.05723 is no fold
+    (dict(c0="9/20", c="7/2", gamma="3/5", v="4/5", delta="4", h="3/10", n="4"),
+     ["critical L1 = 1.66425", "critical L2 = 2.33167", "region counts: 1, 3, 1",
+      "samples: 25, boundary: 0"]),
+])
+def test_ode_bifurcation_levels(capsys, tmp_path, values, expected):
+    model = _ode_variant(tmp_path, **values)
+    code, out, _ = run(capsys, "ode", "bifurcation", model)
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 @pytest.mark.parametrize("precision", ["1e-1000", "1e-200000"])
 def test_precision_floor(capsys, lac_ode, precision):
     start = time.perf_counter()
@@ -364,6 +394,34 @@ def test_module_entry_point(lac_gf2):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["111101111"]
+
+
+def test_parser_is_built_once(capsys, monkeypatch, lac_ode, lac_gf2):
+    # usage errors and valid commands in one process print the same bytes,
+    # with the same exit codes, as each command run in a fresh process
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    sequence = [
+        ["ode", "bifurcation", lac_ode, "--range", "nonsense"],
+        ["solve", lac_gf2],
+        ["frobnicate"],
+        ["ode", "eliminate", lac_ode],
+        ["ode", "steady-states", lac_ode, "--L", "1", "--digits", "-1"],
+        ["ode", "steady-states", lac_ode, "--L", "1"],
+    ]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "operon", *argv],
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(builds) == 1
 
 
 def test_cli_output_is_byte_deterministic(lac_ode):

@@ -1,11 +1,21 @@
 """Steady states and bifurcation structure of the continuous operon model."""
 
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from operon.errors import ParseError
-from operon.exactpoly import Poly, degree, discriminant, leading_sign, substitute
+from operon.exactpoly import (
+    Poly,
+    degree,
+    discriminant,
+    leading_sign,
+    primitive_part,
+    resultant,
+    substitute,
+)
 from operon.lacmodel import (
     DEFAULT_PRECISION,
     RESIDUAL_TARGET,
@@ -21,7 +31,7 @@ from operon.lacmodel import (
     steady_state_count,
     steady_states_at,
 )
-from operon.lacmodel import _recover_state
+from operon.lacmodel import _critical_levels, _recover_state
 from operon.realroots import RootBox
 
 F = Fraction
@@ -38,6 +48,28 @@ TRIPLES = [
 CRITICAL = (F(6845390, 10**7), F(15105398, 10**7))
 
 COUNTS = {F(1, 2): 1, F(7, 10): 3, F(1): 3, F(3, 2): 3, F(2): 1}
+
+LAC = dict(c0=F(1, 20), c=F(1), gamma=F(1), v=F(1), delta=F(1, 5), h=F(2))
+
+# its discriminant has a root at L = 0.05723 from a collision at negative A
+SPURIOUS = dict(c0=F(9, 20), c=F(7, 2), gamma=F(3, 5), v=F(4, 5), delta=F(4),
+                h=F(3, 10))
+
+# with c0 = 0 and n = 1, L(A) = P/Q tends to gamma*delta/c = 3/2 as A -> 0
+LEVEL_AT_ZERO = dict(c0=F(0), c=F(13, 10), gamma=F(1, 2), v=F(23, 4),
+                     delta=F(39, 10), h=F(7, 5))
+
+# constant sets for the oracle tests, with c0, c, v and delta at zero too
+CONSTANT_SETS = [
+    LAC,
+    SPURIOUS,
+    LEVEL_AT_ZERO,
+    {**LAC, "c": F(0)},
+    {**LAC, "v": F(0)},
+    {**LAC, "delta": F(0)},
+    {**LAC, "c0": F(0), "delta": F(0)},
+    {**LAC, "c0": F(0), "c": F(0)},
+]
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +194,23 @@ def test_eliminate_rejects_degenerate_system():
     p = LacParams(c0=0, c=0, gamma=1, v=1, delta=0, h=2, n=1, L=F(1))
     with pytest.raises(ValueError, match="share a factor"):
         eliminate_M(p)
+    symbolic = replace(p, L=None)
+    assert resultant(*build_system(symbolic)) == 0
+    with pytest.raises(ValueError, match="share a factor"):
+        eliminate_M(symbolic)
+    with pytest.raises(ValueError, match="share a factor"):
+        critical_lactose_values(symbolic)
+
+
+@pytest.mark.parametrize("consts", CONSTANT_SETS)
+def test_eliminant_matches_resultant(consts):
+    # the 2x2 determinant P - L*Q against the Sylvester/Bareiss resultant
+    for n in range(1, 9):
+        for L in (None, F(1, 3), F(2)):
+            p = LacParams(n=n, L=L, **consts)
+            expected = primitive_part(resultant(*build_system(p)))
+            assert eliminate_M(p) == expected
+            assert eliminant_text(p) == str(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +237,85 @@ def test_critical_values_are_discriminant_roots():
         lo_val = substitute(disc, "L", box.lo)
         hi_val = substitute(disc, "L", box.hi)
         assert lo_val * hi_val < 0
+    # every fold box brackets a sign change of the discriminant; exact
+    # boxes are the limits of L(A) at the ends, not folds.  n = 2 has no
+    # folds with the first two sets.
+    checked = 0
+    for consts, top in ((LAC, 8), (SPURIOUS, 8), (LEVEL_AT_ZERO, 6)):
+        for n in range(2, top + 1):
+            p = LacParams(n=n, **consts)
+            disc = discriminant(eliminate_M(p))
+            for precision in (DEFAULT_PRECISION, F(1, 10), F(1, 2)):
+                boxes = critical_lactose_values(p, precision)
+                folds = [b for b in boxes if not b.is_exact]
+                checked += len(folds)
+                for box in folds:
+                    assert box.width <= precision
+                    lo_val = substitute(disc, "L", box.lo)
+                    hi_val = substitute(disc, "L", box.hi)
+                    assert lo_val * hi_val < 0
+    assert checked == 3 * (6 * 2 + 6 * 2 + 5)
+
+
+def test_inflection_is_no_level():
+    # L(A) = P/Q = 8 + (A - 1)^3 rises through a horizontal inflection at
+    # A = 1, where W = Q^2 * L' has a double root; the count changes only
+    # at L(0+) = 7
+    A = Poly.x("A")
+    Q = (A + 1) ** 6
+    P = Q * ((A - 1) ** 3 + 8)
+    assert all(c >= 0 for c in P.coeffs)
+    (box,) = _critical_levels(P, Q, DEFAULT_PRECISION)
+    assert box.exact == 7
+
+
+def test_critical_values_budget_at_hill_16():
+    p = LacParams(n=16, **LAC)
+    start = time.perf_counter()
+    boxes = critical_lactose_values(p)
+    assert time.perf_counter() - start < 2.0
+    assert len(boxes) == 2
+
+
+def test_level_at_infinity():
+    # with delta = 0, L(A) = P/Q rises to v as A -> infinity: one steady
+    # state below v, none above
+    p = LacParams.defaults()
+    p = replace(p, delta=F(0))
+    (box,) = critical_lactose_values(p)
+    assert box.exact == p.v
+    report = bifurcation_curve(p, (F(1, 10), F(5, 2)), samples=5)
+    assert [r.count for r in report.regions] == [1, 0]
+    (state,) = steady_states_at(p, F(1, 2))
+    assert state.A.lo == state.A.hi == 2
+
+
+def test_no_spurious_level():
+    p = LacParams(n=4, **SPURIOUS)
+    disc = discriminant(eliminate_M(p))
+    assert substitute(disc, "L", F(5, 100)) * substitute(disc, "L", F(6, 100)) < 0
+    report = bifurcation_curve(p, (F(1, 10), F(5, 2)), samples=5)
+    assert len(report.critical) == 2
+    assert [r.count for r in report.regions] == [1, 3, 1]
+    assert steady_state_count(p, F(5, 100)) == steady_state_count(p, F(6, 100)) == 1
+
+
+def test_no_levels_without_hill_production():
+    # c0 = c = 0: Q is zero, and the count is 0 at every positive level
+    p = LacParams(n=3, **{**LAC, "c0": F(0), "c": F(0)})
+    assert critical_lactose_values(p) == []
+    assert steady_state_count(p, F(1)) == 0
+
+
+def test_level_at_infinity_with_repeated_factor():
+    # c0 = delta = 0: L(A) = v*A/(h + A), and A^n divides both P and Q,
+    # so the discriminant vanishes identically
+    p = LacParams(n=3, **{**LAC, "c0": F(0), "delta": F(0)})
+    assert discriminant(eliminate_M(p)) == 0
+    (box,) = critical_lactose_values(p)
+    assert box.exact == p.v
+    assert steady_state_count(p, F(1, 2)) == 1
+    assert steady_state_count(p, F(3, 2)) == 0
 
 
 def test_critical_values_need_symbolic_lactose():
