@@ -84,8 +84,8 @@ def _bitrev(x: int, n: int) -> int:
 class MonomialOrder:
     """lex or degrevlex with an explicit variable priority permutation.
 
-    key(mask) is monotone for the order: bigger key = bigger monomial.  The
-    constant monomial (mask 0) is minimal under both kinds.
+    key(mask) is a nonnegative int, monotone for the order: bigger key = bigger
+    monomial.  The constant monomial (mask 0) is minimal under both kinds.
     """
 
     __slots__ = ("kind", "priority", "_lexbit", "_n", "_full", "_cache")
@@ -108,7 +108,7 @@ class MonomialOrder:
         for pos, var in enumerate(priority):
             lexbit[var] = 1 << (n - 1 - pos)
         self._lexbit = lexbit
-        self._cache: dict[int, object] = {}
+        self._cache: dict[int, int] = {}
 
     @classmethod
     def lex(cls, vars: VarSet, priority_names: Iterable[str] | None = None) -> "MonomialOrder":
@@ -118,7 +118,7 @@ class MonomialOrder:
     def degrevlex(cls, vars: VarSet, priority_names: Iterable[str] | None = None) -> "MonomialOrder":
         return cls("degrevlex", _priority(vars, priority_names))
 
-    def key(self, mask: int):
+    def key(self, mask: int) -> int:
         cached = self._cache.get(mask)
         if cached is None:
             lexint = 0
@@ -127,10 +127,10 @@ class MonomialOrder:
             if self.kind == "lex":
                 cached = lexint
             else:
-                # degree first; ties by reverse lexicographic comparison, where
-                # the monomial missing the least significant differing variable
-                # is the larger one
-                cached = (mask.bit_count(), _bitrev(self._full ^ lexint, self._n))
+                # degree in the high bits; ties by reverse lexicographic
+                # comparison, where the monomial missing the least significant
+                # differing variable is the larger one
+                cached = (mask.bit_count() << self._n) | _bitrev(self._full ^ lexint, self._n)
             self._cache[mask] = cached
         return cached
 

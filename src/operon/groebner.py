@@ -1,10 +1,13 @@
 """Groebner bases and solving for GF(2) polynomial systems.
 
-Buchberger's algorithm runs directly in the squarefree quotient ring: besides
-the usual S-polynomial for each pair of generators, every generator g
-contributes one extra candidate per variable x dividing lm(g), namely the
-quotient-ring product x*g.  Those extra candidates stand in for the pairs with
-the field relations x*x + x, which otherwise never appear explicitly.
+Buchberger's algorithm runs directly in the squarefree quotient ring, with the
+field polynomials x*x + x as explicit pair partners.  A leading term is written
+(a, b): a holds the variables of exponent >= 1 and b those of exponent 2, which
+is nonzero only for a field polynomial, so lcm((a1, b1), (a2, b2)) is
+(a1 | a2, b1 | b2).  The S-polynomial of g with the field polynomial of a
+variable x dividing lm(g) is the quotient-ring product x*g.  New pairs pass the
+Gebauer-Moeller criteria (Gebauer & Moeller 1988, in the form of Becker &
+Weispfenning's UPDATE) before they are queued.
 """
 
 from __future__ import annotations
@@ -63,37 +66,48 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.polys)} polynomials)"
 
 
-def reduce(p: BoolPoly, basis: Sequence[BoolPoly], order: MonomialOrder) -> BoolPoly:
+def reduce(
+    p: BoolPoly,
+    basis: Sequence[BoolPoly],
+    order: MonomialOrder,
+    leads: Sequence[int] | None = None,
+) -> BoolPoly:
     """Full normal form of p: no remaining monomial is divisible by any lm.
 
-    Divisibility of squarefree monomials is mask containment, and the cofactor
-    of a reduction step is disjoint from the divisor's leading monomial, so the
-    rewritten monomial is cancelled exactly and everything introduced is
-    strictly smaller.
+    `leads`, when given, holds the leading monomials of `basis` (all nonzero),
+    so they are not recomputed.  Divisibility of squarefree monomials is mask
+    containment, and the cofactor of a reduction step is disjoint from the
+    divisor's leading monomial, so the rewritten monomial is cancelled exactly
+    and everything introduced is strictly smaller.
     """
-    gens = [(g.leading_monomial(order), g) for g in basis if g]
+    if leads is None:
+        gens = [(g.leading_monomial(order), g.monomials) for g in basis if g]
+    else:
+        gens = [(lm, g.monomials) for lm, g in zip(leads, basis)]
     if not gens or not p:
         return p
-    remainder: set[int] = set()
-    work = set(p.monomials)
     key = order.key
+    remainder = []
+    # the work set maps each monomial's order key to the monomial, so the
+    # largest is max() over ints and each key is computed once per insertion
+    work = {key(m): m for m in p.monomials}
     while work:
-        m = max(work, key=key)
-        work.discard(m)
-        for lm, g in gens:
+        m = work.pop(max(work))
+        for lm, terms in gens:
             if lm & ~m == 0:
                 cof = m & ~lm
-                for t in g.monomials:
+                for t in terms:
                     mm = cof | t
                     if mm == m:
                         continue
-                    if mm in work:
-                        work.discard(mm)
+                    k = key(mm)
+                    if k in work:
+                        del work[k]
                     else:
-                        work.add(mm)
+                        work[k] = mm
                 break
         else:
-            remainder.add(m)
+            remainder.append(m)
     return BoolPoly(p.vars, remainder)
 
 
@@ -110,77 +124,96 @@ def s_polynomial(f: BoolPoly, g: BoolPoly, order: MonomialOrder) -> BoolPoly:
 def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the system's ideal in the quotient ring.
 
-    Pair selection follows the normal strategy (smallest lcm first) and pairs
-    with disjoint leading monomials are skipped; an ideal containing 1 yields
-    the basis {1}.  The result is deterministic for a given order.
+    Pair selection follows the normal strategy (smallest lcm first).  Each
+    new generator is the normal form of a generator or S-polynomial modulo
+    the reducer set, whose leads are pairwise non-dividing: adding h drops
+    every member whose lead lm(h) divides.  So the reducer set ends as a
+    minimal basis, and one pass of tail reduction makes it the reduced one.
+    An ideal containing 1 yields the basis {1}.
     """
     vars = system.vars
     if order is None:
         order = MonomialOrder.degrevlex(vars)
-    one = BoolPoly.one(vars)
+    key = order.key
+    one = GroebnerBasis(vars, order, (BoolPoly.one(vars),))
 
-    basis: list[BoolPoly] = []
+    polys: list[BoolPoly] = []  # every generator so far; pairs refer to them by index
     lms: list[int] = []
-    heap: list[tuple] = []
+    active: list[int] = []  # the reducer set, as indices into polys
+    # a pair is (sort key, lcm a, lcm b, i, j): j indexes polys when b == 0,
+    # else b is the bit of x and the partner is the field polynomial of x
+    pairs: list[tuple] = []
 
-    def push_candidates(k: int):
-        lk = lms[k]
-        for i in range(k):
-            if lms[i] & lk == 0:
-                continue  # coprime leading terms: S-polynomial reduces to zero
-            lcm = lms[i] | lk
-            heapq.heappush(heap, (order.key(lcm), 0, i, k, -1))
-        for x in _bit_indices(lk):
-            heapq.heappush(heap, (order.key(lk), 1, k, k, x))
+    def add(h: BoolPoly) -> None:
+        nonlocal pairs
+        k = len(polys)
+        lh = h.leading_monomial(order)
+        polys.append(h)
+        lms.append(lh)
+        # B criterion: drop an old pair when lm(h) divides its lcm and that
+        # lcm equals neither partner's lcm with h; lcm(h, x*x + x) is
+        # (lh | x, x), and lcm(h, g) has b = 0, so never equals a field lcm
+        kept = [
+            (sk, a, b, i, j) for sk, a, b, i, j in pairs
+            if lh & ~a or ((lh | b) == a if b else lms[i] | lh == a or lms[j] | lh == a)
+        ]
+        # new pairs with the reducer set.  Coprime ones are skipped (product
+        # criterion); they could rule out no other, since no reducer lead
+        # divides another or lh.  Of the rest, the F criterion keeps one per
+        # lcm and the M criterion drops those with a proper divisor lcm.
+        lcms = {}
+        for i in active:
+            if lms[i] & lh:
+                lcms[lms[i] | lh] = i
+        for lcm, i in lcms.items():
+            if not any(l & ~lcm == 0 and l != lcm for l in lcms):
+                kept.append((key(lcm), lcm, 0, i, k))
+        # pairs with the field polynomials of the variables of lm(h); those of
+        # other variables are coprime to h, and no pair with h rules these out
+        # or is ruled out by them, because no lead in the reducer set divides
+        # lh.  When lh is one variable x, h = x + r with r free of x, and x*h
+        # = (1 + r)*h reduces to zero at once.
+        if lh & (lh - 1):
+            for x in _bit_indices(lh):
+                kept.append((key(lh), lh, 1 << x, k, -1))
+        heapq.heapify(kept)
+        pairs = kept
+        active[:] = [i for i in active if lh & ~lms[i]]
+        active.append(k)
 
-    def insert(p: BoolPoly) -> bool:
-        r = reduce(p, basis, order)
-        if not r:
-            return False
-        if r.is_one:
-            return True
-        basis.append(r)
-        lms.append(r.leading_monomial(order))
-        push_candidates(len(basis) - 1)
-        return False
+    def normal_form(p: BoolPoly) -> BoolPoly:
+        return reduce(p, [polys[i] for i in active], order, leads=[lms[i] for i in active])
 
     for f in system.generators:
-        if insert(f):
-            return GroebnerBasis(vars, order, (one,))
+        r = normal_form(f)
+        if r.is_one:
+            return one
+        if r:
+            add(r)
 
-    while heap:
-        _, kind, i, j, x = heapq.heappop(heap)
-        if kind == 0:
-            s = s_polynomial(basis[i], basis[j], order)
+    while pairs:
+        _, _, b, i, j = heapq.heappop(pairs)
+        if b:
+            s = polys[i].multiply_monomial(b)
+            if not s or s == polys[i]:
+                continue  # g = (x + 1)*q or x*q: x*g is 0 or g itself
         else:
-            s = basis[i].multiply_monomial(1 << x)
-        if insert(s):
-            return GroebnerBasis(vars, order, (one,))
+            s = s_polynomial(polys[i], polys[j], order)
+        r = normal_form(s)
+        if r.is_one:
+            return one
+        if r:
+            add(r)
 
-    # minimalize: drop polynomials whose lead is a multiple of another lead
-    by_lm = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    minimal: list[BoolPoly] = []
-    kept_lms: list[int] = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
-        if any(l & ~lm == 0 for l in kept_lms):
-            continue
-        minimal.append(g)
-        kept_lms.append(lm)
-
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            r = reduce(minimal[idx], others, order)
-            if r != minimal[idx]:
-                minimal[idx] = r
-                changed = True
-
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(vars, order, minimal)
+    # the leads of the reducer set are pairwise non-dividing and fixed, so
+    # reducing each tail once by the others gives the unique reduced basis
+    active.sort(key=lambda i: key(lms[i]), reverse=True)
+    reduced = []
+    for i in active:
+        others = [j for j in active if j != i]
+        reduced.append(reduce(polys[i], [polys[j] for j in others], order,
+                              leads=[lms[j] for j in others]))
+    return GroebnerBasis(vars, order, reduced)
 
 
 def _mask_to_state(sigma: int, n: int) -> tuple[int, ...]:
@@ -213,11 +246,21 @@ def solve_boolean_system(system: PolySystem, method: str = "groebner") -> list[t
 
 
 def _split(polys, assigned, vars, order, out):
-    # recursively specialize the lowest-index variable still present, pruning
-    # branches whose basis collapses to {1}
+    # polys is a reduced basis.  A member x or x + 1 forces x to 0 or 1, and
+    # no other member contains x, so those values are read off; the rest is
+    # split on its lowest-index variable, pruning branches whose basis
+    # collapses to {1}
     if len(polys) == 1 and polys[0].is_one:
         return
-    if not polys:
+    assigned = dict(assigned)
+    rest = []
+    for p in polys:
+        top = max(p.monomials)
+        if top & (top - 1) == 0 and p.monomials <= {top, 0}:
+            assigned[top.bit_length() - 1] = 1 if 0 in p.monomials else 0
+        else:
+            rest.append(p)
+    if not rest:
         free = [i for i in range(len(vars)) if i not in assigned]
         for bits in product((0, 1), repeat=len(free)):
             point = dict(assigned)
@@ -225,11 +268,11 @@ def _split(polys, assigned, vars, order, out):
             out.append(tuple(point[i] for i in range(len(vars))))
         return
     support = 0
-    for p in polys:
+    for p in rest:
         support |= p.support_mask()
     x = (support & -support).bit_length() - 1
     for b in (0, 1):
-        specialized = [p.substitute_index(x, b) for p in polys]
+        specialized = [p.substitute_index(x, b) for p in rest]
         sub = buchberger_reduced(PolySystem(vars, specialized), order)
         _split(list(sub.polys), {**assigned, x: b}, vars, order, out)
 

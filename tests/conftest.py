@@ -90,6 +90,24 @@ def random_system(rng, max_vars=10):
     return PolySystem(vars, gens)
 
 
+def planted_system(rng, n):
+    """n quadratic equations of 3..8 terms in n unknowns, all vanishing at
+    one random point, so the system has at least one solution."""
+    vars = VarSet(f"x{i + 1}" for i in range(n))
+    linear = [1 << i for i in range(n)]
+    quadratic = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    planted = rng.getrandbits(n)
+    gens = []
+    for _ in range(n):
+        terms = rng.randint(3, 8)
+        monos = set(rng.sample(quadratic, rng.randint(max(1, terms - n), terms - 1)))
+        monos |= set(rng.sample(linear, terms - len(monos)))
+        if sum(1 for m in monos if m & planted == m) % 2:
+            monos.add(0)
+        gens.append(BoolPoly(vars, monos))
+    return PolySystem(vars, gens), planted
+
+
 # ---------------------------------------------------------------------------
 # Rational polynomials
 

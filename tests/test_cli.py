@@ -335,6 +335,19 @@ def test_precision_floor(capsys, lac_ode, precision):
     assert err == "operon: precision must be at least 1e-300\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady-states", "--L", "1"],
+    ["bifurcation"],
+])
+def test_hill_exponent_cap(capsys, tmp_path, argv):
+    model = _ode_variant(tmp_path, n="2000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ode", argv[0], model, *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "operon: line 15: n must be at most 64\n"
+
+
 def test_ode_bifurcation_range_validation(capsys, lac_ode):
     code, out, err = run(capsys, "ode", "bifurcation", lac_ode, "--range", "2:1")
     assert code == 1

@@ -209,6 +209,31 @@ def test_order_priority_permutation():
     assert order.key(x4) > order.key(x1)
 
 
+def old_degrevlex_key(mask, priority):
+    # the tuple key the int key replaced: (degree, bit-reversed complement of
+    # the lex word), where priority position 0 is the most significant bit
+    n = len(priority)
+    lexint = 0
+    for pos, var in enumerate(priority):
+        if mask >> var & 1:
+            lexint |= 1 << (n - 1 - pos)
+    complement = ((1 << n) - 1) ^ lexint
+    return (mask.bit_count(), int(format(complement, f"0{n}b")[::-1], 2))
+
+
+def test_degrevlex_int_key_sorts_like_the_tuple_key(rng):
+    for n in range(1, 7):
+        vars = VarSet(f"x{i + 1}" for i in range(n))
+        priorities = [list(range(n)), list(range(n))[::-1]]
+        priorities += [rng.sample(range(n), n) for _ in range(3)]
+        for priority in priorities:
+            order = MonomialOrder.degrevlex(vars, [vars.names[i] for i in priority])
+            masks = range(1 << n)
+            assert all(isinstance(order.key(m), int) for m in masks)
+            assert (sorted(masks, key=order.key)
+                    == sorted(masks, key=lambda m: old_degrevlex_key(m, priority)))
+
+
 def test_order_is_multiplicative(rng):
     # m1 < m2 implies m1*t < m2*t when t shares no variable with either.
     for order in (MonomialOrder.lex(V4), MonomialOrder.degrevlex(V4)):

@@ -1,5 +1,7 @@
 """Buchberger-based bases and the Boolean system solver."""
 
+import time
+
 import pytest
 
 from operon.errors import ParseError
@@ -14,7 +16,7 @@ from operon.groebner import (
     solve_boolean_system,
 )
 
-from conftest import random_bool_poly, random_system
+from conftest import planted_system, random_bool_poly, random_system
 
 ON_STATE_BASIS = [
     "x1 + 1",
@@ -96,6 +98,98 @@ def test_random_bases_are_reduced_groebner_bases(rng):
             assert_groebner(system, basis, order)
 
 
+def zero_set(system):
+    """Every 0/1 point where all generators vanish, by direct evaluation: a
+    squarefree monomial is 1 at sigma exactly when its mask lies in sigma."""
+    n = len(system.vars)
+    return [
+        sigma for sigma in range(1 << n)
+        if all(sum(m & ~sigma == 0 for m in g.monomials) % 2 == 0
+               for g in system.generators)
+    ]
+
+
+def assert_certified(system, points, basis, order):
+    """basis is the reduced Groebner basis of the system's ideal, whose zero
+    set is points.
+
+    In the Boolean ring every ideal is the vanishing ideal of its zero set V.
+    A basis that vanishes on V generates an ideal J inside I(V); if its leads
+    leave exactly |V| standard monomials, J has the codimension of I(V), so
+    J = I(V) and the leads generate the lead ideal.  A reduced Groebner basis
+    of an ideal is unique.
+    """
+    n = len(system.vars)
+    if not points:
+        assert basis.polys == (BoolPoly.one(system.vars),)
+        return
+    for p in basis.polys:
+        for sigma in points:
+            assert sum(m & ~sigma == 0 for m in p.monomials) % 2 == 0
+    lms = [p.leading_monomial(order) for p in basis.polys]
+    standard = sum(1 for m in range(1 << n) if not any(divides(lm, m) for lm in lms))
+    assert standard == len(points)
+    assert_reduced(basis, order)
+    keys = [order.key(lm) for lm in lms]
+    assert keys == sorted(keys, reverse=True)
+
+
+def certificate_orders(vars, rng):
+    names = list(vars)
+    rng.shuffle(names)
+    return [
+        MonomialOrder.degrevlex(vars),
+        MonomialOrder.lex(vars),
+        MonomialOrder.degrevlex(vars, names),
+        MonomialOrder.lex(vars, names),
+    ]
+
+
+def sparse_system(rng):
+    """One to three random polynomials in three to six variables: an
+    underdetermined system with a large zero set."""
+    vars = VarSet(f"x{i + 1}" for i in range(rng.randint(3, 6)))
+    gens = [random_bool_poly(rng, vars, max_terms=7) for _ in range(rng.randint(1, 3))]
+    return PolySystem(vars, gens)
+
+
+def test_bases_are_certified_by_the_zero_set(rng):
+    # the sparse systems catch a B criterion that also drops pairs whose lcm
+    # equals one partner's lcm with the new generator
+    systems = [random_system(rng, max_vars=10) for _ in range(60)]
+    systems += [sparse_system(rng) for _ in range(300)]
+    systems += [planted_system(rng, n)[0] for n in range(6, 13)]
+    for system in systems:
+        points = zero_set(system)
+        for order in certificate_orders(system.vars, rng):
+            assert_certified(system, points, buchberger_reduced(system, order), order)
+
+
+def test_bases_match_sympy(rng):
+    # sympy works in GF(2)[x] with the field equations added; the members of
+    # its reduced basis that are squarefree form the quotient-ring basis
+    sympy = pytest.importorskip("sympy")
+    for _ in range(80):
+        system = random_system(rng, max_vars=6)
+        gens = sympy.symbols(list(system.vars))
+        n = len(gens)
+        field = [x**2 - x for x in gens]
+        exprs = [
+            sympy.Add(*(sympy.Mul(*(gens[i] for i in range(n) if m >> i & 1))
+                        for m in g.monomials))
+            for g in system.generators
+        ]
+        for sympy_order, order in (("grevlex", MonomialOrder.degrevlex(system.vars)),
+                                   ("lex", MonomialOrder.lex(system.vars))):
+            expected = set()
+            for poly in sympy.groebner(exprs + field, *gens, modulus=2, order=sympy_order).polys:
+                monos = [e for e, c in poly.terms() if c % 2]
+                if all(k <= 1 for e in monos for k in e):
+                    masks = [sum(k << i for i, k in enumerate(e)) for e in monos]
+                    expected.add(BoolPoly(system.vars, masks))
+            assert basis_set(buchberger_reduced(system, order)) == expected
+
+
 def test_basis_is_idempotent(rng):
     for _ in range(20):
         system = random_system(rng, max_vars=7)
@@ -143,6 +237,16 @@ def test_reduce_leaves_normal_forms(rng):
         assert reduce(p + r, polys, order).is_zero
 
 
+def test_reduce_with_given_leads(rng):
+    for _ in range(25):
+        system = random_system(rng, max_vars=6)
+        order = MonomialOrder.lex(system.vars)
+        basis = list(system.generators)
+        leads = [g.leading_monomial(order) for g in basis]
+        p = random_bool_poly(rng, system.vars)
+        assert reduce(p, basis, order, leads=leads) == reduce(p, basis, order)
+
+
 def test_s_polynomial_rejects_zero():
     vars = VarSet(["x1"])
     zero = BoolPoly.zero(vars)
@@ -164,6 +268,18 @@ def test_solver_methods_agree_on_random_systems(rng):
         for point in fast:
             sigma = sum(b << i for i, b in enumerate(point))
             assert all(g.evaluate_mask(sigma) == 0 for g in system.generators)
+
+
+def test_planted_solve_budget(rng):
+    # before pair pruning and the forced-variable read-off, one solve of this
+    # size took a median of 29 s
+    systems = [planted_system(rng, 12) for _ in range(5)]
+    start = time.perf_counter()
+    solutions = [solve_boolean_system(system) for system, _ in systems]
+    assert time.perf_counter() - start < 2.0
+    for (system, planted), sols in zip(systems, solutions):
+        assert sols == solve_boolean_system(system, "enumerate")
+        assert tuple((planted >> i) & 1 for i in range(12)) in sols
 
 
 def test_solutions_are_sorted(rng):

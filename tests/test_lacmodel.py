@@ -18,6 +18,7 @@ from operon.exactpoly import (
 )
 from operon.lacmodel import (
     DEFAULT_PRECISION,
+    MAX_HILL,
     RESIDUAL_TARGET,
     LacParams,
     bifurcation_csv,
@@ -130,11 +131,24 @@ def test_parse_ode_text_golden():
         ("c0 = one\n", "invalid rational 'one'"),
         ("c0 = 1\n", "missing parameters: c, gamma"),
         ("c0 = 1 # inline\nc0 = 2\n", "line 2"),
+        ("n = \u00b2\n", "n must be a positive integer"),
+        ("n = 000\n", "n must be a positive integer"),
+        ("c0 = 1\nn = 65\n", "line 2: n must be at most 64"),
+        ("n = 1" + "0" * 5000 + "\n", "n must be at most 64"),
     ],
 )
 def test_parse_ode_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_ode_text(text)
+
+
+def test_hill_exponent_cap():
+    text = "c0 = 1/20\nc = 1\ngamma = 1\nv = 1\ndelta = 1/5\nh = 2\nn = 64\nL = sym\n"
+    assert parse_ode_text(text).n == MAX_HILL == 64
+    assert parse_ode_text(text.replace("n = 64", "n = 0064")).n == 64
+    assert replace(LacParams.defaults(), n=MAX_HILL).n == MAX_HILL
+    with pytest.raises(ValueError, match="n must be at most 64"):
+        replace(LacParams.defaults(), n=MAX_HILL + 1)
 
 
 # ---------------------------------------------------------------------------
