@@ -62,10 +62,19 @@ class BooleanNetwork:
         return tuple(logic.evaluate(r, env) for r in self.rules)
 
     def trajectory(self, state, params, max_steps: int | None = None) -> "Trajectory":
+        """The orbit of state, truncated after max_steps steps.
+
+        With no max_steps the orbit is followed until it repeats, which can
+        take 2^n steps; past ENUMERATE_CAP variables a limit is required.
+        """
         state = self.check_state(state)
         setting = self.check_params(params)
         if max_steps is None:
-            max_steps = (1 << len(self.vars)) + 1
+            n = len(self.vars)
+            if n > ENUMERATE_CAP:
+                raise ValueError(f"a full orbit is followed only up to {ENUMERATE_CAP} "
+                                 f"variables (got {n}); set a step limit with --steps")
+            max_steps = (1 << n) + 1
         if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         states = [state]

@@ -36,6 +36,7 @@ from .realroots import (
     RootBox,
     count_real_roots,
     decimal_str,
+    halve_root_box,
     isolate_real_roots,
     refine_root_box,
     simplest_rational,
@@ -134,12 +135,6 @@ def load_ode(path) -> LacParams:
         return parse_ode_text(fh.read())
 
 
-def _lactose_value(p: LacParams):
-    if p.L is None:
-        return Poly.x("L")
-    return p.L
-
-
 def build_system(p: LacParams) -> tuple[Poly, Poly]:
     """The two cleared steady-state equations as polynomials in M.
 
@@ -151,7 +146,7 @@ def build_system(p: LacParams) -> tuple[Poly, Poly]:
     eliminant, through `resultant`.
     """
     A = Poly.x("A")
-    L = _lactose_value(p)
+    L = Poly.x("L") if p.L is None else p.L
     hill = A ** p.n + 1
     eq1 = Poly("M", [p.c0 * hill + p.c * A ** p.n, -p.gamma * hill])
     eq2 = Poly("M", [-p.delta * A * (A + p.h), (A + p.h) * L - p.v * A])
@@ -266,18 +261,16 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
     """The level L = P/Q at the root of W in box, in a certified box.
 
     P and Q increase on A >= 0, so for A in (a, b] with Q(a) > 0,
-    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is bisected until that
-    L box is no wider than precision/4.  The root has odd multiplicity and
-    W(a) != 0, so it lies in (a, mid] exactly when W(mid) is zero or
-    differs in sign from W(a).  The L box is then widened to the simplest
-    rationals within precision/8 of its ends: its exact ends have digits
-    in the hundreds, and every later use (printing, census probes, sample
-    flags) is cheaper with short ones.
+    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved by
+    `halve_root_box`, which reuses the oracle of W that the box carries,
+    until that L box is no wider than precision/4.  The L box is then
+    widened to the simplest rationals within precision/8 of its ends: its
+    exact ends have digits in the hundreds, and every later use (printing,
+    census probes, sample flags) is cheaper with short ones.
     """
-    pc, qc, wc = integer_coeffs(P), integer_coeffs(Q), integer_coeffs(W)
-    a, b = box.lo, box.hi
-    a_sign = _value(wc, a) > 0
-    while a != b:
+    pc, qc = integer_coeffs(P), integer_coeffs(Q)
+    while not box.is_exact:
+        a, b = box.lo, box.hi
         q_a = _value(qc, a)
         if q_a:
             lo = _value(pc, a) / _value(qc, b)
@@ -286,29 +279,20 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
                 slack = precision / 8
                 return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
                                simplest_rational(hi, hi + slack))
-        mid = (a + b) / 2
-        w_mid = _value(wc, mid)
-        if not w_mid:
-            a = b = mid
-        elif (w_mid > 0) != a_sign:
-            b = mid
-        else:
-            a = mid
-    level = _value(pc, a) / _value(qc, a)
+        box = halve_root_box(W, box)
+    level = _value(pc, box.lo) / _value(qc, box.lo)
     return RootBox(level, level)
 
 
 def _eliminant_at(p: LacParams, L) -> Poly:
+    if Fraction(L) <= 0:
+        raise ValueError("lactose level must be positive")
     return eliminate_M(p.with_lactose(L))
 
 
 def steady_state_count(p: LacParams, L) -> int:
     """Number of distinct positive steady-state A values at lactose level L."""
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("lactose level must be positive")
-    elim = _eliminant_at(p, L)
-    return count_real_roots(elim, Fraction(0), None)
+    return count_real_roots(_eliminant_at(p, L), Fraction(0), None)
 
 
 @dataclass(frozen=True)
@@ -381,9 +365,6 @@ def steady_states_at(p: LacParams, L,
     A intervals are refined until the eliminant residual at the midpoint is
     below RESIDUAL_TARGET; M and R intervals follow by monotone evaluation.
     """
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("lactose level must be positive")
     elim = _eliminant_at(p, L)
     boxes = isolate_real_roots(elim, region="positive", precision=precision)
     out = []

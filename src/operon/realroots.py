@@ -5,10 +5,11 @@ intervals are bisected Fractions, and a root is reported as `exact` only
 when a rational value satisfying the polynomial was actually found.
 
 Every sign is taken on integers: the sign of q(n/d) is the sign of
-d**deg * q(n/d), evaluated by homogeneous Horner.  Each polynomial is
-prepared once (squarefree part, Sturm chain, Yun factors) into an oracle
-that the root boxes it produced carry along, so refining a box later does
-not prepare the polynomial again.
+d**deg * q(n/d), evaluated by homogeneous Horner.  One integer remainder
+sequence serves as the only gcd: the Sturm chain, the squarefree part and
+Yun's decomposition all read it.  Each polynomial is converted to integers
+and prepared once into an oracle that the root boxes it produced carry
+along, so refining a box later does not prepare the polynomial again.
 """
 
 from __future__ import annotations
@@ -16,18 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional
 
-from .exactpoly import (
-    Poly,
-    clear_content,
-    derivative,
-    divrem,
-    homogeneous_value,
-    integer_coeffs,
-    pgcd,
-)
+from .exactpoly import Poly, clear_content, homogeneous_value, integer_coeffs
 
 MIN_PRECISION = Fraction(1, 10 ** 300)
 """The narrowest interval width that isolation and refinement accept.
@@ -99,6 +93,12 @@ def _primitive(c) -> tuple[int, ...]:
     return tuple(x // g for x in c)
 
 
+def _trim(r: list[int]) -> list[int]:
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def _derivative(c) -> list[int]:
     return [i * x for i, x in enumerate(c)][1:]
 
@@ -120,9 +120,69 @@ def _pseudo_remainder(f, g) -> list[int]:
                 r = [scale * x for x in r]
             for i, gi in enumerate(g[:-1], start=k - n):
                 r[i] -= t * gi
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return _trim(r)
+
+
+def _remainder_sequence(f, g) -> list[tuple[int, ...]]:
+    """f, g, then the negated pseudo-remainders until one is zero.
+
+    Every entry after f is made primitive.  With g = f' this is the Sturm
+    chain of f.  The last entry is gcd(f, g) up to sign (f itself when g is
+    zero), so the squarefree part and Yun's decomposition read it too.
+    """
+    seq = [f]
+    while g:
+        seq.append(_primitive(g))
+        g = [-x for x in _pseudo_remainder(seq[-2], seq[-1])]
+    return seq
+
+
+def _sturm(f) -> list[tuple[int, ...]]:
+    return _remainder_sequence(f, _derivative(f))
+
+
+def _quotient(f, g) -> tuple[int, ...]:
+    """f / g for integer f and a primitive g that divides it; the quotient
+    is integral (Gauss's lemma), so every step divides exactly."""
+    n = len(g) - 1
+    r = list(f)
+    quo = [0] * (len(f) - n)
+    for k in range(len(f) - 1, n - 1, -1):
+        t = quo[k - n] = r[k] // g[-1]
+        if t:
+            for i, gi in enumerate(g, start=k - n):
+                r[i] -= t * gi
+    return tuple(quo)
+
+
+def _squarefree(f, d) -> tuple[int, ...]:
+    """f / gcd(f, f'), given the gcd d up to sign, with the sign of f."""
+    q = _quotient(f, d)
+    return q if (q[-1] > 0) == (f[-1] > 0) else tuple(-x for x in q)
+
+
+def _yun(f, d) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's squarefree decomposition of a primitive f, given d = gcd(f, f').
+
+    The factors are primitive and pairwise coprime, each up to its sign.
+    b and w are always divided by the same polynomial, so w - b' stays
+    Yun's sequence whatever sign the gcds come with.
+    """
+    b, w = _quotient(f, d), _quotient(_derivative(f), d)
+    out, k = [], 1
+    while len(b) > 1:
+        w = _trim([x - y for x, y in zip_longest(w, _derivative(b), fillvalue=0)])
+        a = _remainder_sequence(b, w)[-1]  # gcd(b, w), b when w is zero
+        if len(a) > 1:
+            out.append((a, k))
+            b, w = _quotient(b, a), _quotient(w, a)
+        k += 1
+    return out
+
+
+def _root_bound(c) -> Fraction:
+    """Cauchy's bound 1 + max |c_i| / |lead| on the real roots."""
+    return 1 + Fraction(max((abs(x) for x in c[:-1]), default=0), abs(c[-1]))
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -133,25 +193,7 @@ def squarefree_part(p: Poly) -> Poly:
     if p.degree == 0:
         return Poly(p.var, (1,))
     f = integer_coeffs(clear_content(p))
-    # gcd(f, f') by the primitive remainder sequence, up to its sign
-    a, b = f, _primitive(_derivative(f))
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        a, b = b, (_primitive(r) if r else ())
-    if not b:
-        # f divided by the primitive gcd a, taken with a positive lead, is
-        # primitive and has integer coefficients (Gauss's lemma)
-        g = _primitive(a) if a[-1] > 0 else _primitive([-x for x in a])
-        n = len(g) - 1
-        r = list(f)
-        quo = [0] * (len(f) - n)
-        for k in range(len(f) - 1, n - 1, -1):
-            t = quo[k - n] = r[k] // g[-1]
-            if t:
-                for i, gi in enumerate(g, start=k - n):
-                    r[i] -= t * gi
-        f = tuple(quo)
-    return Poly(p.var, f)
+    return Poly(p.var, _squarefree(f, _sturm(f)[-1]))
 
 
 def yun_factors(p: Poly) -> list[tuple[Poly, int]]:
@@ -164,22 +206,8 @@ def yun_factors(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if p.degree == 0:
         return []
-    d = pgcd(p, derivative(p))
-    if d.degree == 0:
-        return [(p * (Fraction(1) / p.lc), 1)]
-    b = divrem(p, d)[0]
-    w = divrem(derivative(p), d)[0] - derivative(b)
-    out = []
-    k = 1
-    while b.degree > 0:
-        a = pgcd(b, w)
-        if a.degree > 0:
-            out.append((a, k))
-            b = divrem(b, a)[0]
-            w = divrem(w, a)[0]
-        w = w - derivative(b)
-        k += 1
-    return out
+    f = integer_coeffs(clear_content(p))
+    return [(Poly(p.var, a) * Fraction(1, a[-1]), k) for a, k in _yun(f, _sturm(f)[-1])]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -187,15 +215,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     _require_univariate(p)
     if not p:
         raise ValueError("no Sturm chain for the zero polynomial")
-    chain = [integer_coeffs(clear_content(p))]
-    if p.degree > 0:
-        chain.append(_primitive(_derivative(chain[0])))
-        while len(chain[-1]) > 1:
-            rem = _pseudo_remainder(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(_primitive([-x for x in rem]))
-    return [Poly(p.var, c) for c in chain]
+    return [Poly(p.var, c) for c in _sturm(integer_coeffs(clear_content(p)))]
 
 
 def _sign(x) -> int:
@@ -203,15 +223,8 @@ def _sign(x) -> int:
 
 
 def _variations(signs) -> int:
-    count = 0
-    last = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if last and s != last:
-            count += 1
-        last = s
-    return count
+    signs = [s for s in signs if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -219,11 +232,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     _require_univariate(p)
     if not p:
         raise ValueError("the zero polynomial has no root bound")
-    if p.degree == 0:
-        return Fraction(1)
-    lead = abs(p.coeffs[-1])
-    biggest = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + biggest / lead
+    return _root_bound(p.coeffs)
 
 
 def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
@@ -237,7 +246,7 @@ def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fracti
     if p.degree == 0:
         return 0
     oracle = _Oracle(p)
-    bound = cauchy_root_bound(oracle.q)
+    bound = _root_bound(oracle.coeffs)
     a = Fraction(lo) if lo is not None else -bound
     b = Fraction(hi) if hi is not None else bound
     if b <= a:
@@ -286,15 +295,19 @@ def _check_precision(precision) -> Fraction:
 class _Oracle:
     """Everything isolation and refinement ask of one polynomial p.
 
-    It holds the squarefree part q of p and q's Sturm chain as integer
-    coefficient tuples, the Sturm variations already computed at each
-    endpoint, and, once a multiplicity is asked for, the Yun factors of p.
+    p is converted to integer coefficients f once.  The Sturm chain of f
+    ends in gcd(f, f'); when that is not constant, the chain of the
+    squarefree part q is taken.  The oracle also keeps the Sturm variations
+    already computed at each endpoint and, once asked, the Yun factors.
     """
 
     def __init__(self, p: Poly):
         self.p = p
-        self.q = squarefree_part(p)
-        self.chain = [integer_coeffs(c) for c in sturm_chain(self.q)]
+        self.f = integer_coeffs(clear_content(p))
+        self.chain = _sturm(self.f)
+        self.gcd = self.chain[-1]  # gcd(f, f') up to sign
+        if len(self.gcd) > 1:
+            self.chain = _sturm(_squarefree(self.f, self.gcd))
         self.coeffs = self.chain[0]  # q itself
         self._variations: dict[Fraction, int] = {}
 
@@ -319,9 +332,9 @@ class _Oracle:
     @cached_property
     def factors(self) -> list[tuple[tuple[int, ...], int]]:
         """Yun factors of p as (integer coefficients, exponent) pairs."""
-        if self.q.degree == self.p.degree:  # p is squarefree
+        if len(self.gcd) == 1:  # p is squarefree
             return [(self.coeffs, 1)]
-        return [(integer_coeffs(clear_content(f)), k) for f, k in yun_factors(self.p)]
+        return _yun(self.f, self.gcd)
 
 
 def _find_exact(oracle: _Oracle, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
@@ -376,13 +389,9 @@ def isolate_real_roots(p: Poly, region: str = "all",
     if p.degree == 0:
         return []
     oracle = _Oracle(p)
-    bound = cauchy_root_bound(oracle.q)
-    lo = Fraction(0) if region == "positive" else -bound
-    hi = bound
-    if hi <= lo:
-        return []
+    bound = _root_bound(oracle.coeffs)  # at least 1
     boxes = []
-    stack = [(lo, hi)]
+    stack = [(Fraction(0) if region == "positive" else -bound, bound)]
     while stack:
         a, b = stack.pop()
         n = oracle.count(a, b)
@@ -446,7 +455,16 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     """
     if box.is_exact:
         return box
-    precision = _check_precision(precision)
+    return _narrowed(p, box, _check_precision(precision))
+
+
+def halve_root_box(p: Poly, box: RootBox) -> RootBox:
+    """`refine_root_box(p, box, box.width / 2)`, also below MIN_PRECISION: one
+    halving is a bounded step, and a fold level may need a box that narrow."""
+    return box if box.is_exact else _narrowed(p, box, box.width / 2)
+
+
+def _narrowed(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     oracle = box._oracle
     if oracle is None or oracle.p != p:
         oracle = _Oracle(p)

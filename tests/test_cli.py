@@ -172,6 +172,25 @@ def test_simulate_truncation(capsys, lac_bn):
     assert len(lines) == 4
 
 
+def test_simulate_needs_a_step_limit_past_the_cap(capsys, tmp_path):
+    # a binary counter, x24 the low bit: the orbit of 0...0 has 2^25 states
+    names = [f"x{i}" for i in range(25)]
+    rules = [f"{x}' = {x} ^ ({' & '.join(names[i + 1:])})" for i, x in enumerate(names[:-1])]
+    rules.append("x24' = !x24")
+    model = tmp_path / "counter.bn"
+    model.write_text("\n".join(["network counter", f"vars: {', '.join(names)}", *rules]) + "\n")
+    argv = ["simulate", str(model), "--set", "", "--init", "0" * 25]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == ("operon: a full orbit is followed only up to 24 variables (got 25); "
+                   "set a step limit with --steps\n")
+    code, out, _ = run(capsys, *argv, "--steps", "3")
+    assert code == 0
+    assert out.splitlines() == [f"{k} {k:025b}" for k in range(4)] + ["truncated after 3 steps"]
+
+
 def test_simulate_input_validation(capsys, lac_bn):
     code, err = run_usage_error(capsys, "simulate", lac_bn, "--set", "a=1,g=0",
                                 "--init", "111")

@@ -444,6 +444,53 @@ def test_discriminant_with_symbolic_coefficients():
     assert d == -4 * t
 
 
+def to_sympy(p, symbols):
+    if not isinstance(p, Poly):
+        return symbols["Rational"](p.numerator, p.denominator)
+    var = symbols[p.var]
+    return sum((to_sympy(c, symbols) * var**i for i, c in enumerate(p.coeffs)), 0)
+
+
+def test_resultant_and_discriminant_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    symbols = {"x": sympy.Symbol("x"), "y": sympy.Symbol("y"), "Rational": sympy.Rational}
+    x = symbols["x"]
+
+    def sympy_resultant(f, g):
+        # sympy.resultant has the wrong sign when deg f < deg g and
+        # deg f * deg g is odd (sympy 1.14); in degree order it is right
+        sf, sg = to_sympy(f, symbols), to_sympy(g, symbols)
+        if f.degree >= g.degree:
+            return sympy.resultant(sf, sg, x)
+        return (-1) ** (f.degree * g.degree) * sympy.resultant(sg, sf, x)
+
+    # the failing case: 8^3 * g(-3/8) = 1062, where sympy.resultant gives -1062
+    f = Poly("x", [F(3), F(8)])
+    g = Poly("x", [F(3), F(-1), F(-7), F(6)])
+    assert resultant(f, g) == 1062 == sympy_resultant(f, g)
+    assert sylvester(to_sympy(f, symbols), to_sympy(g, symbols), x).det() == 1062
+
+    def random_poly(bivariate):
+        if not bivariate:
+            return random_rat_poly(rng, max_degree=6)
+        coeffs = [random_rat_poly(rng, var="y", max_degree=2) for _ in range(rng.randint(2, 4))]
+        return Poly("x", [c if rng.random() < 0.7 else F(0) for c in coeffs[:-1]] + coeffs[-1:])
+
+    cases = 0
+    while cases < 150:
+        f, g = random_poly(cases >= 120), random_poly(cases >= 120)
+        if f.degree < 1 or g.degree < 1:
+            continue
+        cases += 1
+        ours = to_sympy(resultant(f, g), symbols)
+        assert sympy.expand(ours - sympy_resultant(f, g)) == 0
+        if f.degree >= 2:
+            ours = to_sympy(discriminant(f), symbols)
+            assert sympy.expand(ours - sympy.discriminant(to_sympy(f, symbols), x)) == 0
+
+
 # ---------------------------------------------------------------------------
 # formatting
 

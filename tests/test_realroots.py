@@ -355,8 +355,8 @@ def ref_refine(q, chain, a, b, precision):
 
 
 def ref_isolate(p, region, precision):
-    q = squarefree_part(p)
-    chain = sturm_chain(q)
+    q = ref_squarefree(p)
+    chain = ref_chain(q)
     bound = cauchy_root_bound(q)
     stack = [(F(0) if region == "positive" else -bound, bound)]
     boxes = []
@@ -370,9 +370,9 @@ def ref_isolate(p, region, precision):
             stack += [(mid, b), (a, mid)]
     out = []
     for a, b in sorted(boxes):
-        for f, k in yun_factors(p):
+        for f, k in ref_yun(p):
             if (ev(f, a) == 0 if a == b
-                    else ref_count(sturm_chain(f), a, b) == 1):
+                    else ref_count(ref_chain(f), a, b) == 1):
                 out.append((a, b, k))
     return out
 
@@ -398,8 +398,8 @@ def test_isolation_matches_fraction_reference(rng):
             boxes = isolate_real_roots(p, region=region, precision=precision)
             assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
                 ref_isolate(p, region, precision)
-            q = squarefree_part(p)
-            chain = sturm_chain(q)
+            q = ref_squarefree(p)
+            chain = ref_chain(q)
             for box in boxes:
                 # narrow in steps of 16, as the residual loop does
                 for _ in range(4):
@@ -411,21 +411,24 @@ def test_isolation_matches_fraction_reference(rng):
                     assert (box.lo, box.hi) == expected
 
 
+def ref_squarefree(p):
+    """The squarefree part by the Fraction Euclid (`pgcd`, `divrem`)."""
+    g = pgcd(p, derivative(p))
+    return clear_content(divrem(p, g)[0] if g.degree > 0 else p)
+
+
+def ref_chain(p):
+    """The Sturm chain by Fraction division."""
+    chain = [clear_content(p), clear_content(derivative(p))]
+    while chain[-1].degree > 0:
+        rem = divrem(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(clear_content(-rem))
+    return chain
+
+
 def test_integer_kernels_match_fraction_arithmetic(rng):
-    # squarefree part and Sturm chain as the Fraction Euclid computes them
-    def ref_squarefree(p):
-        g = pgcd(p, derivative(p))
-        return clear_content(divrem(p, g)[0] if g.degree > 0 else p)
-
-    def ref_chain(p):
-        chain = [clear_content(p), clear_content(derivative(p))]
-        while chain[-1].degree > 0:
-            rem = divrem(chain[-2], chain[-1])[1]
-            if not rem:
-                break
-            chain.append(clear_content(-rem))
-        return chain
-
     for _ in range(150):
         p = planted_poly(rng) if rng.random() < 0.5 else random_rat_poly(rng, max_degree=10)
         if p.degree < 1:
@@ -433,6 +436,46 @@ def test_integer_kernels_match_fraction_arithmetic(rng):
         assert squarefree_part(p) == ref_squarefree(p)
         assert sturm_chain(p) == ref_chain(p)
         assert sturm_chain(squarefree_part(p)) == ref_chain(ref_squarefree(p))
+
+
+def ref_yun(p):
+    """Yun's squarefree decomposition (Yun 1976) in Fraction arithmetic."""
+    d = pgcd(p, derivative(p))
+    if d.degree == 0:
+        return [(p * (F(1) / p.lc), 1)]
+    b = divrem(p, d)[0]
+    w = divrem(derivative(p), d)[0] - derivative(b)
+    out = []
+    k = 1
+    while b.degree > 0:
+        a = pgcd(b, w)
+        if a.degree > 0:
+            out.append((a, k))
+            b = divrem(b, a)[0]
+            w = divrem(w, a)[0]
+        w = w - derivative(b)
+        k += 1
+    return out
+
+
+def test_yun_matches_fraction_reference(rng):
+    # every factor with the same multiplicity drives Yun's w to zero, and
+    # the next gcd is gcd(b, 0) = b
+    cases = [(X - 1) ** 3 * (X + 2) ** 3, (X**2 - 2) ** 2 * (X - F(1, 3)) ** 2,
+             (X - 1) * (X**2 - 3) ** 4, -(X**2 + 1) ** 5 * X**5]
+    for _ in range(60):
+        roots = random_distinct_rationals(rng, rng.randint(1, 4))
+        p = poly_from_roots("x", [(r, rng.randint(1, 5)) for r in roots],
+                            lead=F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+        if rng.random() < 0.5:
+            p = p * (X**2 - rng.choice([2, 3, F(1, 5)])) ** rng.randint(1, 5)
+        cases.append(p)
+    for p in cases:
+        assert yun_factors(p) == ref_yun(p)
+        # the multiplicities come from the oracle's own integer Yun
+        boxes = isolate_real_roots(p, precision=F(1, 1000))
+        assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
+            ref_isolate(p, "all", F(1, 1000))
 
 
 def test_left_endpoint_on_a_root_falls_back_to_sturm():
@@ -453,9 +496,9 @@ def test_simplest_rational_matches_recursive(rng):
 
 def test_oracle_is_built_once_per_polynomial(monkeypatch):
     built = []
-    original = realroots.sturm_chain
-    monkeypatch.setattr(realroots, "sturm_chain",
-                        lambda q: built.append(q) or original(q))
+    original = realroots._Oracle.__init__
+    monkeypatch.setattr(realroots._Oracle, "__init__",
+                        lambda self, p: built.append(p) or original(self, p))
     p = (X**2 - 2) * (X - 5) * (X**2 - 3)
     boxes = isolate_real_roots(p)
     for box in boxes:
