@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import logic
-from .errors import ParseError
+from .errors import IDENT, ParseError, source_lines
 from .gf2 import BoolPoly, VarSet, translate_expr
 from .groebner import ENUMERATE_CAP, PolySystem, solve_boolean_system
 
-_RULE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*'\s*=\s*(.+)\Z")
+_RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
 
 State = tuple[int, ...]
 
@@ -75,8 +75,8 @@ class BooleanNetwork:
                 raise ValueError(f"a full orbit is followed only up to {ENUMERATE_CAP} "
                                  f"variables (got {n}); set a step limit with --steps")
             max_steps = (1 << n) + 1
-        if max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if max_steps < 0:
+            raise ValueError("max_steps must be nonnegative")
         states = [state]
         seen = {state: 0}
         for _ in range(max_steps):
@@ -268,10 +268,7 @@ def parse_network(text: str) -> BooleanNetwork:
     rules: dict[str, logic.Expr] = {}
     rule_lines: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         if name is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "network":
@@ -294,7 +291,7 @@ def parse_network(text: str) -> BooleanNetwork:
             if dup is not None:
                 raise ParseError(f"duplicate parameter name {dup!r}", lineno)
             for p in names:
-                if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", p):
+                if not re.fullmatch(IDENT, p):
                     raise ParseError(f"invalid parameter name {p!r}", lineno)
                 if p in vars:
                     raise ParseError(f"'{p}' is declared both as variable and parameter", lineno)

@@ -10,24 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__, boolnet, gf2, groebner, lacmodel
-from .errors import ParseError
+from .errors import ParseError, parse_rational
 from .realroots import decimal_str
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from '1/3', '0.25', or '1e-6' style input."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
-        raise ValueError(f"invalid rational {text!r}") from None
 
 
 def lactose_range(text: str) -> tuple[Fraction, Fraction]:

@@ -13,11 +13,11 @@ import re
 from typing import Iterable, Mapping
 
 from . import logic
-from .errors import ParseError
+from .errors import IDENT, ParseError
 
 MAX_VARS = 64  # one machine word per monomial
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = re.compile(IDENT)
 
 
 class VarSet:
@@ -33,7 +33,7 @@ class VarSet:
             raise ValueError(f"at most {MAX_VARS} variables are supported, got {len(names)}")
         index = {}
         for i, name in enumerate(names):
-            if not _NAME.match(name):
+            if not _NAME.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
             if name in index:
                 raise ValueError(f"duplicate variable name {name!r}")
@@ -316,66 +316,34 @@ def format_poly(p: BoolPoly, order: MonomialOrder | None = None) -> str:
     return " + ".join(monomial_str(m, p.vars) for m in terms)
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|([+*]))")
+_POLY_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([+*]))")
 
 
 def parse_poly(text: str, vars: VarSet, line: int | None = None) -> BoolPoly:
     """Parse ``x1*x5 + x4 + 1`` syntax; whitespace is insignificant."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in polynomial", line)
-        tokens.append(m.groups())
-        pos = m.end()
+    tokens = logic.tokenize(text, line, _POLY_TOKEN, "polynomial")
     if not tokens:
         raise ParseError("empty polynomial", line)
-
     monomials: set[int] = set()
-    # split on '+', then fold '*'-separated factors into one mask
-    idx = 0
-
-    def next_term(idx):
-        mask = 0
-        annihilated = False
-        expect_factor = True
-        while idx < len(tokens):
-            ident, const, op = tokens[idx]
-            if op == "+":
-                if expect_factor:
-                    raise ParseError("dangling operator in polynomial", line)
-                return mask, annihilated, idx + 1, True
-            if op == "*":
-                if expect_factor:
-                    raise ParseError("dangling operator in polynomial", line)
-                expect_factor = True
-                idx += 1
-                continue
-            if not expect_factor:
-                raise ParseError("missing '+' or '*' between terms", line)
-            if ident is not None:
-                if ident not in vars:
-                    raise ParseError(f"unknown identifier '{ident}'", line)
-                mask |= 1 << vars.index(ident)
-            elif const == "0":
-                annihilated = True
-            expect_factor = False
-            idx += 1
-        if expect_factor:
-            raise ParseError("dangling operator in polynomial", line)
-        return mask, annihilated, idx, False
-
-    more = True
-    while more:
-        mask, annihilated, idx, more = next_term(idx)
-        if annihilated:
-            continue
-        if mask in monomials:
-            monomials.discard(mask)
+    # one pass: '*' folds factors into mask; '+', also one after the end, closes a term
+    mask, annihilated, want_factor = 0, False, True
+    for kind, value, _ in tokens + [("op", "+", len(text))]:
+        if kind == "op":
+            if want_factor:
+                raise ParseError("dangling operator in polynomial", line)
+            want_factor = True
+            if value == "+":
+                if not annihilated:
+                    monomials ^= {mask}
+                mask, annihilated = 0, False
+        elif not want_factor:
+            raise ParseError("missing '+' or '*' between terms", line)
         else:
-            monomials.add(mask)
+            want_factor = False
+            if kind == "ident":
+                if value not in vars:
+                    raise ParseError(f"unknown identifier '{value}'", line)
+                mask |= 1 << vars.index(value)
+            elif value == "0":
+                annihilated = True
     return BoolPoly(vars, monomials)

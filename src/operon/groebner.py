@@ -16,7 +16,7 @@ import heapq
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, source_lines
 from .gf2 import BoolPoly, MonomialOrder, VarSet, _bit_indices, parse_poly
 
 ENUMERATE_CAP = 24
@@ -285,10 +285,7 @@ def parse_system(text: str) -> PolySystem:
     """
     vars = None
     polys = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         if vars is None:
             if not line.startswith("vars:"):
                 raise ParseError("expected a 'vars:' header", lineno)

@@ -22,7 +22,7 @@ from itertools import zip_longest
 from math import lcm
 from typing import Optional
 
-from .errors import ParseError
+from .errors import IDENT, ParseError, parse_rational, source_lines
 from .exactpoly import (
     Poly,
     clear_content,
@@ -36,9 +36,8 @@ from .realroots import (
     RootBox,
     count_real_roots,
     decimal_str,
-    halve_root_box,
     isolate_real_roots,
-    refine_root_box,
+    narrow_root_box,
     simplest_rational,
 )
 
@@ -94,11 +93,8 @@ _KEYS = ("c0", "c", "gamma", "v", "delta", "h", "n", "L")
 def parse_ode_text(text: str) -> LacParams:
     """Read `key = value` model constants; `L = sym` keeps L symbolic."""
     seen: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\Z", line)
+    for lineno, line in source_lines(text):
+        m = re.match(rf"({IDENT})\s*=\s*(\S+)\Z", line)
         if not m:
             raise ParseError("expected 'key = value'", lineno)
         key, value = m.group(1), m.group(2)
@@ -118,9 +114,9 @@ def parse_ode_text(text: str) -> LacParams:
             seen[key] = None
         else:
             try:
-                seen[key] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"invalid rational {value!r}", lineno) from None
+                seen[key] = parse_rational(value)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     missing = [k for k in _KEYS if k not in seen]
     if missing:
         raise ParseError("missing parameters: " + ", ".join(missing))
@@ -261,12 +257,12 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
     """The level L = P/Q at the root of W in box, in a certified box.
 
     P and Q increase on A >= 0, so for A in (a, b] with Q(a) > 0,
-    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved by
-    `halve_root_box`, which reuses the oracle of W that the box carries,
-    until that L box is no wider than precision/4.  The L box is then
-    widened to the simplest rationals within precision/8 of its ends: its
-    exact ends have digits in the hundreds, and every later use (printing,
-    census probes, sample flags) is cheaper with short ones.
+    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved, reusing the
+    oracle of W that the box carries, until that L box is no wider than
+    precision/4.  The L box is then widened to the simplest rationals
+    within precision/8 of its ends: its exact ends have digits in the
+    hundreds, and every later use (printing, census probes, sample flags)
+    is cheaper with short ones.
     """
     pc, qc = integer_coeffs(P), integer_coeffs(Q)
     while not box.is_exact:
@@ -279,7 +275,7 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
                 slack = precision / 8
                 return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
                                simplest_rational(hi, hi + slack))
-        box = halve_root_box(W, box)
+        box = narrow_root_box(W, box, box.width / 2)
     level = _value(pc, box.lo) / _value(qc, box.lo)
     return RootBox(level, level)
 
@@ -385,7 +381,7 @@ def _refine_residual(elim: Poly, box: RootBox) -> RootBox:
         n, d = mid.numerator, mid.denominator
         if abs(homogeneous_value(coeffs, n, d)) * s < t * d ** m:
             break
-        box = refine_root_box(elim, box, box.width / 16)
+        box = narrow_root_box(elim, box, box.width / 16)
     return box
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ParseError
+from .errors import IDENT, ParseError
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,28 @@ class Xor:
 
 Expr = Union[Var, Const, Not, And, Or, Xor]
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|([!&|^()]))")
+_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([!&|^()]))")
+_KINDS = ("ident", "const", "op")
 
 
-def tokenize(text: str, line: int | None = None) -> list[tuple[str, str, int]]:
-    """Split into (kind, value, column) triples; kind is ident/const/op."""
+def tokenize(text: str, line: int | None = None, pattern: re.Pattern = _TOKEN,
+             noun: str = "expression") -> list[tuple[str, str, int]]:
+    """Split into (kind, value, column) triples; kind is ident/const/op.
+
+    pattern matches whitespace and one token in group 1 (ident), 2 (const)
+    or 3 (op); noun names the input in the unexpected-character message.
+    """
     out = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise ParseError(f"unexpected character {rest[0]!r} in expression", line)
-        ident, const, op = m.groups()
-        col = m.start(1) if ident else m.start(2) if const else m.start(3)
-        if ident is not None:
-            out.append(("ident", ident, col))
-        elif const is not None:
-            out.append(("const", const, col))
-        else:
-            out.append(("op", op, col))
+            raise ParseError(f"unexpected character {rest[0]!r} in {noun}", line)
+        group = m.lastindex
+        out.append((_KINDS[group - 1], m.group(group), m.start(group)))
         pos = m.end()
     return out
 

@@ -448,27 +448,26 @@ def _refine(oracle: _Oracle, a: Fraction, b: Fraction,
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     """Narrow an existing isolating box for p to the requested width.
 
-    Exact boxes pass through unchanged; otherwise bisection continues and
-    the exact-root probe is retried on the tighter interval.  A box from
-    `isolate_real_roots(p)` or an earlier refinement for p brings its
-    oracle along, so p is not prepared again.
+    Unless the box is exact, the width is a user's precision and must be
+    at least MIN_PRECISION; see `narrow_root_box`.
+    """
+    return box if box.is_exact else narrow_root_box(p, box, _check_precision(precision))
+
+
+def narrow_root_box(p: Poly, box: RootBox, width: Fraction) -> RootBox:
+    """Narrow an existing isolating box for p to at most width, unchecked.
+
+    For widths derived from the box, such as box.width / 16, however small.
+    Exact boxes pass through; otherwise the exact-root probe is retried on
+    the tighter interval.  A box from `isolate_real_roots(p)` or an earlier
+    refinement brings the oracle for p along, so p is not prepared again.
     """
     if box.is_exact:
         return box
-    return _narrowed(p, box, _check_precision(precision))
-
-
-def halve_root_box(p: Poly, box: RootBox) -> RootBox:
-    """`refine_root_box(p, box, box.width / 2)`, also below MIN_PRECISION: one
-    halving is a bounded step, and a fold level may need a box that narrow."""
-    return box if box.is_exact else _narrowed(p, box, box.width / 2)
-
-
-def _narrowed(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     oracle = box._oracle
     if oracle is None or oracle.p != p:
         oracle = _Oracle(p)
-    a, b = _refine(oracle, box.lo, box.hi, precision)
+    a, b = _refine(oracle, box.lo, box.hi, width)
     exact = _find_exact(oracle, a, b)
     if exact is not None:
         a = b = exact

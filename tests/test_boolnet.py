@@ -134,6 +134,10 @@ def test_trajectory_truncation(net):
         _ = t.transient_length
     with pytest.raises(ValueError):
         _ = t.cycle
+    t = net.trajectory(bits("111010011"), {"a": 1, "g": 0}, max_steps=0)
+    assert t.states == (bits("111010011"),) and t.truncated is True
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        net.trajectory(bits("111010011"), {"a": 1, "g": 0}, max_steps=-1)
 
 
 def test_trajectory_from_fixed_point(net):

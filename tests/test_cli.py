@@ -1,5 +1,6 @@
 """End-to-end behavior of the `operon` command-line interface."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -60,8 +61,11 @@ def test_parse_rational_forms():
     assert parse_rational("0.25") == F(1, 4)
     assert parse_rational("1e-6") == F(1, 10**6)
     assert parse_rational("-2") == -2
-    with pytest.raises(ValueError, match="invalid rational"):
-        parse_rational("abc")
+    assert parse_rational("1_000") == 1000
+    # no infinities, no stray underscores, no exponent beyond 10^6
+    for bad in ("abc", "inf", "-Infinity", "nan", "15_", "1e1000001", "1E-1_000_001"):
+        with pytest.raises(ValueError, match="invalid rational"):
+            parse_rational(bad)
 
 
 def test_lactose_range():
@@ -189,6 +193,21 @@ def test_simulate_needs_a_step_limit_past_the_cap(capsys, tmp_path):
     code, out, _ = run(capsys, *argv, "--steps", "3")
     assert code == 0
     assert out.splitlines() == [f"{k} {k:025b}" for k in range(4)] + ["truncated after 3 steps"]
+
+
+def test_simulate_zero_steps(capsys, lac_bn):
+    code, out, _ = run(capsys, "simulate", lac_bn, "--set", "a=1,g=0",
+                       "--init", "111010011", "--steps", "0")
+    assert code == 0
+    assert out.splitlines() == ["0 111010011", "truncated after 0 steps"]
+
+
+def test_simulate_limit_cycle(capsys, tmp_path):
+    model = tmp_path / "flip.bn"
+    model.write_text("network flip\nvars: x\nx' = !x\n")
+    code, out, _ = run(capsys, "simulate", str(model), "--set", "", "--init", "0")
+    assert code == 0
+    assert out.splitlines() == ["0 0", "1 1", "cycle of length 2 entered at step 0"]
 
 
 def test_simulate_input_validation(capsys, lac_bn):
@@ -354,6 +373,45 @@ def test_precision_floor(capsys, lac_ode, precision):
     assert err == "operon: precision must be at least 1e-300\n"
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["steady-states", "--L", "inf"], "'inf'"),
+    (["steady-states", "--L", "1", "--precision", "Infinity"], "'Infinity'"),
+    (["steady-states", "--L", "15_"], "'15_'"),
+    (["steady-states", "--L", "1", "--precision", "1e999999999"], "'1e999999999'"),
+    (["bifurcation", "--range", "0.1:inf"], "'0.1:inf'"),
+])
+def test_bad_rational_is_a_usage_error(capsys, lac_ode, argv, bad):
+    start = time.perf_counter()
+    code, err = run_usage_error(capsys, "ode", argv[0], lac_ode, *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert error_lines == [err.splitlines()[-1]]
+    assert error_lines[0].endswith(f" value: {bad}")
+
+
+def test_model_rational_exponent_bound(capsys, tmp_path):
+    model = _ode_variant(tmp_path, c0="1e1000001")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ode", "steady-states", model, "--L", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "operon: line 9: invalid rational '1e1000001'\n"
+
+
+def test_tiny_constant_is_not_held_to_the_precision_floor(capsys, tmp_path):
+    # refining to the 1e-9 residual narrows the boxes of this model far
+    # below 1e-300, which only a user's --precision is held to
+    model = _ode_variant(tmp_path, c0="1e-300")
+    code, out, err = run(capsys, "ode", "steady-states", model, "--L", "1")
+    assert code == 0 and err == ""
+    assert [(s["A"], s["M"], s["R"]) for s in json.loads(out)] == [
+        ("0.00000", "0.00000", "1.00000"),
+        ("0.77037", "0.21342", "0.78658"),
+        ("2.29314", "0.98447", "0.01553"),
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["steady-states", "--L", "1"],
     ["bifurcation"],
@@ -463,3 +521,33 @@ def test_cli_output_is_byte_deterministic(lac_ode):
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_bifurcation_sweep_script(capsys):
+    path = Path(__file__).parent.parent / "scripts" / "bifurcation_sweep.py"
+    spec = importlib.util.spec_from_file_location("bifurcation_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--samples", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "steady-state polynomial:",
+        f"  {ELIMINANT}",
+        "",
+        "critical lactose values:",
+        "  L1 = 0.6845390   certified in (4060/5931, 1864/2723]",
+        "  L2 = 1.5105399   certified in (6521/4317, 5231/3463]",
+        "",
+        "steady-state count by region:",
+        "  (0.00000, 0.68454): 1",
+        "  (0.68454, 1.51054): 3",
+        "  (1.51054, inf): 1",
+        "",
+        "         L  branches (A values)",
+        "   0.10000  0.02225",
+        "   1.30000  0.30771  0.56589  3.48340",
+        "   2.50000  8.84319",
+    ]

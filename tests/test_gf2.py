@@ -275,7 +275,24 @@ def test_parse_format_round_trip(rng):
         assert parse_poly(format_poly(p, order), V4) == p
 
 
-@pytest.mark.parametrize("text", ["", "x1 +", "x1 ** x2", "x9", "x1 x2", "2*x1"])
+def test_parse_poly_cancels_pairs_and_zero_terms():
+    assert parse_poly("x1 + x1*0 + x1 + 1 + x2*x2 + 1*x3", V4) == parse_poly("x2 + x3 + 1", V4)
+    assert parse_poly("x1*x2 + x2*x1", V4) == BoolPoly.zero(V4)
+
+
+MALFORMED_POLYS = {
+    "": "empty polynomial",
+    "x1 +": "dangling operator in polynomial",
+    "+ x1": "dangling operator in polynomial",
+    "x1 ** x2": "dangling operator in polynomial",
+    "x9": "unknown identifier 'x9'",
+    "x1 x2": "missing '+' or '*' between terms",
+    "2*x1": "unexpected character '2' in polynomial",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_POLYS))
 def test_parse_poly_rejects_malformed(text):
-    with pytest.raises((ParseError, ValueError)):
+    with pytest.raises(ParseError) as excinfo:
         parse_poly(text, V4)
+    assert str(excinfo.value) == MALFORMED_POLYS[text]

@@ -32,13 +32,23 @@ def test_parentheses_and_constants():
     assert parse_expr("!!x") == Not(Not(Var("x")))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "a &", "& a", "(a", "a)", "a b", "a $ b", "a !b"],
-)
+MALFORMED_EXPRS = {
+    "": "empty expression",
+    "a &": "unexpected end of expression",
+    "& a": "unexpected '&' at column 1",
+    "(a": "unexpected end of expression",
+    "a)": "unexpected ')' at column 2",
+    "a b": "unexpected 'b' at column 3",
+    "a $ b": "unexpected character '$' in expression",
+    "a !b": "unexpected '!' at column 3",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_EXPRS))
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as excinfo:
         parse_expr(text)
+    assert str(excinfo.value) == MALFORMED_EXPRS[text]
 
 
 def test_parse_error_carries_line_number():
