@@ -180,10 +180,18 @@ def cmd_ode_steady_states(args) -> int:
     return 0
 
 
+# CPython's default limit on converting an int to a string: a value is
+# printed with its fractional digits as one int, so no value prints with
+# more digits than that unless it starts with zeros
+MAX_DIGITS = 4300
+
+
 def _digits(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError("digits must be nonnegative")
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_DIGITS} digits")
     return value
 
 

@@ -16,6 +16,7 @@ values of P/Q over A > 0 and its limits at the two ends.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -37,15 +38,18 @@ from .realroots import (
     count_real_roots,
     decimal_str,
     isolate_real_roots,
-    narrow_root_box,
+    narrow_until,
     simplest_rational,
 )
 
 RESIDUAL_TARGET = Fraction(1, 10 ** 9)
 DEFAULT_PRECISION = Fraction(1, 10 ** 6)
 # largest Hill exponent accepted: the default `ode bifurcation` takes about
-# 2 s at n = 64 and 23 s at n = 128 (2-core Xeon VM)
+# 0.3 s at n = 64 and 3 s at n = 128 (2-core Xeon VM)
 MAX_HILL = 64
+# most samples `bifurcation_curve` takes: each one isolates and refines the
+# steady states at its level; at the cap the bundled model takes about 10 s
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -257,27 +261,37 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
     """The level L = P/Q at the root of W in box, in a certified box.
 
     P and Q increase on A >= 0, so for A in (a, b] with Q(a) > 0,
-    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved, reusing the
-    oracle of W that the box carries, until that L box is no wider than
-    precision/4.  The L box is then widened to the simplest rationals
-    within precision/8 of its ends: its exact ends have digits in the
-    hundreds, and every later use (printing, census probes, sample flags)
-    is cheaper with short ones.
+    P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved, on the
+    kernel of W's oracle that the box carries, until that L box is no
+    wider than precision/4.  The L box is then widened to the simplest
+    rationals within precision/8 of its ends: its exact ends have digits
+    in the hundreds, and every later use (printing, census probes, sample
+    flags) is cheaper with short ones.
     """
-    pc, qc = integer_coeffs(P), integer_coeffs(Q)
-    while not box.is_exact:
-        a, b = box.lo, box.hi
-        q_a = _value(qc, a)
-        if q_a:
-            lo = _value(pc, a) / _value(qc, b)
-            hi = _value(pc, b) / q_a
-            if hi - lo <= precision / 4:
-                slack = precision / 8
-                return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
-                               simplest_rational(hi, hi + slack))
-        box = narrow_root_box(W, box, box.width / 2)
-    level = _value(pc, box.lo) / _value(qc, box.lo)
-    return RootBox(level, level)
+    # P and Q homogenised to one degree, so that their ratio at n/d is the
+    # ratio of the two integer values
+    top = max(P.degree, Q.degree)
+    pc, qc = (integer_coeffs(f) + (0,) * (top - f.degree) for f in (P, Q))
+    pn, pd = precision.numerator, precision.denominator
+
+    def narrow(lo: int, hi: int, den: int) -> bool:
+        q_a = homogeneous_value(qc, lo, den)
+        if not q_a:
+            return False
+        q_b = homogeneous_value(qc, hi, den)
+        # P(b)/Q(a) - P(a)/Q(b) <= precision/4, over the positive Q(a)*Q(b)
+        spread = homogeneous_value(pc, hi, den) * q_b - homogeneous_value(pc, lo, den) * q_a
+        return spread * 4 * pd <= pn * q_a * q_b
+
+    box = narrow_until(W, box, 1, narrow)
+    a, b = box.lo, box.hi
+    if box.is_exact:
+        level = _value(pc, a) / _value(qc, a)
+        return RootBox(level, level)
+    lo, hi = _value(pc, a) / _value(qc, b), _value(pc, b) / _value(qc, a)
+    slack = precision / 8
+    return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
+                   simplest_rational(hi, hi + slack))
 
 
 def _eliminant_at(p: LacParams, L) -> Poly:
@@ -292,43 +306,28 @@ def steady_state_count(p: LacParams, L) -> int:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Closed rational interval certifying one steady-state coordinate."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def decimal(self, digits: int = 5) -> str:
-        return decimal_str(self.midpoint(), digits)
-
-
-@dataclass(frozen=True)
 class SteadyState:
     """One positive steady state with certified coordinate intervals."""
 
-    A: Bounds
-    M: Bounds
-    R: Bounds
+    A: RootBox
+    M: RootBox
+    R: RootBox
     multiplicity: int = 1
 
     def as_dict(self, digits: int = 5) -> dict:
-        return {
-            "A": self.A.decimal(digits),
-            "M": self.M.decimal(digits),
-            "R": self.R.decimal(digits),
-            "intervals": {
-                "A": [str(self.A.lo), str(self.A.hi)],
-                "M": [str(self.M.lo), str(self.M.hi)],
-                "R": [str(self.R.lo), str(self.R.hi)],
-            },
-        }
+        boxes = {"A": self.A, "M": self.M, "R": self.R}
+        out: dict = {name: box.decimal(digits) for name, box in boxes.items()}
+        out["intervals"] = {name: _endpoints(name, box) for name, box in boxes.items()}
+        return out
+
+
+def _endpoints(name: str, box: RootBox) -> list[str]:
+    """The exact endpoints of a coordinate's interval as strings."""
+    try:
+        return [str(box.lo), str(box.hi)]
+    except ValueError:  # an integer past the interpreter's conversion limit
+        raise ValueError(f"the exact {name} interval cannot be printed: an endpoint has "
+                         f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _recover_state(p: LacParams, box: RootBox) -> SteadyState:
@@ -349,9 +348,8 @@ def _recover_state(p: LacParams, box: RootBox) -> SteadyState:
     def r_of(a: Fraction) -> Fraction:
         return 1 / (1 + a ** p.n)
 
-    m_bounds = Bounds(m_of(a_lo), m_of(a_hi))
-    r_bounds = Bounds(r_of(a_hi), r_of(a_lo))
-    return SteadyState(Bounds(a_lo, a_hi), m_bounds, r_bounds, box.multiplicity)
+    return SteadyState(RootBox(a_lo, a_hi), RootBox(m_of(a_lo), m_of(a_hi)),
+                       RootBox(r_of(a_hi), r_of(a_lo)), box.multiplicity)
 
 
 def steady_states_at(p: LacParams, L,
@@ -371,18 +369,19 @@ def steady_states_at(p: LacParams, L,
 
 
 def _refine_residual(elim: Poly, box: RootBox) -> RootBox:
+    """Narrow box in stages of width/16 until the eliminant's residual at
+    its midpoint is below RESIDUAL_TARGET, or until the root is exact."""
     # |elim(n/d)| < t/s, for the integer eliminant of degree m, is
     # |d**m * elim(n/d)| * s < t * d**m
     coeffs = integer_coeffs(elim)
     m = len(coeffs) - 1
     t, s = RESIDUAL_TARGET.numerator, RESIDUAL_TARGET.denominator
-    while not box.is_exact:
-        mid = box.representative()
-        n, d = mid.numerator, mid.denominator
-        if abs(homogeneous_value(coeffs, n, d)) * s < t * d ** m:
-            break
-        box = narrow_root_box(elim, box, box.width / 16)
-    return box
+
+    def small(lo: int, hi: int, den: int) -> bool:
+        n, d = lo + hi, 2 * den
+        return abs(homogeneous_value(coeffs, n, d)) * s < t * d ** m
+
+    return narrow_until(elim, box, 4, small)
 
 
 @dataclass(frozen=True)
@@ -430,6 +429,8 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
         raise ValueError("need 0 < lo < hi for the lactose range")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples")
     critical = tuple(critical_lactose_values(p, precision))
     P, Q = _lactose_curve(p)
     regions = tuple(_census_regions(P, Q, critical))

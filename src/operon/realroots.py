@@ -1,8 +1,10 @@
 """Real-root counting and isolation for rational univariate polynomials.
 
 Everything here is exact: root counts come from Sturm chains, isolating
-intervals are bisected Fractions, and a root is reported as `exact` only
-when a rational value satisfying the polynomial was actually found.
+intervals come from bisection and are narrowed by one integer refinement
+kernel (`_Cells`) to the cell that halving would reach, and a root is
+reported as `exact` only when a rational value satisfying the polynomial
+was actually found.
 
 Every sign is taken on integers: the sign of q(n/d) is the sign of
 d**deg * q(n/d), evaluated by homogeneous Horner.  One integer remainder
@@ -32,10 +34,11 @@ time and ends in endpoints too long to print."""
 
 @dataclass(frozen=True)
 class RootBox:
-    """Certified interval holding exactly one real root.
+    """Certified rational interval around one real root, or around one
+    steady-state coordinate.
 
-    A non-degenerate box is half-open, (lo, hi].  A rational root that was
-    recovered exactly is stored with lo == hi.
+    A non-degenerate root box is half-open, (lo, hi].  A rational root that
+    was recovered exactly is stored with lo == hi.
     """
 
     lo: Fraction
@@ -72,6 +75,10 @@ class RootBox:
         if self.is_exact:
             return self.lo
         return (self.lo + self.hi) / 2
+
+    def decimal(self, digits: int = 5) -> str:
+        """The midpoint as a fixed-point decimal string."""
+        return decimal_str(self.representative(), digits)
 
     def __str__(self):
         if self.is_exact:
@@ -260,12 +267,18 @@ def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
     b = Fraction(b)
     if a > b:
         raise ValueError("need a <= b")
-    if a <= 0 <= b:
-        return Fraction(0)
-    if b < 0:
-        return -simplest_rational(-b, -a)
-    # 0 < a <= b: walk the continued fraction of [a, b] = [an/ad, bn/bd]
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
+
+
+def _simplest(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """simplest_rational of [an/ad, bn/bd] as (numerator, denominator), for
+    positive ad and bd and a <= b; the fractions need not be in lowest terms."""
+    if an <= 0 <= bn:
+        return 0, 1
+    if bn < 0:
+        num, den = _simplest(-bn, bd, -an, ad)
+        return -num, den
+    # 0 < a <= b: walk the continued fraction of [a, b]
     terms = []
     while True:
         whole, rest = divmod(an, ad)
@@ -282,7 +295,7 @@ def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
     num, den = last, 1
     for whole in reversed(terms):
         num, den = whole * num + den, num
-    return Fraction(num, den)
+    return num, den
 
 
 def _check_precision(precision) -> Fraction:
@@ -309,14 +322,13 @@ class _Oracle:
         if len(self.gcd) > 1:
             self.chain = _sturm(_squarefree(self.f, self.gcd))
         self.coeffs = self.chain[0]  # q itself
+        self.degree = len(self.coeffs) - 1
+        self.lead = abs(self.coeffs[-1])
         self._variations: dict[Fraction, int] = {}
 
-    def sign(self, num: int, den: int) -> int:
-        """Sign of q(num/den), for den > 0."""
-        return _sign(homogeneous_value(self.coeffs, num, den))
-
-    def is_root(self, x: Fraction) -> bool:
-        return homogeneous_value(self.coeffs, x.numerator, x.denominator) == 0
+    def value(self, num: int, den: int) -> int:
+        """den**deg * q(num/den): for den > 0, the sign of q(num/den)."""
+        return homogeneous_value(self.coeffs, num, den)
 
     def variations(self, x: Fraction) -> int:
         v = self._variations.get(x)
@@ -337,17 +349,146 @@ class _Oracle:
         return _yun(self.f, self.gcd)
 
 
-def _find_exact(oracle: _Oracle, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-    """Try to name the single root in (lo, hi] exactly; None when not found."""
-    if oracle.is_root(hi):
-        return hi
-    mid = (lo + hi) / 2
-    if oracle.is_root(mid):
-        return mid
-    probe = simplest_rational(lo, hi)
-    if lo < probe <= hi and oracle.is_root(probe):
-        return probe
-    return None
+class _Cells:
+    """The cells that halving an isolating box (a, b] of q ends in.
+
+    Halving h times on one grid ends in the cell of depth h that holds the
+    root r of q in (a, b]: the half-open cell (lo/den, hi/den] with
+    lo = lo0*2^h + j*w, hi = lo + w and den = den0*2^h, where a = lo0/den0
+    and b = (lo0 + w)/den0.  A halving keeps the left half exactly when
+    q(mid) is zero or differs in sign from q just right of lo, so the cell
+    depends on r and h only, and any method that finds it prints the same
+    box.  Only the deepest cell certified so far is kept, as its depth, its
+    index j and the values of q at its two ends; each shallower cell that
+    holds r is its ancestor, of index j >> (depth - h).
+
+    Cells are found by quadratic interval refinement (Abbott 2006) on that
+    grid.  The secant through the two end values of the deepest cell, a
+    Newton step without the derivative, names the grid point nearest r
+    among the 2^m cells m depths further down; the signs of q there and at
+    one neighbour certify the cell between them.  A hit doubles m, a miss
+    halves it, and m = 1 is a plain halving, which always hits.  All of it
+    is integer arithmetic; Fractions are built only for returned boxes.
+    """
+
+    def __init__(self, oracle: _Oracle, a: Fraction, b: Fraction):
+        den = lcm(a.denominator, b.denominator)
+        self.oracle = oracle
+        self.lo0 = a.numerator * (den // a.denominator)
+        self.w = b.numerator * (den // b.denominator) - self.lo0
+        self.den0 = den
+        self.depth = self.index = 0
+        self.f_lo = oracle.value(self.lo0, den)
+        self.f_hi = oracle.value(self.lo0 + self.w, den)
+        # s is the sign of q on (a, r); q is squarefree, so when a is a root
+        # q' is not zero there and gives the sign just right of it
+        self.a_is_root = not self.f_lo
+        if self.a_is_root:
+            self.s = _sign(homogeneous_value(_derivative(oracle.coeffs), self.lo0, den))
+        else:
+            self.s = _sign(self.f_lo)
+        self.bits = 2  # m of the next secant step
+        self._rational = None
+
+    def depth_for(self, num: int, den: int) -> int:
+        """The fewest halvings that bring (a, b] to width at most num/den."""
+        wide, per = self.w * den, num * self.den0
+        return (-(-wide // per) - 1).bit_length()
+
+    def cell(self, h: int) -> tuple[int, int, int]:
+        """(lo, hi, den) of the cell of depth h <= self.depth holding r."""
+        lo = (self.lo0 << h) + (self.index >> (self.depth - h)) * self.w
+        return lo, lo + self.w, self.den0 << h
+
+    def reach(self, h: int) -> int:
+        """Certify the cell of depth h and return h, or the first depth past
+        h whose cell does not start at a, when a is a root: halving (a, b]
+        goes on until lo has left a root of q.  A secant step may certify a
+        deeper cell, which serves the calls that follow.
+        """
+        while self.depth < h or not self.f_lo:
+            self._step()
+        if self.a_is_root:
+            h = max(h, self.depth - self.index.bit_length() + 1)
+        return h
+
+    def _step(self) -> None:
+        """One secant step from the deepest cell."""
+        if not self.f_lo or _sign(self.f_hi) == self.s:
+            # halve while lo is a root of q, where the secant vanishes, and
+            # while q has one sign at both ends (the box holds no root of q)
+            m, k = 1, 1
+        else:
+            m = self.bits
+            d = self.f_lo - self.f_hi  # of sign s
+            # the grid point nearest the zero of the secant, between 0 and 2^m
+            k = ((2 * self.f_lo << m) + d) // (2 * d)
+        lo, _, den = self.cell(self.depth)
+        lo, den = lo << m, den << m  # grid point i is (lo + i*w)/den
+        # the bracket (x_a, x_b] of r, with the values of q at its ends
+        shift = m * self.oracle.degree
+        a, f_a, b, f_b = 0, self.f_lo << shift, 1 << m, self.f_hi << shift
+
+        def probe(i: int) -> None:
+            nonlocal a, f_a, b, f_b
+            v = self.oracle.value(lo + i * self.w, den)
+            if _sign(v) == self.s:
+                a, f_a = i, v
+            else:
+                b, f_b = i, v
+
+        if a < k < b:
+            probe(k)
+        if b - a > 1:  # the neighbour of k on the side of r
+            probe(k + 1 if a == k else k - 1)
+        if b - a == 1:
+            self.depth += m
+            self.index = (self.index << m) + a
+            self.f_lo, self.f_hi = f_a, f_b
+            if m == self.bits:
+                self.bits *= 2
+        else:
+            self.bits = max(1, m // 2)
+
+    def _rational_root(self):
+        """r as (num, den) when r is rational, else False.
+
+        Every rational root of q is k/|lc(q)| for an integer k, so a cell
+        no wider than 1/|lc(q)| holds at most one candidate: the kernel
+        certifies such a cell once and evaluates q only there.
+        """
+        if self._rational is None:
+            lead = self.oracle.lead
+            self.reach(self.depth_for(1, lead))
+            lo, hi, den = self.cell(self.depth)
+            k = hi * lead // den
+            self._rational = (k * den > lo * lead and not self.oracle.value(k, lead)
+                              and (k, lead))
+        return self._rational
+
+    def exact(self, lo: int, hi: int, den: int) -> Optional[Fraction]:
+        """r, when r is rational and one of the probes of the halving loop
+        names it: hi, the midpoint or the simplest rational of the cell
+        (lo/den, hi/den].  The cell holds no root of q but r, so a probe is
+        a root exactly when it is r."""
+        root = self._rational_root()
+        if not root:
+            return None
+        k, lead = root
+        probes = ((hi, den), (lo + hi, 2 * den), _simplest(lo, den, hi, den))
+        if any(num * lead == k * pden for num, pden in probes):
+            return Fraction(k, lead)
+        return None
+
+    def narrow(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """The box that halving (a, b] until it is no wider than width ends
+        in, as Fractions, or (r, r) when a probe names r."""
+        depth = self.reach(self.depth_for(width.numerator, width.denominator))
+        lo, hi, den = self.cell(depth)
+        x = self.exact(lo, hi, den)
+        if x is not None:
+            return x, x
+        return Fraction(lo, den), Fraction(hi, den)
 
 
 def _multiplicity(oracle: _Oracle, box_lo: Fraction, box_hi: Fraction,
@@ -390,7 +531,7 @@ def isolate_real_roots(p: Poly, region: str = "all",
         return []
     oracle = _Oracle(p)
     bound = _root_bound(oracle.coeffs)  # at least 1
-    boxes = []
+    out = []
     stack = [(Fraction(0) if region == "positive" else -bound, bound)]
     while stack:
         a, b = stack.pop()
@@ -398,51 +539,15 @@ def isolate_real_roots(p: Poly, region: str = "all",
         if n == 0:
             continue
         if n == 1:
-            boxes.append(_refine(oracle, a, b, precision))
+            a, b = _Cells(oracle, a, b).narrow(precision)
+            exact = a if a == b else None
+            out.append(RootBox(a, b, _multiplicity(oracle, a, b, exact), oracle))
             continue
         mid = (a + b) / 2
         stack.append((mid, b))
         stack.append((a, mid))
-    boxes.sort(key=lambda iv: iv[0])
-    out = []
-    for a, b in boxes:
-        exact = _find_exact(oracle, a, b)
-        if exact is not None:
-            a = b = exact
-        out.append(RootBox(a, b, _multiplicity(oracle, a, b, exact), oracle))
+    out.sort(key=lambda box: box.lo)
     return out
-
-
-def _refine(oracle: _Oracle, a: Fraction, b: Fraction,
-            precision: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect (a, b], which holds one root of q, to width at most precision.
-
-    The endpoints are integers lo/den and hi/den over one denominator.
-    While q(lo) != 0, the root lies in (lo, mid] exactly when q(mid) is zero
-    or differs in sign from q(lo), so one sign of q decides each step.  The
-    Sturm count decides only while lo sits on a root of q; the loop pushes
-    lo off it, so a box that is not an exact hit brackets a strict sign
-    change.
-    """
-    den = lcm(a.denominator, b.denominator)
-    lo = a.numerator * (den // a.denominator)
-    hi = b.numerator * (den // b.denominator)
-    pn, pd = precision.numerator, precision.denominator
-    s_lo = oracle.sign(lo, den)
-    while (hi - lo) * pd > pn * den or s_lo == 0:
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        if s_lo:
-            left = oracle.sign(mid, den) != s_lo
-        else:
-            left = oracle.count(Fraction(lo, den), Fraction(mid, den)) == 1
-        if left:
-            hi = mid
-        else:
-            lo = mid
-            if not s_lo:
-                s_lo = oracle.sign(lo, den)
-    return Fraction(lo, den), Fraction(hi, den)
 
 
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
@@ -454,24 +559,57 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     return box if box.is_exact else narrow_root_box(p, box, _check_precision(precision))
 
 
+def _kernel(p: Poly, box: RootBox) -> _Cells:
+    """The refinement kernel for a box of p that is not exact, on the
+    oracle the box brings along when it was isolated for p."""
+    oracle = box._oracle
+    if oracle is None or oracle.p != p:
+        oracle = _Oracle(p)
+    return _Cells(oracle, box.lo, box.hi)
+
+
 def narrow_root_box(p: Poly, box: RootBox, width: Fraction) -> RootBox:
     """Narrow an existing isolating box for p to at most width, unchecked.
 
     For widths derived from the box, such as box.width / 16, however small.
-    Exact boxes pass through; otherwise the exact-root probe is retried on
-    the tighter interval.  A box from `isolate_real_roots(p)` or an earlier
+    The result is the box that halving (lo, hi] until it is no wider than
+    width ends in, collapsed to the root when the root is rational and hi,
+    the midpoint or the simplest rational of that box names it.  Exact
+    boxes pass through.  A box from `isolate_real_roots(p)` or an earlier
     refinement brings the oracle for p along, so p is not prepared again.
     """
     if box.is_exact:
         return box
-    oracle = box._oracle
-    if oracle is None or oracle.p != p:
-        oracle = _Oracle(p)
-    a, b = _refine(oracle, box.lo, box.hi, width)
-    exact = _find_exact(oracle, a, b)
-    if exact is not None:
-        a = b = exact
-    return RootBox(a, b, box.multiplicity, oracle)
+    if width <= 0:
+        raise ValueError("width must be positive")
+    cells = _kernel(p, box)
+    a, b = cells.narrow(width)
+    return RootBox(a, b, box.multiplicity, cells.oracle)
+
+
+def narrow_until(p: Poly, box: RootBox, bits: int, done) -> RootBox:
+    """Narrow a box for p in stages, each 2**bits times narrower than the
+    last, until done(lo, hi, den).
+
+    Each stage is `narrow_root_box(p, box, box.width / 2**bits)` on the box
+    of the stage before: the same boxes and the same exact roots.  done is
+    asked about each box that is not exact, the given box first, as the
+    integers of (lo/den, hi/den], and the first box it accepts is returned.
+    The stages share one kernel, whose secant steps certify cells ahead of
+    the stage that asks for them.
+    """
+    if box.is_exact:
+        return box
+    cells = _kernel(p, box)
+    depth = 0
+    lo, hi, den = cells.cell(0)
+    while not done(lo, hi, den):
+        depth = cells.reach(depth + bits)
+        lo, hi, den = cells.cell(depth)
+        x = cells.exact(lo, hi, den)
+        if x is not None:
+            return RootBox(x, x, box.multiplicity, cells.oracle)
+    return RootBox(Fraction(lo, den), Fraction(hi, den), box.multiplicity, cells.oracle)
 
 
 def decimal_str(x: Fraction, digits: int = 5) -> str:

@@ -7,12 +7,15 @@ from acceptance tests as well) with thin fixture wrappers.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
 from operon import model_path
 from operon import logic
-from operon.exactpoly import Poly
+from operon.exactpoly import Poly, homogeneous_value, integer_coeffs
+from operon.realroots import RootBox, simplest_rational, squarefree_part, sturm_chain
 from operon.gf2 import BoolPoly, VarSet
 from operon.groebner import PolySystem
 
@@ -141,3 +144,98 @@ def random_distinct_rationals(rng, count, span=6):
     while len(pool) < count:
         pool.add(random_fraction(rng, span))
     return sorted(pool)
+
+
+# ---------------------------------------------------------------------------
+# Root refinement by the stage loop the refinement kernel replaced: one
+# halving per sign, then three exact-root probes.  The differential tests
+# hold the kernel to these boxes.
+
+
+@lru_cache(maxsize=None)
+def _ref_oracle(p):
+    """q, the squarefree part of p as integers, and its Sturm chain."""
+    q = squarefree_part(p)
+    return integer_coeffs(q), [integer_coeffs(c) for c in sturm_chain(q)]
+
+
+def _ref_sign(coeffs, n, d):
+    v = homogeneous_value(coeffs, n, d)
+    return (v > 0) - (v < 0)
+
+
+def _ref_count(chain, a, b):
+    def variations(x):
+        signs = [s for s in (_ref_sign(c, x.numerator, x.denominator) for c in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(a) - variations(b)
+
+
+def ref_narrow(p, box, width):
+    """`narrow_root_box(p, box, width)`, as the Fraction stage loop did it.
+
+    (lo, hi] is halved over one denominator until it is no wider than
+    width, each step decided by the sign of q at the midpoint, or by a
+    Sturm count while lo is a root of q.  Then hi, the midpoint and the
+    simplest rational of the box are tried as roots of q, in that order.
+    """
+    if box.is_exact:
+        return box
+    q, chain = _ref_oracle(p)
+    a, b = box.lo, box.hi
+    den = lcm(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    hi = b.numerator * (den // b.denominator)
+    pn, pd = width.numerator, width.denominator
+    s_lo = _ref_sign(q, lo, den)
+    while (hi - lo) * pd > pn * den or s_lo == 0:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if s_lo:
+            left = _ref_sign(q, mid, den) != s_lo
+        else:
+            left = _ref_count(chain, Fraction(lo, den), Fraction(mid, den)) == 1
+        if left:
+            hi = mid
+        else:
+            lo = mid
+            if not s_lo:
+                s_lo = _ref_sign(q, lo, den)
+    a, b = Fraction(lo, den), Fraction(hi, den)
+    probe = simplest_rational(a, b)
+    for x in (b, (a + b) / 2) + ((probe,) if a < probe else ()):
+        if homogeneous_value(q, x.numerator, x.denominator) == 0:
+            return RootBox(x, x, box.multiplicity)
+    return RootBox(a, b, box.multiplicity)
+
+
+def ref_residual(elim, box, target):
+    """`lacmodel._refine_residual`: width/16 stages until |elim(mid)| < target."""
+    coeffs = integer_coeffs(elim)
+    while not box.is_exact:
+        mid = box.representative()
+        n, d = mid.numerator, mid.denominator
+        if abs(Fraction(homogeneous_value(coeffs, n, d), d ** (len(coeffs) - 1))) < target:
+            break
+        box = ref_narrow(elim, box, box.width / 16)
+    return box
+
+
+def ref_fold_level(P, Q, W, box, precision):
+    """`lacmodel._fold_level`: halve the A box until its certified L box,
+    (P(a)/Q(b), P(b)/Q(a)], is no wider than precision/4."""
+    def value(f, x):
+        return Fraction(homogeneous_value(integer_coeffs(f), x.numerator, x.denominator),
+                        x.denominator ** f.degree)
+
+    while not box.is_exact:
+        a, b = box.lo, box.hi
+        if value(Q, a):
+            lo, hi = value(P, a) / value(Q, b), value(P, b) / value(Q, a)
+            if hi - lo <= precision / 4:
+                slack = precision / 8
+                return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
+                               simplest_rational(hi, hi + slack))
+        box = ref_narrow(W, box, box.width / 2)
+    level = value(P, box.lo) / value(Q, box.lo)
+    return RootBox(level, level)

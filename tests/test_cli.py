@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import time
@@ -410,6 +411,40 @@ def test_tiny_constant_is_not_held_to_the_precision_floor(capsys, tmp_path):
         ("0.77037", "0.21342", "0.78658"),
         ("2.29314", "0.98447", "0.01553"),
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady-states", "--L", "1"],
+    ["bifurcation", "--samples", "2"],
+])
+def test_digits_bound(capsys, lac_ode, argv):
+    # more digits than CPython converts from an int to a string
+    start = time.perf_counter()
+    code, err = run_usage_error(capsys, "ode", argv[0], lac_ode, *argv[1:],
+                                "--digits", "3000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "Traceback" not in err
+    assert err.splitlines()[-1].endswith("error: argument --digits: at most 4300 digits")
+    code, out, err = run(capsys, "ode", argv[0], lac_ode, *argv[1:], "--digits", "4300")
+    assert code == 0 and err == ""
+    assert len(re.search(r"\d\.(\d+)", out).group(1)) == 4300
+
+
+def test_unprintable_interval(capsys, lac_ode):
+    # at L = 1e200 an endpoint of the exact M interval has more digits than
+    # CPython converts from an int to a string
+    code, out, err = run(capsys, "ode", "steady-states", lac_ode, "--L", "1e200")
+    assert code == 1 and out == ""
+    assert err == ("operon: the exact M interval cannot be printed: "
+                   "an endpoint has more than 4300 digits\n")
+
+
+def test_samples_bound(capsys, lac_ode):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ode", "bifurcation", lac_ode, "--samples", "10001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "operon: at most 10000 samples\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from operon.errors import ParseError
 from operon.exactpoly import (
     Poly,
     degree,
+    derivative,
     discriminant,
     leading_sign,
     primitive_part,
@@ -32,8 +33,17 @@ from operon.lacmodel import (
     steady_state_count,
     steady_states_at,
 )
-from operon.lacmodel import _critical_levels, _recover_state
-from operon.realroots import RootBox
+from operon.lacmodel import (
+    _critical_levels,
+    _eliminant,
+    _fold_level,
+    _lactose_curve,
+    _recover_state,
+    _refine_residual,
+)
+from operon.realroots import RootBox, isolate_real_roots
+
+from conftest import ref_fold_level, ref_residual
 
 F = Fraction
 
@@ -360,19 +370,19 @@ def test_steady_states_at_reference_point():
     assert len(states) == 3
     elim = eliminate_M(p.with_lactose(1))
     for state, (a_ref, m_ref, r_ref) in zip(states, TRIPLES):
-        assert abs(state.A.midpoint() - a_ref) < F(1, 10**3)
-        assert abs(state.M.midpoint() - m_ref) < F(1, 10**3)
-        assert abs(state.R.midpoint() - r_ref) < F(1, 10**3)
-        assert abs(substitute(elim, "A", state.A.midpoint())) < RESIDUAL_TARGET
+        assert abs(state.A.representative() - a_ref) < F(1, 10**3)
+        assert abs(state.M.representative() - m_ref) < F(1, 10**3)
+        assert abs(state.R.representative() - r_ref) < F(1, 10**3)
+        assert abs(substitute(elim, "A", state.A.representative())) < RESIDUAL_TARGET
         assert state.multiplicity == 1
-    assert [s.A.midpoint() for s in states] == sorted(s.A.midpoint() for s in states)
+    assert [s.A.representative() for s in states] == sorted(s.A.representative() for s in states)
 
 
 def test_steady_state_intervals_are_consistent():
     p = LacParams.defaults()
     for L in (F(7, 10), F(1), F(2)):
         for state in steady_states_at(p, L):
-            a = state.A.midpoint()
+            a = state.A.representative()
             t = a**p.n
             m = (p.c0 + (p.c0 + p.c) * t) / (p.gamma * (1 + t))
             r = 1 / (1 + t)
@@ -386,7 +396,7 @@ def test_residuals_hold_at_default_precision():
     p = LacParams.defaults()
     elim = eliminate_M(p.with_lactose(F(7, 10)))
     for state in steady_states_at(p, F(7, 10)):
-        assert abs(substitute(elim, "A", state.A.midpoint())) < RESIDUAL_TARGET
+        assert abs(substitute(elim, "A", state.A.representative())) < RESIDUAL_TARGET
 
 
 def test_recover_state_limits():
@@ -421,6 +431,71 @@ def test_count_matches_enumeration_of_states(rng):
 
 # ---------------------------------------------------------------------------
 # bifurcation sweep
+
+
+# ---------------------------------------------------------------------------
+# residual and fold refinement against the halving loop they replaced
+
+
+def assert_refinements_match(p, levels, precision=DEFAULT_PRECISION):
+    """The residual boxes at each level and the fold boxes of p are those of
+    the stage loop in conftest (`ref_residual`, `ref_fold_level`)."""
+    P, Q = _lactose_curve(p)
+    for L in levels:
+        elim = _eliminant(P, Q, L)
+        for box in isolate_real_roots(elim, region="positive", precision=precision):
+            assert _refine_residual(elim, box) == ref_residual(elim, box, RESIDUAL_TARGET)
+    W = derivative(P) * Q - P * derivative(Q)
+    for box in isolate_real_roots(W, region="positive", precision=precision) if W else []:
+        assert _fold_level(P, Q, W, box, precision) == ref_fold_level(P, Q, W, box, precision)
+
+
+def test_refinement_matches_halving_loop_on_jittered_models(rng):
+    jitter = [F(k, 20) for k in range(18, 23)]
+    for n in range(1, 17):
+        for consts in (LAC, rng.choice(CONSTANT_SETS)):
+            p = LacParams(n=n, **{k: v * rng.choice(jitter) for k, v in consts.items()})
+            levels = [F(rng.randint(10, 250), rng.randint(90, 110)) for _ in range(2)]
+            assert_refinements_match(p, levels, F(1, 10 ** rng.choice([3, 6, 12])))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_refinement_matches_halving_loop_on_the_bundled_model(n):
+    assert_refinements_match(LacParams(n=n, **LAC), [F(7, 10), F(1), F(13, 10)])
+
+
+def test_residual_refinement_with_repeated_factors():
+    # the residual is taken on the eliminant itself, the cells on its
+    # squarefree part
+    A = Poly.x("A")
+    elims = [(A**2 - 2) ** 2 * (3 * A - 1) * (A - 5) ** 3 * (7 * A**2 - 3)]
+    # c0 = 0 puts the factor A^n into P and Q, so into every eliminant
+    P, Q = _lactose_curve(LacParams(n=4, **{**LAC, "c0": F(0)}))
+    elims += [_eliminant(P, Q, L) for L in (F(1, 2), F(1), F(2))]
+    for elim in elims:
+        for box in isolate_real_roots(elim, precision=F(1, 1000)):
+            assert _refine_residual(elim, box) == ref_residual(elim, box, RESIDUAL_TARGET)
+
+
+def test_evaluation_budget(monkeypatch):
+    # homogeneous_value calls, the unit of work of every refinement, in the
+    # default `ode bifurcation` at n = 64 and in `ode steady-states --L 1`
+    # with c0 = 1e-300 at n = 5; the halving loop made 11,585 and 6,657
+    from operon import exactpoly, lacmodel, realroots
+
+    calls = []
+
+    def counted(coeffs, num, den):
+        calls.append(1)
+        return exactpoly.homogeneous_value(coeffs, num, den)
+
+    for module in (realroots, lacmodel):
+        monkeypatch.setattr(module, "homogeneous_value", counted)
+    bifurcation_curve(LacParams(n=64, **LAC), (F(1, 10), F(5, 2)), 25)
+    assert len(calls) <= 4_500  # 4,383 when written
+    calls.clear()
+    steady_states_at(LacParams(n=5, **{**LAC, "c0": F(1, 10**300)}), F(1))
+    assert len(calls) <= 950  # 914 when written
 
 
 def test_bifurcation_report_structure():

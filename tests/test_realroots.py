@@ -13,6 +13,8 @@ from operon.realroots import (
     count_real_roots,
     decimal_str,
     isolate_real_roots,
+    narrow_root_box,
+    narrow_until,
     refine_root_box,
     simplest_rational,
     squarefree_part,
@@ -20,7 +22,12 @@ from operon.realroots import (
     yun_factors,
 )
 
-from conftest import poly_from_roots, random_distinct_rationals, random_rat_poly
+from conftest import (
+    poly_from_roots,
+    random_distinct_rationals,
+    random_rat_poly,
+    ref_narrow,
+)
 
 F = Fraction
 X = Poly.x("x")
@@ -313,6 +320,10 @@ def test_precision_floor():
             isolate_real_roots(X**2 - 2, precision=bad)
         with pytest.raises(ValueError, match="at least 1e-300"):
             refine_root_box(X**2 - 2, RootBox(F(1), F(2)), bad)
+    # narrow_root_box takes any positive width, and no other
+    for bad in (F(0), F(-1)):
+        with pytest.raises(ValueError, match="width must be positive"):
+            narrow_root_box(X**2 - 2, RootBox(F(1), F(2)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +496,81 @@ def test_left_endpoint_on_a_root_falls_back_to_sturm():
     assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
         ref_isolate(p, "positive", F(1, 10**6))
     assert boxes[0].exact == F(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the refinement kernel against the stage loop it replaced (conftest.ref_narrow)
+
+
+def assert_stages_match(p, box, bits, count):
+    """count stages of narrow_until from box, against ref_narrow stage by stage."""
+    seen = []
+
+    def done(lo, hi, den):
+        seen.append(RootBox(F(lo, den), F(hi, den), box.multiplicity))
+        return len(seen) > count
+
+    got = narrow_until(p, box, bits, done)
+    expected = [box]
+    while len(expected) <= count and not expected[-1].is_exact:
+        expected.append(ref_narrow(p, expected[-1], expected[-1].width / 2**bits))
+    assert seen + ([got] if got.is_exact else []) == expected
+    assert got == expected[-1]
+    return got, len(expected) - 1
+
+
+def test_long_refinements_match_the_halving_loop(rng):
+    # forty stages of 16 drive the secant steps hundreds of bits deep
+    for _ in range(50):
+        p = planted_poly(rng) if rng.random() < 0.5 else random_rat_poly(rng)
+        if p.degree < 1:
+            continue
+        for box in isolate_real_roots(p, precision=F(1, rng.choice([4, 1000]))):
+            assert_stages_match(p, box, rng.choice([1, 4]), 40)
+            width = box.width / 2 ** rng.randint(0, 300)
+            assert narrow_root_box(p, box, width) == ref_narrow(p, box, width)
+
+
+def test_planted_rational_root_is_named_at_the_stage_a_probe_hits_it():
+    # the stage-1 cells of (0, 1] are (j/16, (j + 1)/16]
+    planted = {
+        F(5, 16): 1,  # the right end of its cell
+        F(9, 32): 1,  # the midpoint of (1/4, 5/16]
+        F(1, 3): 1,  # the simplest rational of (5/16, 3/8]
+        # in (1/4, 5/16], whose simplest rational 1/4 is its open end, so no
+        # probe names it before the simplest rational of (69/256, 70/256]
+        F(3, 11): 2,
+    }
+    for root, stage in planted.items():
+        # |lc(q)| is small with X^2 - 2, so a stage-1 cell holds at most one
+        # candidate k/|lc(q)|; with the second factor the kernel certifies a
+        # cell far narrower than the stage before it can name the candidate
+        for other in (X**2 - 2, 1000 * X**2 - 2001):
+            p = (root.denominator * X - root.numerator) * other
+            got, stages = assert_stages_match(p, RootBox(F(0), F(1)), 4, 5)
+            assert (got.exact, stages) == (root, stage)
+            assert narrow_root_box(p, RootBox(F(0), F(1)), F(1, 16 ** stage)).exact == root
+            if stage > 1:
+                assert not narrow_root_box(p, RootBox(F(0), F(1)), F(1, 16)).is_exact
+
+
+def test_boxes_starting_at_a_root_match_the_sturm_path(rng):
+    # (r, b] with r a root of q: halving goes on until lo has left r
+    cases = [(X * (X**2 - 2), RootBox(F(0), F(2)))]
+    for _ in range(30):
+        roots = random_distinct_rationals(rng, rng.randint(1, 3))
+        p = poly_from_roots("x", [(r, rng.randint(1, 2)) for r in roots])
+        p = p * (X**2 - rng.choice([2, 3, F(1, 5), F(9, 4)]))
+        boxes = isolate_real_roots(p, precision=F(1, rng.choice([4, 1000])))
+        for left, right in zip(boxes, boxes[1:]):
+            if left.is_exact:
+                cases.append((p, RootBox(left.lo, right.hi, right.multiplicity)))
+    for p, box in cases:
+        for bits in (1, 4):
+            assert_stages_match(p, box, bits, 12)
+        for k in (0, 1, 5, 60):
+            width = box.width / 2**k
+            assert narrow_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
 def test_simplest_rational_matches_recursive(rng):
