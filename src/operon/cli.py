@@ -73,10 +73,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+# --all-params solves once per parameter setting, 2^k times; at the cap a
+# three-variable network takes about 0.8 s
+MAX_ALL_PARAMS = 12
+
+
 def cmd_fixed_points(args) -> int:
     if args.all_params:
         net = boolnet.load_network(args.model)
         k = len(net.params)
+        if k > MAX_ALL_PARAMS:
+            raise ValueError(f"--all-params is capped at {MAX_ALL_PARAMS} parameters "
+                             f"(got {k}); use --set")
         rows = []
         for code in range(2 ** k):
             values = {name: (code >> (k - 1 - i)) & 1

@@ -73,12 +73,35 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-def _bitrev(x: int, n: int) -> int:
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
+class _KeyTable(dict):
+    """Order keys by monomial mask; a missing key is computed once and stored.
+
+    A lookup is one subscript, `keys[mask]`, with no Python call on a hit.
+    """
+
+    __slots__ = ("_lexbit", "_n")
+
+    def __init__(self, lexbit: list[int], degrevlex: bool):
+        super().__init__()
+        self._lexbit = lexbit
+        self._n = len(lexbit) if degrevlex else 0
+
+    def __missing__(self, mask: int) -> int:
+        lexint = 0
+        for i in _bit_indices(mask):
+            lexint |= self._lexbit[i]
+        n = self._n
+        if n:
+            # degree in the high bits; ties by reverse lexicographic
+            # comparison, where the monomial missing the least significant
+            # differing variable is the larger one: the complement of the
+            # lex word, read with its bits reversed
+            rest = ~lexint & ((1 << n) - 1)
+            key = (mask.bit_count() << n) | int(f"{rest:0{n}b}"[::-1], 2)
+        else:
+            key = lexint
+        self[mask] = key
+        return key
 
 
 class MonomialOrder:
@@ -86,9 +109,10 @@ class MonomialOrder:
 
     key(mask) is a nonnegative int, monotone for the order: bigger key = bigger
     monomial.  The constant monomial (mask 0) is minimal under both kinds.
+    `keys` is the same map as a table, for hot loops: `keys[mask]`.
     """
 
-    __slots__ = ("kind", "priority", "_lexbit", "_n", "_full", "_cache")
+    __slots__ = ("kind", "priority", "keys")
 
     KINDS = ("lex", "degrevlex")
 
@@ -101,14 +125,11 @@ class MonomialOrder:
         self.kind = kind
         self.priority = priority
         n = len(priority)
-        self._n = n
-        self._full = (1 << n) - 1
         # priority position 0 is most significant
         lexbit = [0] * n
         for pos, var in enumerate(priority):
             lexbit[var] = 1 << (n - 1 - pos)
-        self._lexbit = lexbit
-        self._cache: dict[int, int] = {}
+        self.keys = _KeyTable(lexbit, kind == "degrevlex")
 
     @classmethod
     def lex(cls, vars: VarSet, priority_names: Iterable[str] | None = None) -> "MonomialOrder":
@@ -119,20 +140,7 @@ class MonomialOrder:
         return cls("degrevlex", _priority(vars, priority_names))
 
     def key(self, mask: int) -> int:
-        cached = self._cache.get(mask)
-        if cached is None:
-            lexint = 0
-            for i in _bit_indices(mask):
-                lexint |= self._lexbit[i]
-            if self.kind == "lex":
-                cached = lexint
-            else:
-                # degree in the high bits; ties by reverse lexicographic
-                # comparison, where the monomial missing the least significant
-                # differing variable is the larger one
-                cached = (mask.bit_count() << self._n) | _bitrev(self._full ^ lexint, self._n)
-            self._cache[mask] = cached
-        return cached
+        return self.keys[mask]
 
     def __repr__(self):
         return f"MonomialOrder({self.kind}, priority={self.priority})"
@@ -255,7 +263,7 @@ class BoolPoly:
     def leading_monomial(self, order: MonomialOrder) -> int:
         if not self.monomials:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.monomials, key=order.key)
+        return max(self.monomials, key=order.keys.__getitem__)
 
     def degree(self) -> int:
         return max((m.bit_count() for m in self.monomials), default=-1)
@@ -312,7 +320,7 @@ def format_poly(p: BoolPoly, order: MonomialOrder | None = None) -> str:
         return "0"
     if order is None:
         order = MonomialOrder.degrevlex(p.vars)
-    terms = sorted(p.monomials, key=order.key, reverse=True)
+    terms = sorted(p.monomials, key=order.keys.__getitem__, reverse=True)
     return " + ".join(monomial_str(m, p.vars) for m in terms)
 
 

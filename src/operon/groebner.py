@@ -67,40 +67,56 @@ class GroebnerBasis:
 
 
 def reduce(
-    p: BoolPoly,
-    basis: Sequence[BoolPoly],
+    p: BoolPoly | Iterable[int],
+    basis: Sequence,
     order: MonomialOrder,
     leads: Sequence[int] | None = None,
-) -> BoolPoly:
+):
     """Full normal form of p: no remaining monomial is divisible by any lm.
 
-    `leads`, when given, holds the leading monomials of `basis` (all nonzero),
-    so they are not recomputed.  Divisibility of squarefree monomials is mask
-    containment, and the cofactor of a reduction step is disjoint from the
-    divisor's leading monomial, so the rewritten monomial is cancelled exactly
-    and everything introduced is strictly smaller.
+    For a BoolPoly p, `basis` is a sequence of BoolPolys, and `leads`, when
+    given, holds their leading monomials (all nonzero), so they are not
+    recomputed.  `buchberger_reduced` calls it on plain monomials: p is any
+    iterable of monomials, standing for their sum (a repeated monomial
+    cancels), `basis` is its reducer list of (lead, tail) pairs, the tail
+    being the other monomials of the generator, and the normal form comes
+    back as a list of monomials in descending order.
+
+    Divisibility of squarefree monomials is mask containment, and the
+    cofactor of a reduction step is disjoint from the divisor's leading
+    monomial, so the lead times the cofactor is the rewritten monomial itself,
+    which leaves the work set; only the tail is multiplied out, and everything
+    it introduces is strictly smaller.
     """
-    if leads is None:
-        gens = [(g.leading_monomial(order), g.monomials) for g in basis if g]
+    if isinstance(p, BoolPoly):
+        if leads is None:
+            leads = [g.leading_monomial(order) if g else None for g in basis]
+        gens = [(lm, g.monomials - {lm}) for lm, g in zip(leads, basis) if g]
+        if not gens or not p:
+            return p
+        vars, monomials = p.vars, p.monomials
     else:
-        gens = [(lm, g.monomials) for lm, g in zip(leads, basis)]
-    if not gens or not p:
-        return p
-    key = order.key
+        vars, gens, monomials = None, basis, p
+    keys = order.keys
     remainder = []
     # the work set maps each monomial's order key to the monomial, so the
-    # largest is max() over ints and each key is computed once per insertion
-    work = {key(m): m for m in p.monomials}
+    # largest is max() over ints and each key is looked up once per insertion
+    work = {}
+    for m in monomials:
+        k = keys[m]
+        if k in work:
+            del work[k]
+        else:
+            work[k] = m
     while work:
         m = work.pop(max(work))
-        for lm, terms in gens:
-            if lm & ~m == 0:
-                cof = m & ~lm
-                for t in terms:
+        outside = ~m
+        for lm, tail in gens:
+            if lm & outside == 0:
+                cof = m ^ lm
+                for t in tail:
                     mm = cof | t
-                    if mm == m:
-                        continue
-                    k = key(mm)
+                    k = keys[mm]
                     if k in work:
                         del work[k]
                     else:
@@ -108,7 +124,7 @@ def reduce(
                 break
         else:
             remainder.append(m)
-    return BoolPoly(p.vars, remainder)
+    return remainder if vars is None else BoolPoly(vars, remainder)
 
 
 def s_polynomial(f: BoolPoly, g: BoolPoly, order: MonomialOrder) -> BoolPoly:
@@ -130,33 +146,40 @@ def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -
     every member whose lead lm(h) divides.  So the reducer set ends as a
     minimal basis, and one pass of tail reduction makes it the reduced one.
     An ideal containing 1 yields the basis {1}.
+
+    Inside, a generator is a frozenset of monomials whose lead is computed
+    once: it is the first monomial of the normal form that `reduce` returns.
     """
     vars = system.vars
     if order is None:
         order = MonomialOrder.degrevlex(vars)
-    key = order.key
+    keys = order.keys
     one = GroebnerBasis(vars, order, (BoolPoly.one(vars),))
 
-    polys: list[BoolPoly] = []  # every generator so far; pairs refer to them by index
+    gens: list[frozenset[int]] = []  # every generator so far; pairs refer to them by index
     lms: list[int] = []
-    active: list[int] = []  # the reducer set, as indices into polys
-    # a pair is (sort key, lcm a, lcm b, i, j): j indexes polys when b == 0,
+    tails: list[list[int]] = []  # the monomials below each lead, in descending order
+    active: list[int] = []  # the reducer set, as indices into gens
+    reducers: list[tuple[int, list[int]]] = []  # the same, as (lead, tail) for reduce
+    # a pair is (sort key, lcm a, lcm b, i, j): j indexes gens when b == 0,
     # else b is the bit of x and the partner is the field polynomial of x
     pairs: list[tuple] = []
 
-    def add(h: BoolPoly) -> None:
+    def add(r: list[int]) -> None:
         nonlocal pairs
-        k = len(polys)
-        lh = h.leading_monomial(order)
-        polys.append(h)
+        k = len(gens)
+        lh = r[0]
+        gens.append(frozenset(r))
         lms.append(lh)
+        tails.append(r[1:])
         # B criterion: drop an old pair when lm(h) divides its lcm and that
         # lcm equals neither partner's lcm with h; lcm(h, x*x + x) is
         # (lh | x, x), and lcm(h, g) has b = 0, so never equals a field lcm
-        kept = [
-            (sk, a, b, i, j) for sk, a, b, i, j in pairs
-            if lh & ~a or ((lh | b) == a if b else lms[i] | lh == a or lms[j] | lh == a)
-        ]
+        def spared(pair):
+            _, a, b, i, j = pair
+            return (lh | b) == a if b else lms[i] | lh == a or lms[j] | lh == a
+
+        kept = [pair for pair in pairs if lh & ~pair[1] or spared(pair)]
         # new pairs with the reducer set.  Coprime ones are skipped (product
         # criterion); they could rule out no other, since no reducer lead
         # divides another or lh.  Of the rest, the F criterion keeps one per
@@ -166,53 +189,62 @@ def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -
             if lms[i] & lh:
                 lcms[lms[i] | lh] = i
         for lcm, i in lcms.items():
-            if not any(l & ~lcm == 0 and l != lcm for l in lcms):
-                kept.append((key(lcm), lcm, 0, i, k))
+            outside = ~lcm
+            for l in lcms:
+                if l & outside == 0 and l != lcm:
+                    break
+            else:
+                kept.append((keys[lcm], lcm, 0, i, k))
         # pairs with the field polynomials of the variables of lm(h); those of
         # other variables are coprime to h, and no pair with h rules these out
         # or is ruled out by them, because no lead in the reducer set divides
         # lh.  When lh is one variable x, h = x + r with r free of x, and x*h
         # = (1 + r)*h reduces to zero at once.
         if lh & (lh - 1):
+            klh = keys[lh]
             for x in _bit_indices(lh):
-                kept.append((key(lh), lh, 1 << x, k, -1))
+                kept.append((klh, lh, 1 << x, k, -1))
         heapq.heapify(kept)
         pairs = kept
         active[:] = [i for i in active if lh & ~lms[i]]
         active.append(k)
-
-    def normal_form(p: BoolPoly) -> BoolPoly:
-        return reduce(p, [polys[i] for i in active], order, leads=[lms[i] for i in active])
+        reducers[:] = [(lms[i], tails[i]) for i in active]
 
     for f in system.generators:
-        r = normal_form(f)
-        if r.is_one:
+        r = reduce(f.monomials, reducers, order)
+        if r == [0]:
             return one
         if r:
             add(r)
 
     while pairs:
-        _, _, b, i, j = heapq.heappop(pairs)
+        _, lcm, b, i, j = heapq.heappop(pairs)
+        g = gens[i]
         if b:
-            s = polys[i].multiply_monomial(b)
-            if not s or s == polys[i]:
+            # x*g: a monomial and its partner across x both become m | x and
+            # cancel, so only monomials without a partner in g survive
+            s = {m | b for m in g if m ^ b not in g}
+            if not s or s == g:
                 continue  # g = (x + 1)*q or x*q: x*g is 0 or g itself
         else:
-            s = s_polynomial(polys[i], polys[j], order)
-        r = normal_form(s)
-        if r.is_one:
+            # the S-polynomial as a sum of monomials, for reduce to cancel
+            # the pairs; both leads become the lcm and cancel at once
+            cf, cg = lcm ^ lms[i], lcm ^ lms[j]
+            s = [m | cf for m in tails[i]]
+            s += [m | cg for m in tails[j]]
+        r = reduce(s, reducers, order)
+        if r == [0]:
             return one
         if r:
             add(r)
 
     # the leads of the reducer set are pairwise non-dividing and fixed, so
     # reducing each tail once by the others gives the unique reduced basis
-    active.sort(key=lambda i: key(lms[i]), reverse=True)
+    active.sort(key=lambda i: keys[lms[i]], reverse=True)
     reduced = []
     for i in active:
-        others = [j for j in active if j != i]
-        reduced.append(reduce(polys[i], [polys[j] for j in others], order,
-                              leads=[lms[j] for j in others]))
+        others = [(lms[j], tails[j]) for j in active if j != i]
+        reduced.append(BoolPoly(vars, reduce(gens[i], others, order)))
     return GroebnerBasis(vars, order, reduced)
 
 

@@ -484,4 +484,9 @@ def bifurcation_csv(report: BifurcationReport, digits: int = 6) -> str:
 
 
 def eliminant_text(p: LacParams) -> str:
-    return format_poly(eliminate_M(p))
+    elim = eliminate_M(p)
+    try:
+        return format_poly(elim)
+    except ValueError:  # an integer past the interpreter's conversion limit
+        raise ValueError("the eliminant cannot be printed: a coefficient has more "
+                         f"than {sys.get_int_max_str_digits()} digits") from None

@@ -5,6 +5,7 @@ failures reproduce exactly.  The generators are plain functions (importable
 from acceptance tests as well) with thin fixture wrappers.
 """
 
+import heapq
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -239,3 +240,130 @@ def ref_fold_level(P, Q, W, box, precision):
         box = ref_narrow(W, box, box.width / 2)
     level = value(P, box.lo) / value(Q, box.lo)
     return RootBox(level, level)
+
+
+# ---------------------------------------------------------------------------
+# The GF(2) Buchberger engine before its key table, reducer list and cached
+# leads: each key from the bit loop, both reducer lists rebuilt for every
+# normal form and both leads recomputed for every S-polynomial.  The
+# differential tests hold the engine to its reduced bases.
+
+
+def ref_key(order):
+    """The order's key function, by the bit loop over each mask."""
+    n = len(order.priority)
+    lexbit = [0] * n
+    for pos, var in enumerate(order.priority):
+        lexbit[var] = 1 << (n - 1 - pos)
+
+    @lru_cache(maxsize=None)
+    def key(mask):
+        lexint = 0
+        for i in range(n):
+            if mask >> i & 1:
+                lexint |= lexbit[i]
+        if order.kind == "lex":
+            return lexint
+        rest, rev = ((1 << n) - 1) ^ lexint, 0
+        for _ in range(n):
+            rev, rest = (rev << 1) | (rest & 1), rest >> 1
+        return (mask.bit_count() << n) | rev
+
+    return key
+
+
+def _ref_reduce(p, basis, leads, key):
+    gens = list(zip(leads, (g.monomials for g in basis)))
+    if not gens or not p:
+        return p
+    remainder = []
+    work = {key(m): m for m in p.monomials}
+    while work:
+        m = work.pop(max(work))
+        for lm, terms in gens:
+            if lm & ~m == 0:
+                cof = m & ~lm
+                for t in terms:
+                    mm = cof | t
+                    if mm == m:
+                        continue
+                    k = key(mm)
+                    if k in work:
+                        del work[k]
+                    else:
+                        work[k] = mm
+                break
+        else:
+            remainder.append(m)
+    return BoolPoly(p.vars, remainder)
+
+
+def ref_buchberger(system, order):
+    """The reduced basis of `buchberger_reduced(system, order)`, as a tuple,
+    and the number of reductions it took: the same pairs, criteria and pair
+    order, on BoolPolys."""
+    key = ref_key(order)
+    lead = lambda g: max(g.monomials, key=key)  # noqa: E731
+    vars = system.vars
+    polys, lms, active, pairs = [], [], [], []
+    reductions = 0
+
+    def add(h):
+        nonlocal pairs
+        k = len(polys)
+        lh = lead(h)
+        polys.append(h)
+        lms.append(lh)
+        kept = [
+            (sk, a, b, i, j) for sk, a, b, i, j in pairs
+            if lh & ~a or ((lh | b) == a if b else lms[i] | lh == a or lms[j] | lh == a)
+        ]
+        lcms = {}
+        for i in active:
+            if lms[i] & lh:
+                lcms[lms[i] | lh] = i
+        for lcm, i in lcms.items():
+            if not any(m & ~lcm == 0 and m != lcm for m in lcms):
+                kept.append((key(lcm), lcm, 0, i, k))
+        if lh & (lh - 1):
+            for x in range(len(vars)):
+                if lh >> x & 1:
+                    kept.append((key(lh), lh, 1 << x, k, -1))
+        heapq.heapify(kept)
+        pairs = kept
+        active[:] = [i for i in active if lh & ~lms[i]]
+        active.append(k)
+
+    def normal_form(p):
+        nonlocal reductions
+        reductions += 1
+        return _ref_reduce(p, [polys[i] for i in active], [lms[i] for i in active], key)
+
+    for f in system.generators:
+        r = normal_form(f)
+        if r.is_one:
+            return (r,), reductions
+        if r:
+            add(r)
+    while pairs:
+        _, _, b, i, j = heapq.heappop(pairs)
+        if b:
+            s = polys[i].multiply_monomial(b)
+            if not s or s == polys[i]:
+                continue
+        else:
+            f, g = polys[i], polys[j]
+            lcm = lead(f) | lead(g)
+            s = f.multiply_monomial(lcm & ~lead(f)) + g.multiply_monomial(lcm & ~lead(g))
+        r = normal_form(s)
+        if r.is_one:
+            return (r,), reductions
+        if r:
+            add(r)
+    active.sort(key=lambda i: key(lms[i]), reverse=True)
+    basis = tuple(
+        _ref_reduce(polys[i], [polys[j] for j in active if j != i],
+                    [lms[j] for j in active if j != i], key)
+        for i in active
+    )
+    return basis, reductions + len(active)

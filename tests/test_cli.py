@@ -260,6 +260,34 @@ def test_enumeration_cap(capsys, tmp_path, argv):
     assert err == "operon: enumeration is capped at 24 variables (got 25)\n"
 
 
+def _parameter_network(path, k):
+    params = [f"p{i}" for i in range(k)]
+    path.write_text("network knobs\nvars: x, y\nparams: " + ", ".join(params) + "\n"
+                    + "x' = " + " ^ ".join(["y"] + params) + "\ny' = x\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--method", "enumerate"]])
+def test_all_params_cap(capsys, tmp_path, monkeypatch, extra):
+    # --all-params solves once for each of the 2^k settings; k = 40 ran
+    # without bound
+    model = _parameter_network(tmp_path / "wide.bn", 40)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", model, "--all-params", *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "operon: --all-params is capped at 12 parameters (got 40); use --set\n"
+    # the cap itself is allowed
+    monkeypatch.setattr(cli, "MAX_ALL_PARAMS", 2)
+    code, out, err = run(capsys, "fixed-points", _parameter_network(tmp_path / "two.bn", 2),
+                         "--all-params", *extra)
+    assert code == 0 and err == "" and "p0=1,p1=1" in out
+    code, out, err = run(capsys, "fixed-points", _parameter_network(tmp_path / "three.bn", 3),
+                         "--all-params", *extra)
+    assert code == 1 and out == ""
+    assert err == "operon: --all-params is capped at 2 parameters (got 3); use --set\n"
+
+
 # ---------------------------------------------------------------------------
 # continuous-model commands
 
@@ -437,6 +465,17 @@ def test_unprintable_interval(capsys, lac_ode):
     assert code == 1 and out == ""
     assert err == ("operon: the exact M interval cannot be printed: "
                    "an endpoint has more than 4300 digits\n")
+
+
+def test_unprintable_eliminant(capsys, tmp_path):
+    # at c0 = 1e-5000 an eliminant coefficient has more digits than CPython
+    # converts from an int to a string
+    code, out, err = run(capsys, "ode", "eliminate", _ode_variant(tmp_path, c0="1e-5000"))
+    assert code == 1 and out == ""
+    assert err == ("operon: the eliminant cannot be printed: "
+                   "a coefficient has more than 4300 digits\n")
+    code, out, err = run(capsys, "ode", "eliminate", _ode_variant(tmp_path, c0="1e-4000"))
+    assert code == 0 and err == "" and len(out) > 4000
 
 
 def test_samples_bound(capsys, lac_ode):

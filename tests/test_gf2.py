@@ -17,7 +17,7 @@ from operon.gf2 import (
 )
 from operon import logic
 
-from conftest import all_assignments, random_bool_poly, random_expr
+from conftest import all_assignments, random_bool_poly, random_expr, ref_key
 
 V4 = VarSet(["x1", "x2", "x3", "x4"])
 
@@ -232,6 +232,22 @@ def test_degrevlex_int_key_sorts_like_the_tuple_key(rng):
             assert all(isinstance(order.key(m), int) for m in masks)
             assert (sorted(masks, key=order.key)
                     == sorted(masks, key=lambda m: old_degrevlex_key(m, priority)))
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 17, 64])
+def test_key_table_matches_the_bit_loop(rng, n):
+    priorities = [list(range(n)), list(range(n))[::-1]]
+    priorities += [rng.sample(range(n), n) for _ in range(3)]
+    for kind in MonomialOrder.KINDS:
+        for priority in priorities:
+            order = MonomialOrder(kind, tuple(priority))
+            expected = ref_key(order)
+            sample = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]
+            sample += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                       for _ in range(100)]
+            for mask in sample:
+                assert order.key(mask) == expected(mask)
+                assert order.keys[mask] == expected(mask)
 
 
 def test_order_is_multiplicative(rng):

@@ -1,9 +1,11 @@
 """Buchberger-based bases and the Boolean system solver."""
 
 import time
+from collections import Counter
 
 import pytest
 
+from operon import gf2, groebner
 from operon.errors import ParseError
 from operon.gf2 import BoolPoly, MonomialOrder, VarSet, parse_poly
 from operon.groebner import (
@@ -16,7 +18,7 @@ from operon.groebner import (
     solve_boolean_system,
 )
 
-from conftest import planted_system, random_bool_poly, random_system
+from conftest import planted_system, random_bool_poly, random_system, ref_buchberger
 
 ON_STATE_BASIS = [
     "x1 + 1",
@@ -163,6 +165,54 @@ def test_bases_are_certified_by_the_zero_set(rng):
         points = zero_set(system)
         for order in certificate_orders(system.vars, rng):
             assert_certified(system, points, buchberger_reduced(system, order), order)
+
+
+def test_bases_match_the_old_engine(rng, monkeypatch):
+    # the same pairs, criteria and pair order as the engine before its key
+    # table, reducer list and cached leads: the same reduced bases, from the
+    # same number of reductions
+    reductions = 0
+    engine_reduce = groebner.reduce
+
+    def counted(*args, **kwargs):
+        nonlocal reductions
+        reductions += 1
+        return engine_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "reduce", counted)
+    systems = [random_system(rng, max_vars=10) for _ in range(60)]
+    systems += [sparse_system(rng) for _ in range(150)]
+    systems += [planted_system(rng, n)[0] for n in range(6, 11) for _ in range(4)]
+    for system in systems:
+        for order in certificate_orders(system.vars, rng):
+            reductions = 0
+            basis = buchberger_reduced(system, order)
+            assert (basis.polys, reductions) == ref_buchberger(system, order)
+
+
+def test_each_key_is_computed_once_per_order(rng, monkeypatch):
+    # a key table computes a monomial's key on its first lookup only; the
+    # tables are kept alive, so no id is reused
+    misses = Counter()
+    tables = []
+    compute = gf2._KeyTable.__missing__
+
+    def counted(table, mask):
+        tables.append(table)
+        misses[id(table), mask] += 1
+        return compute(table, mask)
+
+    monkeypatch.setattr(gf2._KeyTable, "__missing__", counted)
+    for n in range(6, 11):
+        for _ in range(3):
+            system, _ = planted_system(rng, n)
+            solve_boolean_system(system)
+            for order in certificate_orders(system.vars, rng):
+                basis = buchberger_reduced(system, order)
+                for p in basis:
+                    gf2.format_poly(p, order)
+    assert len(misses) > 1000
+    assert max(misses.values()) == 1
 
 
 def test_bases_match_sympy(rng):
