@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, boolnet, gf2, groebner, lacmodel
-from .errors import ParseError, parse_rational
+from .errors import parse_rational
 from .realroots import decimal_str
 
 
@@ -292,9 +292,6 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"operon: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"operon: {exc}", file=sys.stderr)
         return 1

@@ -77,82 +77,59 @@ class _KeyTable(dict):
     """Order keys by monomial mask; a missing key is computed once and stored.
 
     A lookup is one subscript, `keys[mask]`, with no Python call on a hit.
+    Variable 0 is the most significant, so a lex key is the mask with its n
+    bits reversed.  A degrevlex key has the degree in the high bits and
+    breaks ties by reverse lexicographic comparison, where the monomial
+    missing the highest-index differing variable is the larger one: the
+    complement of the mask.
     """
 
-    __slots__ = ("_lexbit", "_n")
+    __slots__ = ("_n", "_degrevlex")
 
-    def __init__(self, lexbit: list[int], degrevlex: bool):
+    def __init__(self, n: int, degrevlex: bool):
         super().__init__()
-        self._lexbit = lexbit
-        self._n = len(lexbit) if degrevlex else 0
+        self._n = n
+        self._degrevlex = degrevlex
 
     def __missing__(self, mask: int) -> int:
-        lexint = 0
-        for i in _bit_indices(mask):
-            lexint |= self._lexbit[i]
         n = self._n
-        if n:
-            # degree in the high bits; ties by reverse lexicographic
-            # comparison, where the monomial missing the least significant
-            # differing variable is the larger one: the complement of the
-            # lex word, read with its bits reversed
-            rest = ~lexint & ((1 << n) - 1)
-            key = (mask.bit_count() << n) | int(f"{rest:0{n}b}"[::-1], 2)
+        if self._degrevlex:
+            key = (mask.bit_count() << n) | (((1 << n) - 1) ^ mask)
         else:
-            key = lexint
+            key = int(f"{mask:0{n}b}"[::-1], 2)
         self[mask] = key
         return key
 
 
 class MonomialOrder:
-    """lex or degrevlex with an explicit variable priority permutation.
+    """lex or degrevlex on n variables, in declaration order.
 
-    key(mask) is a nonnegative int, monotone for the order: bigger key = bigger
-    monomial.  The constant monomial (mask 0) is minimal under both kinds.
-    `keys` is the same map as a table, for hot loops: `keys[mask]`.
+    `keys[mask]` is a nonnegative int, monotone for the order: bigger key =
+    bigger monomial.  The constant monomial (mask 0) is minimal under both
+    kinds.
     """
 
-    __slots__ = ("kind", "priority", "keys")
+    __slots__ = ("kind", "n", "keys")
 
     KINDS = ("lex", "degrevlex")
 
-    def __init__(self, kind: str, priority: tuple[int, ...]):
+    def __init__(self, kind: str, n: int):
         if kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
-        priority = tuple(priority)
-        if sorted(priority) != list(range(len(priority))):
-            raise ValueError("priority must be a permutation of the variable indices")
         self.kind = kind
-        self.priority = priority
-        n = len(priority)
-        # priority position 0 is most significant
-        lexbit = [0] * n
-        for pos, var in enumerate(priority):
-            lexbit[var] = 1 << (n - 1 - pos)
-        self.keys = _KeyTable(lexbit, kind == "degrevlex")
+        self.n = n
+        self.keys = _KeyTable(n, kind == "degrevlex")
 
     @classmethod
-    def lex(cls, vars: VarSet, priority_names: Iterable[str] | None = None) -> "MonomialOrder":
-        return cls("lex", _priority(vars, priority_names))
+    def lex(cls, vars: VarSet) -> "MonomialOrder":
+        return cls("lex", len(vars))
 
     @classmethod
-    def degrevlex(cls, vars: VarSet, priority_names: Iterable[str] | None = None) -> "MonomialOrder":
-        return cls("degrevlex", _priority(vars, priority_names))
-
-    def key(self, mask: int) -> int:
-        return self.keys[mask]
+    def degrevlex(cls, vars: VarSet) -> "MonomialOrder":
+        return cls("degrevlex", len(vars))
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind}, priority={self.priority})"
-
-
-def _priority(vars: VarSet, priority_names) -> tuple[int, ...]:
-    if priority_names is None:
-        return tuple(range(len(vars)))
-    names = list(priority_names)
-    if sorted(names) != sorted(vars.names):
-        raise ValueError("priority must list every variable exactly once")
-    return tuple(vars.index(n) for n in names)
+        return f"MonomialOrder({self.kind}, n={self.n})"
 
 
 class BoolPoly:
@@ -207,16 +184,6 @@ class BoolPoly:
                     acc.discard(m)
                 else:
                     acc.add(m)
-        return BoolPoly(self.vars, acc)
-
-    def multiply_monomial(self, mask: int) -> "BoolPoly":
-        acc: set[int] = set()
-        for a in self.monomials:
-            m = a | mask
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
         return BoolPoly(self.vars, acc)
 
     def support_mask(self) -> int:

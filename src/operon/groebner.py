@@ -66,21 +66,14 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.polys)} polynomials)"
 
 
-def reduce(
-    p: BoolPoly | Iterable[int],
-    basis: Sequence,
-    order: MonomialOrder,
-    leads: Sequence[int] | None = None,
-):
+def reduce(p: BoolPoly | Iterable[int], basis: Sequence, order: MonomialOrder):
     """Full normal form of p: no remaining monomial is divisible by any lm.
 
-    For a BoolPoly p, `basis` is a sequence of BoolPolys, and `leads`, when
-    given, holds their leading monomials (all nonzero), so they are not
-    recomputed.  `buchberger_reduced` calls it on plain monomials: p is any
-    iterable of monomials, standing for their sum (a repeated monomial
-    cancels), `basis` is its reducer list of (lead, tail) pairs, the tail
-    being the other monomials of the generator, and the normal form comes
-    back as a list of monomials in descending order.
+    For a BoolPoly p, `basis` is a sequence of BoolPolys.  `buchberger_reduced`
+    calls it on plain monomials: p is any iterable of monomials, standing for
+    their sum (a repeated monomial cancels), `basis` is its reducer list of
+    (lead, tail) pairs, the tail being the other monomials of the generator,
+    and the normal form comes back as a list of monomials in descending order.
 
     Divisibility of squarefree monomials is mask containment, and the
     cofactor of a reduction step is disjoint from the divisor's leading
@@ -89,9 +82,7 @@ def reduce(
     it introduces is strictly smaller.
     """
     if isinstance(p, BoolPoly):
-        if leads is None:
-            leads = [g.leading_monomial(order) if g else None for g in basis]
-        gens = [(lm, g.monomials - {lm}) for lm, g in zip(leads, basis) if g]
+        gens = [(lm := g.leading_monomial(order), g.monomials - {lm}) for g in basis if g]
         if not gens or not p:
             return p
         vars, monomials = p.vars, p.monomials
@@ -134,7 +125,7 @@ def s_polynomial(f: BoolPoly, g: BoolPoly, order: MonomialOrder) -> BoolPoly:
     lf = f.leading_monomial(order)
     lg = g.leading_monomial(order)
     lcm = lf | lg
-    return f.multiply_monomial(lcm & ~lf) + g.multiply_monomial(lcm & ~lg)
+    return f * BoolPoly(f.vars, (lcm & ~lf,)) + g * BoolPoly(g.vars, (lcm & ~lg,))
 
 
 def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -> GroebnerBasis:

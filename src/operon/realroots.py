@@ -551,12 +551,21 @@ def isolate_real_roots(p: Poly, region: str = "all",
 
 
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
-    """Narrow an existing isolating box for p to the requested width.
+    """Narrow an existing isolating box for p to at most the requested width.
 
-    Unless the box is exact, the width is a user's precision and must be
-    at least MIN_PRECISION; see `narrow_root_box`.
+    The result is the box that halving (lo, hi] until it is no wider than
+    precision ends in, collapsed to the root when the root is rational and
+    hi, the midpoint or the simplest rational of that box names it.  Exact
+    boxes pass through; for any other box, precision must be at least
+    MIN_PRECISION.  A box from `isolate_real_roots(p)` or an earlier
+    refinement brings the oracle for p along, so p is not prepared again.
     """
-    return box if box.is_exact else narrow_root_box(p, box, _check_precision(precision))
+    if box.is_exact:
+        return box
+    precision = _check_precision(precision)
+    cells = _kernel(p, box)
+    a, b = cells.narrow(precision)
+    return RootBox(a, b, box.multiplicity, cells.oracle)
 
 
 def _kernel(p: Poly, box: RootBox) -> _Cells:
@@ -568,35 +577,16 @@ def _kernel(p: Poly, box: RootBox) -> _Cells:
     return _Cells(oracle, box.lo, box.hi)
 
 
-def narrow_root_box(p: Poly, box: RootBox, width: Fraction) -> RootBox:
-    """Narrow an existing isolating box for p to at most width, unchecked.
-
-    For widths derived from the box, such as box.width / 16, however small.
-    The result is the box that halving (lo, hi] until it is no wider than
-    width ends in, collapsed to the root when the root is rational and hi,
-    the midpoint or the simplest rational of that box names it.  Exact
-    boxes pass through.  A box from `isolate_real_roots(p)` or an earlier
-    refinement brings the oracle for p along, so p is not prepared again.
-    """
-    if box.is_exact:
-        return box
-    if width <= 0:
-        raise ValueError("width must be positive")
-    cells = _kernel(p, box)
-    a, b = cells.narrow(width)
-    return RootBox(a, b, box.multiplicity, cells.oracle)
-
-
 def narrow_until(p: Poly, box: RootBox, bits: int, done) -> RootBox:
     """Narrow a box for p in stages, each 2**bits times narrower than the
     last, until done(lo, hi, den).
 
-    Each stage is `narrow_root_box(p, box, box.width / 2**bits)` on the box
-    of the stage before: the same boxes and the same exact roots.  done is
-    asked about each box that is not exact, the given box first, as the
-    integers of (lo/den, hi/den], and the first box it accepts is returned.
-    The stages share one kernel, whose secant steps certify cells ahead of
-    the stage that asks for them.
+    Each stage is `refine_root_box(p, box, box.width / 2**bits)` on the
+    box of the stage before, with no floor on the width: the same boxes and
+    the same exact roots.  done is asked about each box that is not exact,
+    the given box first, as the integers of (lo/den, hi/den], and the first
+    box it accepts is returned.  The stages share one kernel, whose secant
+    steps certify cells ahead of the stage that asks for them.
     """
     if box.is_exact:
         return box

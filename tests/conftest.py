@@ -173,7 +173,7 @@ def _ref_count(chain, a, b):
 
 
 def ref_narrow(p, box, width):
-    """`narrow_root_box(p, box, width)`, as the Fraction stage loop did it.
+    """`refine_root_box(p, box, width)`, as the Fraction stage loop did it.
 
     (lo, hi] is halved over one denominator until it is no wider than
     width, each step decided by the sign of q at the midpoint, or by a
@@ -250,18 +250,16 @@ def ref_fold_level(P, Q, W, box, precision):
 
 
 def ref_key(order):
-    """The order's key function, by the bit loop over each mask."""
-    n = len(order.priority)
-    lexbit = [0] * n
-    for pos, var in enumerate(order.priority):
-        lexbit[var] = 1 << (n - 1 - pos)
+    """The order's key function, by the bit loop over each mask; variable 0
+    is the most significant bit of the lex word."""
+    n = order.n
 
     @lru_cache(maxsize=None)
     def key(mask):
         lexint = 0
         for i in range(n):
             if mask >> i & 1:
-                lexint |= lexbit[i]
+                lexint |= 1 << (n - 1 - i)
         if order.kind == "lex":
             return lexint
         rest, rev = ((1 << n) - 1) ^ lexint, 0
@@ -270,6 +268,13 @@ def ref_key(order):
         return (mask.bit_count() << n) | rev
 
     return key
+
+
+def rename(mask, priority):
+    """mask with variable priority[pos] renamed to variable pos.  An order
+    that ranks the variables by priority is the declaration order on the
+    renamed masks."""
+    return sum(1 << pos for pos, var in enumerate(priority) if mask >> var & 1)
 
 
 def _ref_reduce(p, basis, leads, key):
@@ -348,13 +353,13 @@ def ref_buchberger(system, order):
     while pairs:
         _, _, b, i, j = heapq.heappop(pairs)
         if b:
-            s = polys[i].multiply_monomial(b)
+            s = polys[i] * BoolPoly(vars, (b,))
             if not s or s == polys[i]:
                 continue
         else:
             f, g = polys[i], polys[j]
             lcm = lead(f) | lead(g)
-            s = f.multiply_monomial(lcm & ~lead(f)) + g.multiply_monomial(lcm & ~lead(g))
+            s = f * BoolPoly(vars, (lcm & ~lead(f),)) + g * BoolPoly(vars, (lcm & ~lead(g),))
         r = normal_form(s)
         if r.is_one:
             return (r,), reductions

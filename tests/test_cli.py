@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,10 @@ from operon import __version__, cli, model_path
 from operon.cli import lactose_range, main, parse_rational
 
 F = Fraction
+
+# child processes find the package where this process imported it from
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 FIXED_POINT_LINES = [
     "a=0,g=0: 000110000",
@@ -554,7 +559,7 @@ def test_deep_expression_is_a_parse_error(capsys, tmp_path, body):
 def test_module_entry_point(lac_gf2):
     proc = subprocess.run(
         [sys.executable, "-m", "operon", "solve", lac_gf2],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["111101111"]
@@ -582,7 +587,7 @@ def test_parser_is_built_once(capsys, monkeypatch, lac_ode, lac_gf2):
             code = exc.code
         captured = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "operon", *argv],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=CHILD_ENV)
         assert (code, captured.out, captured.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr)
     assert len(builds) == 1
@@ -591,8 +596,8 @@ def test_parser_is_built_once(capsys, monkeypatch, lac_ode, lac_gf2):
 def test_cli_output_is_byte_deterministic(lac_ode):
     argv = [sys.executable, "-m", "operon", "ode", "bifurcation", lac_ode,
             "--range", "0.5:2", "--samples", "5"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=CHILD_ENV)
+    second = subprocess.run(argv, capture_output=True, env=CHILD_ENV)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 

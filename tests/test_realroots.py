@@ -13,7 +13,6 @@ from operon.realroots import (
     count_real_roots,
     decimal_str,
     isolate_real_roots,
-    narrow_root_box,
     narrow_until,
     refine_root_box,
     simplest_rational,
@@ -320,10 +319,6 @@ def test_precision_floor():
             isolate_real_roots(X**2 - 2, precision=bad)
         with pytest.raises(ValueError, match="at least 1e-300"):
             refine_root_box(X**2 - 2, RootBox(F(1), F(2)), bad)
-    # narrow_root_box takes any positive width, and no other
-    for bad in (F(0), F(-1)):
-        with pytest.raises(ValueError, match="width must be positive"):
-            narrow_root_box(X**2 - 2, RootBox(F(1), F(2)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +523,7 @@ def test_long_refinements_match_the_halving_loop(rng):
         for box in isolate_real_roots(p, precision=F(1, rng.choice([4, 1000]))):
             assert_stages_match(p, box, rng.choice([1, 4]), 40)
             width = box.width / 2 ** rng.randint(0, 300)
-            assert narrow_root_box(p, box, width) == ref_narrow(p, box, width)
+            assert refine_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
 def test_planted_rational_root_is_named_at_the_stage_a_probe_hits_it():
@@ -549,9 +544,9 @@ def test_planted_rational_root_is_named_at_the_stage_a_probe_hits_it():
             p = (root.denominator * X - root.numerator) * other
             got, stages = assert_stages_match(p, RootBox(F(0), F(1)), 4, 5)
             assert (got.exact, stages) == (root, stage)
-            assert narrow_root_box(p, RootBox(F(0), F(1)), F(1, 16 ** stage)).exact == root
+            assert refine_root_box(p, RootBox(F(0), F(1)), F(1, 16 ** stage)).exact == root
             if stage > 1:
-                assert not narrow_root_box(p, RootBox(F(0), F(1)), F(1, 16)).is_exact
+                assert not refine_root_box(p, RootBox(F(0), F(1)), F(1, 16)).is_exact
 
 
 def test_boxes_starting_at_a_root_match_the_sturm_path(rng):
@@ -570,7 +565,7 @@ def test_boxes_starting_at_a_root_match_the_sturm_path(rng):
             assert_stages_match(p, box, bits, 12)
         for k in (0, 1, 5, 60):
             width = box.width / 2**k
-            assert narrow_root_box(p, box, width) == ref_narrow(p, box, width)
+            assert refine_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
 def test_simplest_rational_matches_recursive(rng):
