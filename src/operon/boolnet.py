@@ -90,16 +90,13 @@ class BooleanNetwork:
     def to_polynomial_system(self, params: Mapping[str, int]) -> PolySystem:
         """Fixed-point system: one generator per variable, update rule plus x.
 
-        Parameter values are substituted into the rules before translation, so
-        the generators live over the state variables only.  Rules that reduce
-        to the identity contribute nothing.
+        Parameters translate to their values in the setting, so the
+        generators live over the state variables only.  Rules that reduce to
+        the identity contribute nothing.
         """
         setting = self.check_params(params)
-        gens = []
-        for name, rule in zip(self.vars.names, self.rules):
-            expr = logic.substitute(rule, setting)
-            poly = translate_expr(expr, self.vars) + BoolPoly.variable(self.vars, name)
-            gens.append(poly)
+        gens = [translate_expr(rule, self.vars, setting) + BoolPoly.variable(self.vars, name)
+                for name, rule in zip(self.vars.names, self.rules)]
         return PolySystem(self.vars, gens)
 
     def fixed_points(self, params, method: str = "groebner") -> list[State]:

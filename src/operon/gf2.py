@@ -252,20 +252,24 @@ class BoolPoly:
         return f"BoolPoly({format_poly(self)})"
 
 
-def translate_expr(expr: logic.Expr, vars: VarSet) -> BoolPoly:
+def translate_expr(expr: logic.Expr, vars: VarSet,
+                   setting: Mapping[str, int] = {}) -> BoolPoly:
     """Rewrite a Boolean expression as its unique squarefree GF(2) polynomial.
 
     Uses not a = a + 1, a and b = a*b, a or b = a + b + a*b and native
-    addition for xor.  Unknown identifiers raise a ValueError naming them.
+    addition for xor.  Identifiers bound in setting (to 0 or 1) become
+    constants; any other identifier not in vars raises a ValueError naming it.
     """
+    if isinstance(expr, logic.Var) and expr.name in setting:
+        expr = logic.Const(setting[expr.name] & 1)
     if isinstance(expr, logic.Const):
         return BoolPoly.one(vars) if expr.value else BoolPoly.zero(vars)
     if isinstance(expr, logic.Var):
         return BoolPoly.variable(vars, expr.name)
     if isinstance(expr, logic.Not):
-        return translate_expr(expr.arg, vars) + BoolPoly.one(vars)
-    a = translate_expr(expr.left, vars)
-    b = translate_expr(expr.right, vars)
+        return translate_expr(expr.arg, vars, setting) + BoolPoly.one(vars)
+    a = translate_expr(expr.left, vars, setting)
+    b = translate_expr(expr.right, vars, setting)
     if isinstance(expr, logic.And):
         return a * b
     if isinstance(expr, logic.Or):

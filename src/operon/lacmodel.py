@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import IDENT, ParseError, parse_rational, source_lines
@@ -31,16 +31,18 @@ from .exactpoly import (
     derivative,
     format_poly,
     homogeneous_value,
-    integer_coeffs,
 )
 from .realroots import (
     RootBox,
-    count_real_roots,
+    _Oracle,
+    _trim,
     decimal_str,
     isolate_real_roots,
     narrow_until,
     simplest_rational,
 )
+
+Coeffs = tuple[int, ...]  # integer coefficients, lowest degree first
 
 RESIDUAL_TARGET = Fraction(1, 10 ** 9)
 DEFAULT_PRECISION = Fraction(1, 10 ** 6)
@@ -153,9 +155,9 @@ def build_system(p: LacParams) -> tuple[Poly, Poly]:
     return clear_content(eq1), clear_content(eq2)
 
 
-def _lactose_curve(p: LacParams) -> tuple[Poly, Poly]:
-    """P and Q in A, with integer coefficients, such that the eliminant is
-    the primitive part of P - L*Q.
+def _lactose_curve(p: LacParams) -> tuple[Coeffs, Coeffs]:
+    """P and Q in A, as integer coefficients, such that the eliminant is the
+    primitive part of P - L*Q.
 
     Both steady-state equations are linear in M, so their resultant is a
     2x2 determinant: P = gamma*delta*A*(A+h)*(A^n+1) + v*A*alpha and
@@ -167,7 +169,8 @@ def _lactose_curve(p: LacParams) -> tuple[Poly, Poly]:
     Expanded, with g = gamma*delta and s = c0 + c:
     P = (g*h + v*c0)*A + g*A^2 + (g*h + v*s)*A^(n+1) + g*A^(n+2) and
     Q = c0*h + c0*A + s*h*A^n + s*A^(n+1); for n = 1 powers coincide and
-    their terms add up.
+    their terms add up.  Both are scaled by the least common denominator of
+    their terms, and trailing zeros are dropped (Q is empty when c0 = c = 0).
     """
     n, h = p.n, p.h
     g, s = p.gamma * p.delta, p.c0 + p.c
@@ -178,20 +181,19 @@ def _lactose_curve(p: LacParams) -> tuple[Poly, Poly]:
     for k, c in ((0, p.c0 * h), (1, p.c0), (n, s * h), (n + 1, s)):
         Q[k] += c
     scale = lcm(*(c.denominator for c in P + Q))
-    return Poly("A", [c * scale for c in P]), Poly("A", [c * scale for c in Q])
+    P, Q = ([c.numerator * (scale // c.denominator) for c in f] for f in (P, Q))
+    return tuple(_trim(P)), tuple(_trim(Q))
 
 
-def _eliminant(P: Poly, Q: Poly, L: Optional[Fraction]) -> Poly:
-    """The primitive, sign-normalized part of P - L*Q (L symbolic if None)."""
-    pairs = zip_longest(P.coeffs, Q.coeffs, fillvalue=Fraction(0))
-    if L is None:
-        coeffs = [pc if not qc else Poly("L", [pc, -qc]) for pc, qc in pairs]
-    else:
-        coeffs = [pc - L * qc for pc, qc in pairs]
-    elim = Poly("A", coeffs)
-    if not elim:
+def _eliminant(P: Coeffs, Q: Coeffs, L: Fraction) -> Coeffs:
+    """The eliminant at L = n/d: the primitive part of d*P - n*Q, with a
+    positive leading coefficient."""
+    n, d = L.numerator, L.denominator
+    coeffs = _trim([d * pc - n * qc for pc, qc in zip_longest(P, Q, fillvalue=0)])
+    if not coeffs:
         raise ValueError("degenerate system: equations share a factor")
-    return content_and_primitive(elim)[1]
+    g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def eliminate_M(p: LacParams) -> Poly:
@@ -202,7 +204,14 @@ def eliminate_M(p: LacParams) -> Poly:
     the steady-state A values: the primitive part of P - L*Q, the 2x2
     determinant of `build_system(p)` as a linear system in M.
     """
-    return _eliminant(*_lactose_curve(p), p.L)
+    P, Q = _lactose_curve(p)
+    if p.L is not None:
+        return Poly("A", _eliminant(P, Q, p.L))
+    elim = Poly("A", [pc if not qc else Poly("L", [pc, -qc])
+                      for pc, qc in zip_longest(P, Q, fillvalue=0)])
+    if not elim:
+        raise ValueError("degenerate system: equations share a factor")
+    return content_and_primitive(elim)[1]
 
 
 def critical_lactose_values(p: LacParams,
@@ -220,58 +229,59 @@ def critical_lactose_values(p: LacParams,
     return _critical_levels(*_lactose_curve(p), precision)
 
 
-def _critical_levels(P: Poly, Q: Poly, precision: Fraction) -> list[RootBox]:
+def _critical_levels(P: Coeffs, Q: Coeffs, precision: Fraction) -> list[RootBox]:
     if not Q:
         if not P:
             raise ValueError("degenerate system: equations share a factor")
         return []
     levels = [RootBox(x, x) for x in _end_levels(P, Q)]
-    W = derivative(P) * Q - P * derivative(Q)
+    p, q = Poly("A", P), Poly("A", Q)
+    W = derivative(p) * q - p * derivative(q)
     if W:
         for box in isolate_real_roots(W, region="positive", precision=precision):
             if box.multiplicity % 2:
-                levels.append(_fold_level(P, Q, W, box, precision))
+                levels.append(_fold_level(P, Q, box, precision))
     levels.sort(key=lambda box: (box.lo, box.hi))
     return levels
 
 
-def _end_levels(P: Poly, Q: Poly) -> list[Fraction]:
+def _end_levels(P: Coeffs, Q: Coeffs) -> list[Fraction]:
     """The limits of P/Q at A -> 0+ and at A -> infinity that are positive
     and finite; with nonnegative coefficients, those where the lowest (or
     the highest) powers of P and Q agree."""
     if not P:
         return []
-    low_p = next(i for i, c in enumerate(P.coeffs) if c)
-    low_q = next(i for i, c in enumerate(Q.coeffs) if c)
+    low_p = next(i for i, c in enumerate(P) if c)
+    low_q = next(i for i, c in enumerate(Q) if c)
     ends = set()
     if low_p == low_q:
-        ends.add(P.coeffs[low_p] / Q.coeffs[low_q])
-    if P.degree == Q.degree:
-        ends.add(P.lc / Q.lc)
+        ends.add(Fraction(P[low_p], Q[low_q]))
+    if len(P) == len(Q):
+        ends.add(Fraction(P[-1], Q[-1]))
     return sorted(ends)
 
 
-def _value(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
+def _value(coeffs: Coeffs, x: Fraction) -> Fraction:
     n, d = x.numerator, x.denominator
     return Fraction(homogeneous_value(coeffs, n, d), d ** (len(coeffs) - 1))
 
 
-def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
-                precision: Fraction) -> RootBox:
-    """The level L = P/Q at the root of W in box, in a certified box.
+def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> RootBox:
+    """The level L = P/Q at the root of W = P'Q - PQ' in box, in a
+    certified box.
 
     P and Q increase on A >= 0, so for A in (a, b] with Q(a) > 0,
     P(a)/Q(b) < P(A)/Q(A) <= P(b)/Q(a).  The A box is halved, on the
-    kernel of W's oracle that the box carries, until that L box is no
-    wider than precision/4.  The L box is then widened to the simplest
+    oracle of W that the box carries, until that L box is no wider than
+    precision/4.  The L box is then widened to the simplest
     rationals within precision/8 of its ends: its exact ends have digits
     in the hundreds, and every later use (printing, census probes, sample
     flags) is cheaper with short ones.
     """
     # P and Q homogenised to one degree, so that their ratio at n/d is the
     # ratio of the two integer values
-    top = max(P.degree, Q.degree)
-    pc, qc = (integer_coeffs(f) + (0,) * (top - f.degree) for f in (P, Q))
+    top = max(len(P), len(Q))
+    pc, qc = (f + (0,) * (top - len(f)) for f in (P, Q))
     pn, pd = precision.numerator, precision.denominator
 
     def narrow(lo: int, hi: int, den: int) -> bool:
@@ -283,7 +293,7 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
         spread = homogeneous_value(pc, hi, den) * q_b - homogeneous_value(pc, lo, den) * q_a
         return spread * 4 * pd <= pn * q_a * q_b
 
-    box = narrow_until(W, box, 1, narrow)
+    box = narrow_until(box, 1, narrow)
     a, b = box.lo, box.hi
     if box.is_exact:
         level = _value(pc, a) / _value(qc, a)
@@ -294,15 +304,16 @@ def _fold_level(P: Poly, Q: Poly, W: Poly, box: RootBox,
                    simplest_rational(hi, hi + slack))
 
 
-def _eliminant_at(p: LacParams, L) -> Poly:
-    if Fraction(L) <= 0:
+def _eliminant_at(p: LacParams, L) -> Coeffs:
+    L = Fraction(L)
+    if L <= 0:
         raise ValueError("lactose level must be positive")
-    return eliminate_M(p.with_lactose(L))
+    return _eliminant(*_lactose_curve(p), L)
 
 
 def steady_state_count(p: LacParams, L) -> int:
     """Number of distinct positive steady-state A values at lactose level L."""
-    return count_real_roots(_eliminant_at(p, L), Fraction(0), None)
+    return _Oracle(_eliminant_at(p, L)).count(0)
 
 
 @dataclass(frozen=True)
@@ -359,29 +370,31 @@ def steady_states_at(p: LacParams, L,
     A intervals are refined until the eliminant residual at the midpoint is
     below RESIDUAL_TARGET; M and R intervals follow by monotone evaluation.
     """
-    elim = _eliminant_at(p, L)
-    boxes = isolate_real_roots(elim, region="positive", precision=precision)
-    out = []
-    for box in boxes:
-        box = _refine_residual(elim, box)
-        out.append(_recover_state(p, box))
-    return out
+    return [_recover_state(p, box)
+            for box in _branches(_eliminant_at(p, L), precision)]
 
 
-def _refine_residual(elim: Poly, box: RootBox) -> RootBox:
-    """Narrow box in stages of width/16 until the eliminant's residual at
-    its midpoint is below RESIDUAL_TARGET, or until the root is exact."""
+def _branches(elim: Coeffs, precision: Fraction) -> list[RootBox]:
+    """The positive roots of the eliminant, isolated below precision and
+    refined to the residual target."""
+    return [_refine_residual(elim, box)
+            for box in _Oracle(elim).isolate(precision, positive=True)]
+
+
+def _refine_residual(elim: Coeffs, box: RootBox) -> RootBox:
+    """Narrow box, on the oracle it carries, in stages of width/16 until the
+    integer eliminant's residual at its midpoint is below RESIDUAL_TARGET,
+    or until the root is exact."""
     # |elim(n/d)| < t/s, for the integer eliminant of degree m, is
     # |d**m * elim(n/d)| * s < t * d**m
-    coeffs = integer_coeffs(elim)
-    m = len(coeffs) - 1
+    m = len(elim) - 1
     t, s = RESIDUAL_TARGET.numerator, RESIDUAL_TARGET.denominator
 
     def small(lo: int, hi: int, den: int) -> bool:
         n, d = lo + hi, 2 * den
-        return abs(homogeneous_value(coeffs, n, d)) * s < t * d ** m
+        return abs(homogeneous_value(elim, n, d)) * s < t * d ** m
 
-    return narrow_until(elim, box, 4, small)
+    return narrow_until(box, 4, small)
 
 
 @dataclass(frozen=True)
@@ -437,16 +450,13 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     pts = []
     for i in range(samples):
         L = lo + (hi - lo) * i / (samples - 1)
-        elim = _eliminant(P, Q, L)
-        boxes = tuple(_refine_residual(elim, b)
-                      for b in isolate_real_roots(elim, region="positive",
-                                                  precision=precision))
+        boxes = tuple(_branches(_eliminant(P, Q, L), precision))
         boundary = any(c.contains(L) or c.lo == L for c in critical)
         pts.append(SamplePoint(L, boxes, len(boxes), boundary))
     return BifurcationReport(critical, regions, tuple(pts))
 
 
-def _census_regions(P: Poly, Q: Poly, critical: tuple) -> list[Region]:
+def _census_regions(P: Coeffs, Q: Coeffs, critical: tuple) -> list[Region]:
     reps = [c.representative() for c in critical]
     regions = []
     for i in range(len(critical) + 1):
@@ -464,8 +474,7 @@ def _census_regions(P: Poly, Q: Poly, critical: tuple) -> list[Region]:
                              "precision; retry with a smaller precision")
         regions.append(Region(Fraction(0) if left is None else reps[i - 1],
                               None if right is None else reps[i],
-                              count_real_roots(_eliminant(P, Q, probe),
-                                               Fraction(0), None)))
+                              _Oracle(_eliminant(P, Q, probe)).count(0)))
     return regions
 
 

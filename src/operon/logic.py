@@ -79,8 +79,8 @@ MAX_DEPTH = 100
 """Deepest expression accepted: at most this many parentheses open at once,
 and at most this many operators on any path down the parsed tree.  The
 parser recurses once per parenthesis and the tree walkers (evaluate,
-variables, substitute, gf2.translate_expr) once per operator, so the cap
-keeps them well inside Python's recursion limit."""
+variables, gf2.translate_expr) once per operator, so the cap keeps them
+well inside Python's recursion limit."""
 
 
 class _Parser:
@@ -206,17 +206,3 @@ def variables(expr: Expr) -> set[str]:
     if isinstance(expr, Not):
         return variables(expr.arg)
     return variables(expr.left) | variables(expr.right)
-
-
-def substitute(expr: Expr, bindings: Mapping[str, int]) -> Expr:
-    """Replace named variables with 0/1 constants; other nodes are rebuilt."""
-    if isinstance(expr, Var):
-        if expr.name in bindings:
-            return Const(bindings[expr.name] & 1)
-        return expr
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Not):
-        return Not(substitute(expr.arg, bindings))
-    cls = type(expr)
-    return cls(substitute(expr.left, bindings), substitute(expr.right, bindings))

@@ -9,9 +9,12 @@ was actually found.
 Every sign is taken on integers: the sign of q(n/d) is the sign of
 d**deg * q(n/d), evaluated by homogeneous Horner.  One integer remainder
 sequence serves as the only gcd: the Sturm chain, the squarefree part and
-Yun's decomposition all read it.  Each polynomial is converted to integers
-and prepared once into an oracle that the root boxes it produced carry
-along, so refining a box later does not prepare the polynomial again.
+Yun's decomposition all read it.  A polynomial is prepared once into an
+oracle (`_Oracle`) on its integer coefficients, which counts, isolates
+and refines; the root boxes it produces carry it along, so refining a box
+later does not prepare the polynomial again.  The public entries clear a
+`Poly`'s content once to reach the oracle; Fractions occur only as box
+endpoints.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class RootBox:
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
-    # the oracle of the polynomial this box was isolated for, reused when
-    # the box is refined for that same polynomial
+    # the oracle of the polynomial this box was isolated for, which
+    # narrow_until refines on and refine_root_box reuses for that polynomial
     _oracle: Optional["_Oracle"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -92,6 +95,11 @@ def _require_univariate(p: Poly) -> None:
     for c in p.coeffs:
         if isinstance(c, Poly) and c.degree > 0:
             raise ValueError("real-root routines need rational coefficients")
+
+
+def _integers(p: Poly) -> tuple[int, ...]:
+    """p over its positive rational content: coprime integers, sign kept."""
+    return integer_coeffs(clear_content(p))
 
 
 def _primitive(c) -> tuple[int, ...]:
@@ -199,7 +207,7 @@ def squarefree_part(p: Poly) -> Poly:
         raise ValueError("the zero polynomial has no squarefree part")
     if p.degree == 0:
         return Poly(p.var, (1,))
-    f = integer_coeffs(clear_content(p))
+    f = _integers(p)
     return Poly(p.var, _squarefree(f, _sturm(f)[-1]))
 
 
@@ -213,7 +221,7 @@ def yun_factors(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if p.degree == 0:
         return []
-    f = integer_coeffs(clear_content(p))
+    f = _integers(p)
     return [(Poly(p.var, a) * Fraction(1, a[-1]), k) for a, k in _yun(f, _sturm(f)[-1])]
 
 
@@ -222,7 +230,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     _require_univariate(p)
     if not p:
         raise ValueError("no Sturm chain for the zero polynomial")
-    return [Poly(p.var, c) for c in _sturm(integer_coeffs(clear_content(p)))]
+    return [Poly(p.var, c) for c in _sturm(_integers(p))]
 
 
 def _sign(x) -> int:
@@ -250,15 +258,7 @@ def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fracti
     _require_univariate(p)
     if not p:
         raise ValueError("the zero polynomial has infinitely many roots")
-    if p.degree == 0:
-        return 0
-    oracle = _Oracle(p)
-    bound = _root_bound(oracle.coeffs)
-    a = Fraction(lo) if lo is not None else -bound
-    b = Fraction(hi) if hi is not None else bound
-    if b <= a:
-        return 0
-    return oracle.count(a, b)
+    return _Oracle(_integers(p)).count(lo, hi)
 
 
 def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
@@ -306,24 +306,27 @@ def _check_precision(precision) -> Fraction:
 
 
 class _Oracle:
-    """Everything isolation and refinement ask of one polynomial p.
+    """Everything counting, isolation and refinement ask of one polynomial.
 
-    p is converted to integer coefficients f once.  The Sturm chain of f
-    ends in gcd(f, f'); when that is not constant, the chain of the
-    squarefree part q is taken.  The oracle also keeps the Sturm variations
-    already computed at each endpoint and, once asked, the Yun factors.
+    It is given as integer coefficients f, lowest degree first, with a
+    nonzero last entry.  The Sturm chain of f ends in gcd(f, f'); when that
+    is not constant, the chain of the squarefree part q is taken.  The
+    oracle also keeps the Sturm variations already computed at each
+    endpoint and, once asked, the Yun factors.  Every box it isolates
+    carries it, so the box is refined on this oracle and f is never
+    prepared twice.
     """
 
-    def __init__(self, p: Poly):
-        self.p = p
-        self.f = integer_coeffs(clear_content(p))
-        self.chain = _sturm(self.f)
+    def __init__(self, f: tuple[int, ...]):
+        self.f = f
+        self.chain = _sturm(f)
         self.gcd = self.chain[-1]  # gcd(f, f') up to sign
         if len(self.gcd) > 1:
-            self.chain = _sturm(_squarefree(self.f, self.gcd))
+            self.chain = _sturm(_squarefree(f, self.gcd))
         self.coeffs = self.chain[0]  # q itself
         self.degree = len(self.coeffs) - 1
         self.lead = abs(self.coeffs[-1])
+        self.bound = _root_bound(self.coeffs)  # at least 1
         self._variations: dict[Fraction, int] = {}
 
     def value(self, num: int, den: int) -> int:
@@ -338,15 +341,58 @@ class _Oracle:
             self._variations[x] = v
         return v
 
-    def count(self, a: Fraction, b: Fraction) -> int:
-        return self.variations(a) - self.variations(b)
+    def count(self, lo=None, hi=None) -> int:
+        """Distinct real roots of f in (lo, hi]; None leaves a side unbounded."""
+        a = -self.bound if lo is None else Fraction(lo)
+        b = self.bound if hi is None else Fraction(hi)
+        return self.variations(a) - self.variations(b) if a < b else 0
+
+    def isolate(self, precision: Fraction, positive: bool = False) -> list[RootBox]:
+        """Boxes no wider than precision around the distinct real roots of f,
+        or its positive roots only, in increasing order."""
+        precision = _check_precision(precision)
+        out = []
+        stack = [(Fraction(0) if positive else -self.bound, self.bound)]
+        while stack:
+            a, b = stack.pop()
+            n = self.variations(a) - self.variations(b)
+            if n == 1:
+                a, b = _Cells(self, a, b).narrow(precision)
+                out.append(RootBox(a, b, self.multiplicity(a, b), self))
+            elif n > 1:
+                mid = (a + b) / 2
+                stack.append((mid, b))
+                stack.append((a, mid))
+        out.sort(key=lambda box: box.lo)
+        return out
 
     @cached_property
     def factors(self) -> list[tuple[tuple[int, ...], int]]:
-        """Yun factors of p as (integer coefficients, exponent) pairs."""
-        if len(self.gcd) == 1:  # p is squarefree
+        """Yun factors of f as (integer coefficients, exponent) pairs."""
+        if len(self.gcd) == 1:  # f is squarefree
             return [(self.coeffs, 1)]
         return _yun(self.f, self.gcd)
+
+    def multiplicity(self, lo: Fraction, hi: Fraction) -> int:
+        """The multiplicity in f of the root in the isolated box (lo, hi],
+        or of the root lo when lo == hi."""
+        factors = self.factors
+        if len(factors) == 1:
+            return factors[0][1]
+        if lo == hi:
+            for f, k in factors:
+                if homogeneous_value(f, lo.numerator, lo.denominator) == 0:
+                    return k
+        else:
+            # q is nonzero at both ends of a box that is not exact, and the
+            # box holds one simple root of q: only the factor owning that
+            # root changes sign across it
+            for f, k in factors:
+                at_lo = _sign(homogeneous_value(f, lo.numerator, lo.denominator))
+                at_hi = _sign(homogeneous_value(f, hi.numerator, hi.denominator))
+                if at_lo != at_hi:
+                    return k
+        raise ArithmeticError("isolated root matched no squarefree factor")
 
 
 class _Cells:
@@ -491,27 +537,6 @@ class _Cells:
         return Fraction(lo, den), Fraction(hi, den)
 
 
-def _multiplicity(oracle: _Oracle, box_lo: Fraction, box_hi: Fraction,
-                  exact: Optional[Fraction]) -> int:
-    factors = oracle.factors
-    if len(factors) == 1:
-        return factors[0][1]
-    if exact is not None:
-        for f, k in factors:
-            if homogeneous_value(f, exact.numerator, exact.denominator) == 0:
-                return k
-    else:
-        # q is nonzero at both ends of a box that is not exact, and the box
-        # holds one simple root of q: only the factor owning that root
-        # changes sign across it
-        for f, k in factors:
-            at_lo = _sign(homogeneous_value(f, box_lo.numerator, box_lo.denominator))
-            at_hi = _sign(homogeneous_value(f, box_hi.numerator, box_hi.denominator))
-            if at_lo != at_hi:
-                return k
-    raise ArithmeticError("isolated root matched no squarefree factor")
-
-
 def isolate_real_roots(p: Poly, region: str = "all",
                        precision: Fraction = Fraction(1, 10 ** 6)) -> list[RootBox]:
     """Disjoint isolating intervals for the distinct real roots of p.
@@ -526,28 +551,7 @@ def isolate_real_roots(p: Poly, region: str = "all",
         raise ValueError("cannot isolate roots of the zero polynomial")
     if region not in ("all", "positive"):
         raise ValueError(f"unknown region {region!r}")
-    precision = _check_precision(precision)
-    if p.degree == 0:
-        return []
-    oracle = _Oracle(p)
-    bound = _root_bound(oracle.coeffs)  # at least 1
-    out = []
-    stack = [(Fraction(0) if region == "positive" else -bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        n = oracle.count(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            a, b = _Cells(oracle, a, b).narrow(precision)
-            exact = a if a == b else None
-            out.append(RootBox(a, b, _multiplicity(oracle, a, b, exact), oracle))
-            continue
-        mid = (a + b) / 2
-        stack.append((mid, b))
-        stack.append((a, mid))
-    out.sort(key=lambda box: box.lo)
-    return out
+    return _Oracle(_integers(p)).isolate(precision, region == "positive")
 
 
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
@@ -563,34 +567,32 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     if box.is_exact:
         return box
     precision = _check_precision(precision)
-    cells = _kernel(p, box)
-    a, b = cells.narrow(precision)
-    return RootBox(a, b, box.multiplicity, cells.oracle)
-
-
-def _kernel(p: Poly, box: RootBox) -> _Cells:
-    """The refinement kernel for a box of p that is not exact, on the
-    oracle the box brings along when it was isolated for p."""
+    f = _integers(p)
     oracle = box._oracle
-    if oracle is None or oracle.p != p:
-        oracle = _Oracle(p)
-    return _Cells(oracle, box.lo, box.hi)
+    if oracle is None or oracle.f != f:
+        oracle = _Oracle(f)
+    a, b = _Cells(oracle, box.lo, box.hi).narrow(precision)
+    return RootBox(a, b, box.multiplicity, oracle)
 
 
-def narrow_until(p: Poly, box: RootBox, bits: int, done) -> RootBox:
-    """Narrow a box for p in stages, each 2**bits times narrower than the
-    last, until done(lo, hi, den).
+def narrow_until(box: RootBox, bits: int, done) -> RootBox:
+    """Narrow a box in stages, each 2**bits times narrower than the last,
+    until done(lo, hi, den), on the integer oracle that the box carries.
 
-    Each stage is `refine_root_box(p, box, box.width / 2**bits)` on the
-    box of the stage before, with no floor on the width: the same boxes and
-    the same exact roots.  done is asked about each box that is not exact,
-    the given box first, as the integers of (lo/den, hi/den], and the first
-    box it accepts is returned.  The stages share one kernel, whose secant
-    steps certify cells ahead of the stage that asks for them.
+    The box must come from an isolation or a refinement, which attach the
+    oracle of its polynomial.  Each stage is the box that `refine_root_box`
+    gives for the stage before at width / 2**bits, with no floor on the
+    width: the same boxes and the same exact roots.  done is asked about
+    each box that is not exact, the given box first, as the integers of
+    (lo/den, hi/den], and the first box it accepts is returned.  The stages
+    share one kernel, whose secant steps certify cells ahead of the stage
+    that asks for them.
     """
     if box.is_exact:
         return box
-    cells = _kernel(p, box)
+    if box._oracle is None:
+        raise ValueError("the box carries no oracle: isolate it first")
+    cells = _Cells(box._oracle, box.lo, box.hi)
     depth = 0
     lo, hi, den = cells.cell(0)
     while not done(lo, hi, den):

@@ -12,6 +12,7 @@ from operon.exactpoly import (
     degree,
     derivative,
     discriminant,
+    integer_coeffs,
     leading_sign,
     primitive_part,
     resultant,
@@ -228,9 +229,10 @@ def test_eliminate_rejects_degenerate_system():
 
 @pytest.mark.parametrize("consts", CONSTANT_SETS)
 def test_eliminant_matches_resultant(consts):
-    # the 2x2 determinant P - L*Q against the Sylvester/Bareiss resultant
-    for n in range(1, 9):
-        for L in (None, F(1, 3), F(2)):
+    # the 2x2 determinant P - L*Q, formed on integers as d*P - n*Q at a
+    # fixed L = n/d, against the Sylvester/Bareiss resultant
+    for n in (*range(1, 9), 16, 64):
+        for L in (None, F(1, 3), F(2), F(12345, 678)):
             p = LacParams(n=n, L=L, **consts)
             expected = primitive_part(resultant(*build_system(p)))
             assert eliminate_M(p) == expected
@@ -289,7 +291,7 @@ def test_inflection_is_no_level():
     Q = (A + 1) ** 6
     P = Q * ((A - 1) ** 3 + 8)
     assert all(c >= 0 for c in P.coeffs)
-    (box,) = _critical_levels(P, Q, DEFAULT_PRECISION)
+    (box,) = _critical_levels(integer_coeffs(P), integer_coeffs(Q), DEFAULT_PRECISION)
     assert box.exact == 7
 
 
@@ -392,6 +394,27 @@ def test_steady_state_intervals_are_consistent():
             assert 0 < state.R.lo and state.R.hi <= 1
 
 
+def test_steady_states_stay_on_integers(monkeypatch):
+    # from the constants to the boxes the analysis runs on integer tuples:
+    # no Poly is built and no content is cleared
+    from operon import exactpoly, lacmodel, realroots
+
+    cases = [(p, L) for p in (LacParams.defaults(), LacParams(n=4, **{**LAC, "c0": F(0)}))
+             for L in (F(1), F(2), F(5))]
+    expected = [steady_states_at(p, L) for p, L in cases]
+    assert all(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the integer path")
+
+    monkeypatch.setattr(exactpoly.Poly, "__init__", refuse)
+    for module in (exactpoly, lacmodel, realroots):
+        for name in ("clear_content", "content_and_primitive"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [steady_states_at(p, L) for p, L in cases] == expected
+
+
 def test_residuals_hold_at_default_precision():
     p = LacParams.defaults()
     elim = eliminate_M(p.with_lactose(F(7, 10)))
@@ -443,11 +466,14 @@ def assert_refinements_match(p, levels, precision=DEFAULT_PRECISION):
     P, Q = _lactose_curve(p)
     for L in levels:
         elim = _eliminant(P, Q, L)
-        for box in isolate_real_roots(elim, region="positive", precision=precision):
-            assert _refine_residual(elim, box) == ref_residual(elim, box, RESIDUAL_TARGET)
-    W = derivative(P) * Q - P * derivative(Q)
+        ref = Poly("A", elim)
+        for box in isolate_real_roots(ref, region="positive", precision=precision):
+            assert _refine_residual(elim, box) == ref_residual(ref, box, RESIDUAL_TARGET)
+    p_ref, q_ref = Poly("A", P), Poly("A", Q)
+    W = derivative(p_ref) * q_ref - p_ref * derivative(q_ref)
     for box in isolate_real_roots(W, region="positive", precision=precision) if W else []:
-        assert _fold_level(P, Q, W, box, precision) == ref_fold_level(P, Q, W, box, precision)
+        assert _fold_level(P, Q, box, precision) == \
+            ref_fold_level(p_ref, q_ref, W, box, precision)
 
 
 def test_refinement_matches_halving_loop_on_jittered_models(rng):
@@ -471,10 +497,11 @@ def test_residual_refinement_with_repeated_factors():
     elims = [(A**2 - 2) ** 2 * (3 * A - 1) * (A - 5) ** 3 * (7 * A**2 - 3)]
     # c0 = 0 puts the factor A^n into P and Q, so into every eliminant
     P, Q = _lactose_curve(LacParams(n=4, **{**LAC, "c0": F(0)}))
-    elims += [_eliminant(P, Q, L) for L in (F(1, 2), F(1), F(2))]
+    elims += [Poly("A", _eliminant(P, Q, L)) for L in (F(1, 2), F(1), F(2))]
     for elim in elims:
         for box in isolate_real_roots(elim, precision=F(1, 1000)):
-            assert _refine_residual(elim, box) == ref_residual(elim, box, RESIDUAL_TARGET)
+            assert _refine_residual(integer_coeffs(elim), box) == \
+                ref_residual(elim, box, RESIDUAL_TARGET)
 
 
 def test_evaluation_budget(monkeypatch):

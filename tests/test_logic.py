@@ -98,23 +98,28 @@ def test_variables():
 
 
 def test_substitute_matches_evaluation(rng):
+    # values are substituted as the expression is translated: bound variables
+    # drop out of the polynomial, whose values are the expression's under the
+    # same binding
     names = ["a", "b", "c", "d"]
+    vars = VarSet(names)
     for _ in range(50):
         expr = random_expr(rng, names)
         bound = {n: rng.randrange(2) for n in rng.sample(names, rng.randint(0, 4))}
-        partial = logic.substitute(expr, bound)
-        assert logic.variables(partial) <= set(names) - set(bound)
+        partial = translate_expr(expr, vars, bound)
+        mask = partial.support_mask()
+        assert not any(mask >> i & 1 for i, n in enumerate(names) if n in bound)
         for env in all_assignments(names):
-            assert evaluate(partial, env | bound) == evaluate(expr, env | bound)
+            assert partial.evaluate(env) == evaluate(expr, env | bound)
 
 
 def test_substitute_full_binding_leaves_constants(rng):
     names = ["p", "q"]
     expr = parse_expr("p & !q | p ^ q")
     for env in all_assignments(names):
-        reduced = logic.substitute(expr, env)
-        assert logic.variables(reduced) == set()
-        assert evaluate(reduced, {}) == evaluate(expr, env)
+        reduced = translate_expr(expr, VarSet(names), env)
+        assert reduced.support_mask() == 0
+        assert reduced.evaluate({}) == evaluate(expr, env)
 
 
 def test_depth_cap_boundaries():
@@ -130,7 +135,8 @@ def test_depth_cap_boundaries():
         # the walkers recurse once per level and stay inside the stack
         assert evaluate(expr, {"a": 1}) in (0, 1)
         assert logic.variables(expr) == {"a"}
-        assert evaluate(logic.substitute(expr, {"a": 0}), {}) == evaluate(expr, {"a": 0})
+        bound = translate_expr(expr, VarSet(["a"]), {"a": 0})
+        assert bound.evaluate({}) == evaluate(expr, {"a": 0})
         translate_expr(expr, VarSet(["a"]))
     outside = [
         "(" * (cap + 1) + "a" + ")" * (cap + 1),

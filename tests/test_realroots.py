@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from operon.exactpoly import Poly, clear_content, derivative, divrem, pgcd, substitute
+from operon.exactpoly import (
+    Poly,
+    clear_content,
+    derivative,
+    divrem,
+    integer_coeffs,
+    pgcd,
+    substitute,
+)
 from operon import realroots
 from operon.realroots import (
     MIN_PRECISION,
@@ -505,7 +513,8 @@ def assert_stages_match(p, box, bits, count):
         seen.append(RootBox(F(lo, den), F(hi, den), box.multiplicity))
         return len(seen) > count
 
-    got = narrow_until(p, box, bits, done)
+    oracle = realroots._Oracle(integer_coeffs(clear_content(p)))
+    got = narrow_until(RootBox(box.lo, box.hi, box.multiplicity, oracle), bits, done)
     expected = [box]
     while len(expected) <= count and not expected[-1].is_exact:
         expected.append(ref_narrow(p, expected[-1], expected[-1].width / 2**bits))
@@ -592,6 +601,9 @@ def test_oracle_is_built_once_per_polynomial(monkeypatch):
     tight = refine_root_box(X**2 - 2, boxes[0], boxes[0].width / 16)
     assert len(built) == 2
     assert tight == RootBox(tight.lo, tight.hi)
+    # a box made by hand carries no oracle to narrow on
+    with pytest.raises(ValueError, match="no oracle"):
+        narrow_until(RootBox(F(0), F(2)), 1, lambda lo, hi, den: False)
 
 
 def test_root_counts_match_sympy(rng):
