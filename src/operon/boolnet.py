@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 from . import logic
 from .errors import IDENT, ParseError, source_lines
-from .gf2 import BoolPoly, VarSet, translate_expr
-from .groebner import ENUMERATE_CAP, PolySystem, solve_boolean_system
+from .gf2 import BoolPoly, VarSet, decode_state, table_zeros, translate_expr, variable_tables
+from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
 
@@ -99,12 +99,22 @@ class BooleanNetwork:
                 for name, rule in zip(self.vars.names, self.rules)]
         return PolySystem(self.vars, gens)
 
-    def fixed_points(self, params, method: str = "groebner") -> list[State]:
-        """States equal to their successor, by enumerating all 2^n states or by algebra."""
+    def fixed_points(self, params, method: str | None = None) -> list[State]:
+        """States equal to their successor, sorted.
+
+        "enumerate" reads them off the agreement table, the OR over the
+        variables of rule XOR variable, which is 0 exactly at the fixed
+        points; "groebner" solves the polynomial system.  With no method,
+        `default_method` chooses by the number of variables.
+        """
+        if method is None:
+            method = default_method(len(self.vars))
         if method == "enumerate":
-            n = len(self.vars)
-            return [decode_state(code, n)
-                    for code, nxt in enumerate(self._successors(params)) if nxt == code]
+            tables, rule_tables = self._tables(params)
+            disagree = 0
+            for x, rule in zip(tables, rule_tables):
+                disagree |= x ^ rule
+            return table_zeros(disagree, len(self.vars))
         if method != "groebner":
             raise ValueError(f"unknown method {method!r}")
         return solve_boolean_system(self.to_polynomial_system(params), "groebner")
@@ -124,24 +134,25 @@ class BooleanNetwork:
                           tuple(basin), tuple(attr_id))
 
     def _successors(self, params) -> list[int]:
-        """Successor code of every state code, one rule evaluation per variable.
+        """Successor code of every state code: the rule tables read column
+        by column spell out the successor codes."""
+        _, rule_tables = self._tables(params)
+        size = 1 << len(self.vars)
+        columns = zip(*(format(t, f"0{size}b") for t in rule_tables))
+        return [int("".join(column), 2) for column in columns]
 
-        Each value is a truth table over all 2^n state codes, code 0 in the
-        most significant digit, so the rule tables read column by column
-        spell out the successor codes.
-        """
+    def _tables(self, params) -> tuple[list[int], list[int]]:
+        """The truth tables of the variables and of the update rules over
+        all 2^n states, in the layout of `gf2.variable_tables`."""
         setting = self.check_params(params)
         n = len(self.vars)
         if n > ENUMERATE_CAP:
             raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
-        size = 1 << n
-        full = (1 << size) - 1
-        env = {p: full * v for p, v in setting.items()}
-        for i, name in enumerate(self.vars.names):
-            block = 1 << (n - 1 - i)
-            env[name] = int(("0" * block + "1" * block) * (size // (2 * block)), 2)
-        tables = [format(logic.evaluate(r, env, full), f"0{size}b") for r in self.rules]
-        return [int("".join(column), 2) for column in zip(*tables)]
+        full = (1 << (1 << n)) - 1
+        tables = variable_tables(n)
+        env = dict(zip(self.vars.names, tables))
+        env.update((p, full * v) for p, v in setting.items())
+        return tables, [logic.evaluate(r, env, full) for r in self.rules]
 
 
 @dataclass(frozen=True)
@@ -211,10 +222,6 @@ def encode_state(state: Sequence[int]) -> int:
     for b in state:
         code = (code << 1) | (b & 1)
     return code
-
-
-def decode_state(code: int, n: int) -> State:
-    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def _attractors(succ):

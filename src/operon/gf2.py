@@ -279,6 +279,49 @@ def translate_expr(expr: logic.Expr, vars: VarSet,
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# Truth tables over all 2^n points
+
+
+def variable_tables(n: int) -> list[int]:
+    """The truth table of each of n variables over all 2^n points.
+
+    A point's code puts variable 0 in its most significant bit, and a table
+    holds its value at code 0 in the most significant of its 2^n digits, so
+    the digits read left to right follow the codes upward.  Table i repeats
+    2^(n-1-i) zeros, then as many ones; it is built from that period by
+    shift-or doubling, since dividing the all-ones table by 2^(2^(n-i)) - 1
+    takes time quadratic in 2^n.
+    """
+    size = 1 << n
+    tables = []
+    for i in range(n):
+        block = 1 << (n - 1 - i)
+        table, width = (1 << block) - 1, 2 * block
+        while width < size:
+            table |= table << width
+            width <<= 1
+        tables.append(table)
+    return tables
+
+
+def decode_state(code: int, n: int) -> tuple[int, ...]:
+    """The 0/1 point of a code, variable 0 in its most significant bit."""
+    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def table_zeros(table: int, n: int) -> list[tuple[int, ...]]:
+    """The points where a truth table over n variables reads 0, in
+    ascending order of code, which is the order of the points as tuples."""
+    digits = format(table, f"0{1 << n}b")
+    out = []
+    code = digits.find("0")
+    while code >= 0:
+        out.append(decode_state(code, n))
+        code = digits.find("0", code + 1)
+    return out
+
+
 def monomial_str(mask: int, vars: VarSet) -> str:
     if mask == 0:
         return "1"

@@ -17,7 +17,8 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParseError, source_lines
-from .gf2 import BoolPoly, MonomialOrder, VarSet, _bit_indices, parse_poly
+from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, parse_poly, table_zeros,
+                  variable_tables)
 
 ENUMERATE_CAP = 24
 
@@ -239,25 +240,38 @@ def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -
     return GroebnerBasis(vars, order, reduced)
 
 
-def _mask_to_state(sigma: int, n: int) -> tuple[int, ...]:
-    return tuple((sigma >> i) & 1 for i in range(n))
+# Without a method, a solve reads its zero set off truth tables in up to
+# this many variables and runs Buchberger past it.  The tables double with
+# each variable: on a 2-core Xeon VM with CPython 3.11, random in-degree-3
+# networks took a median of 11 ms on tables and 12 ms by Groebner basis in
+# 20 variables, but 24 against 6 ms in 21.  Planted quadratic systems in 20
+# variables take milliseconds on tables and may run Buchberger for tens of
+# seconds.
+TABLE_VARS = 20
 
 
-def solve_boolean_system(system: PolySystem, method: str = "groebner") -> list[tuple[int, ...]]:
-    """All common 0/1 zeros of the system, as sorted tuples in variable order."""
+def default_method(n: int) -> str:
+    """"enumerate" in up to TABLE_VARS variables, else "groebner"."""
+    return "enumerate" if n <= TABLE_VARS else "groebner"
+
+
+def solve_boolean_system(system: PolySystem, method: str | None = None) -> list[tuple[int, ...]]:
+    """All common 0/1 zeros of the system, as sorted tuples in variable order.
+
+    "enumerate" reads them off truth tables over all 2^n points, and
+    "groebner" off the reduced basis; with no method, `default_method`
+    chooses by the number of variables.
+    """
     n = len(system.vars)
+    if method is None:
+        method = default_method(n)
     if method == "enumerate":
         if n > ENUMERATE_CAP:
             raise ValueError(
                 f"enumeration is capped at {ENUMERATE_CAP} variables "
                 f"(got {n}); use method='groebner'"
             )
-        gens = system.generators
-        out = []
-        for sigma in range(1 << n):
-            if all(g.evaluate_mask(sigma) == 0 for g in gens):
-                out.append(_mask_to_state(sigma, n))
-        return sorted(out)
+        return table_zeros(_nonzero_table(system), n)
     if method != "groebner":
         raise ValueError(f"unknown method {method!r}")
 
@@ -298,6 +312,24 @@ def _split(polys, assigned, vars, order, out):
         specialized = [p.substitute_index(x, b) for p in rest]
         sub = buchberger_reduced(PolySystem(vars, specialized), order)
         _split(list(sub.polys), {**assigned, x: b}, vars, order, out)
+
+
+def _nonzero_table(system: PolySystem) -> int:
+    # the OR of the generators' truth tables: a generator's table is the XOR
+    # of its monomials', and a monomial's the AND of its variables'
+    n = len(system.vars)
+    tables = variable_tables(n)
+    full = (1 << (1 << n)) - 1
+    nonzero = 0
+    for g in system.generators:
+        value = 0
+        for m in g.monomials:
+            t = full
+            for i in _bit_indices(m):
+                t &= tables[i]
+            value ^= t
+        nonzero |= value
+    return nonzero
 
 
 def parse_system(text: str) -> PolySystem:

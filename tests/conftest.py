@@ -112,6 +112,17 @@ def planted_system(rng, n):
     return PolySystem(vars, gens), planted
 
 
+def ref_enumerate(system):
+    """`solve_boolean_system(system, method)` for every method, as the
+    per-point loop before the truth tables did it: each generator evaluated
+    at each of the 2^n points, bit i of sigma the value of variable i."""
+    n = len(system.vars)
+    return sorted(
+        tuple((sigma >> i) & 1 for i in range(n)) for sigma in range(1 << n)
+        if all(g.evaluate_mask(sigma) == 0 for g in system.generators)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Rational polynomials
 

@@ -95,7 +95,7 @@ def test_criterion_03_reduced_basis_and_solution(lac_gf2):
                           MonomialOrder.degrevlex(system.vars)):
                 basis = buchberger_reduced(system, order)
                 assert set(basis.polys) == expected
-            assert solve_boolean_system(system) == [(1, 1, 1, 1, 0, 1, 1, 1, 1)]
+            assert solve_boolean_system(system, "groebner") == [(1, 1, 1, 1, 0, 1, 1, 1, 1)]
 
 
 def test_criterion_04_solver_equals_enumeration():

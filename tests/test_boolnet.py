@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from operon import logic
+from operon import boolnet, logic
 from operon.boolnet import (
     BooleanNetwork,
     decode_state,
@@ -16,6 +16,7 @@ from operon.boolnet import (
 )
 from operon.errors import ParseError
 from operon.gf2 import VarSet
+from operon.groebner import TABLE_VARS, solve_boolean_system
 
 from conftest import SEED, random_expr
 
@@ -182,6 +183,33 @@ def test_step_agrees_with_polynomial_system(net):
                     assert gens[i].evaluate_mask(sigma) == (nxt[i] ^ state[i])
 
 
+def test_agreement_table_matches_step(net):
+    # a fixed point is a state that step maps to itself: all 512 states
+    # under every parameter setting
+    n = len(net.vars)
+    states = [decode_state(code, n) for code in range(1 << n)]
+    for a in (0, 1):
+        for g in (0, 1):
+            setting = {"a": a, "g": g}
+            expected = [s for s in states if net.step(s, setting) == s]
+            assert net.fixed_points(setting, method="enumerate") == expected
+            assert net.fixed_points(setting) == expected
+
+
+def test_route_choice_at_the_table_width(monkeypatch):
+    # a ring shift register in TABLE_VARS variables takes the agreement
+    # table; one variable more, the Groebner basis
+    solves = []
+    monkeypatch.setattr(boolnet, "solve_boolean_system",
+                        lambda *args: solves.append(args) or solve_boolean_system(*args))
+    for n, expected_solves in ((TABLE_VARS, 0), (TABLE_VARS + 1, 1)):
+        names = [f"x{i}" for i in range(n)]
+        rules = tuple(logic.Var(names[(i + 1) % n]) for i in range(n))
+        net = BooleanNetwork("shift", VarSet(names), (), rules)
+        assert net.fixed_points({}) == [(0,) * n, (1,) * n]
+        assert len(solves) == expected_solves
+
+
 # ---------------------------------------------------------------------------
 # state graphs
 
@@ -261,8 +289,8 @@ def test_truth_table_kernel_matches_step(n):
             for c in range(1 << n):
                 assert graph.successors[c] == encode_state(net.step(decode_state(c, n), setting))
             cycles = [decode_state(cyc[0], n) for cyc in graph.attractors if len(cyc) == 1]
-            assert net.fixed_points(setting, method="enumerate") == cycles
-            assert net.fixed_points(setting, method="groebner") == cycles
+            for method in (None, "enumerate", "groebner"):
+                assert net.fixed_points(setting, method=method) == cycles
 
 
 # ---------------------------------------------------------------------------

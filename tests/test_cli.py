@@ -135,6 +135,27 @@ def test_fixed_points_methods_agree(capsys, lac_bn):
     assert fast == slow
 
 
+def test_fixed_points_with_parameter_gated_products(capsys, tmp_path):
+    # x0' = (p1 | x1) & ... & (p20 | x20) over 25 variables, the others
+    # copying x0: over free parameters the rule has 3^20 monomials, but in one
+    # setting it is a single product, and past TABLE_VARS variables the
+    # default route is the Groebner basis
+    names = [f"x{i}" for i in range(25)]
+    params = [f"p{i}" for i in range(1, 21)]
+    gated = " & ".join(f"({p} | x{i})" for i, p in enumerate(params, 1))
+    rules = [f"x0' = {gated}"] + [f"{x}' = x0" for x in names[1:]]
+    model = tmp_path / "gated.bn"
+    model.write_text("\n".join(["network gated", f"vars: {', '.join(names)}",
+                                f"params: {', '.join(params)}", *rules]) + "\n")
+    for bits, expected in (("1" * 20, ["1" * 25]), ("0" * 20, ["0" * 25, "1" * 25]),
+                           ("01" * 10, ["0" * 25, "1" * 25])):
+        setting = ",".join(f"{p}={b}" for p, b in zip(params, bits))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "fixed-points", str(model), "--set", setting)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and out.splitlines() == expected
+
+
 def test_fixed_points_param_validation(capsys, lac_bn):
     code, err = run_usage_error(capsys, "fixed-points", lac_bn, "--set", "a=2,g=0")
     assert code == 2

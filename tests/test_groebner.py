@@ -9,6 +9,7 @@ from operon import gf2, groebner
 from operon.errors import ParseError
 from operon.gf2 import BoolPoly, MonomialOrder, VarSet, parse_poly
 from operon.groebner import (
+    TABLE_VARS,
     PolySystem,
     buchberger_reduced,
     load_system,
@@ -18,7 +19,8 @@ from operon.groebner import (
     solve_boolean_system,
 )
 
-from conftest import planted_system, random_bool_poly, random_system, ref_buchberger, rename
+from conftest import (planted_system, random_bool_poly, random_system, ref_buchberger,
+                      ref_enumerate, rename)
 
 ON_STATE_BASIS = [
     "x1 + 1",
@@ -208,7 +210,7 @@ def test_each_key_is_computed_once_per_order(rng, monkeypatch):
     for n in range(6, 11):
         for _ in range(3):
             base, _ = planted_system(rng, n)
-            solve_boolean_system(base)
+            solve_boolean_system(base, "groebner")
             for system, order in certificate_orders(base, rng):
                 basis = buchberger_reduced(system, order)
                 for p in basis:
@@ -258,7 +260,7 @@ def test_inconsistent_system_collapses_to_one():
     system = PolySystem(vars, [x1, x1 + one])
     basis = buchberger_reduced(system)
     assert [p for p in basis.polys] == [one]
-    assert solve_boolean_system(system) == []
+    assert solve_boolean_system(system, "groebner") == []
 
 
 def test_empty_ideal_has_all_points():
@@ -301,15 +303,48 @@ def test_s_polynomial_rejects_zero():
 # solver equivalence and guard rails
 
 
+def edge_systems():
+    one_var = VarSet(["x1"])
+    x = BoolPoly.variable(one_var, "x1")
+    two = VarSet(["x1", "x2"])
+    x1, x2, one = BoolPoly.variable(two, "x1"), BoolPoly.variable(two, "x2"), BoolPoly.one(two)
+    six = VarSet(f"x{i + 1}" for i in range(6))
+    return [
+        PolySystem(two, [BoolPoly.zero(two), x1 * x2]),  # a zero generator
+        PolySystem(two, [x1, x1 + one]),  # inconsistent
+        PolySystem(one_var, [x]),
+        PolySystem(one_var, [x + BoolPoly.one(one_var)]),
+        PolySystem(one_var, []),  # every point a solution
+        PolySystem(six, [BoolPoly.zero(six)]),
+    ]
+
+
 def test_solver_methods_agree_on_random_systems(rng):
-    for _ in range(40):
-        system = random_system(rng, max_vars=8)
-        fast = solve_boolean_system(system, "groebner")
-        slow = solve_boolean_system(system, "enumerate")
-        assert fast == slow
-        for point in fast:
-            sigma = sum(b << i for i, b in enumerate(point))
-            assert all(g.evaluate_mask(sigma) == 0 for g in system.generators)
+    systems = [random_system(rng, max_vars=8) for _ in range(60)] + edge_systems()
+    for system in systems:
+        expected = ref_enumerate(system)
+        for method in (None, "groebner", "enumerate"):
+            assert solve_boolean_system(system, method) == expected
+    assert [len(ref_enumerate(s)) for s in edge_systems()] == [3, 0, 1, 1, 2, 64]
+
+
+def test_route_choice_at_the_table_width(monkeypatch):
+    # TABLE_VARS variables: truth tables, and no Buchberger run; one
+    # variable more: the reduced basis
+    runs = 0
+    engine = groebner.buchberger_reduced
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger_reduced", counted)
+    for n, expected_runs in ((TABLE_VARS, 0), (TABLE_VARS + 1, 1)):
+        vars = VarSet(f"x{i + 1}" for i in range(n))
+        system = PolySystem(vars, [BoolPoly.variable(vars, name) for name in vars.names])
+        assert solve_boolean_system(system) == [(0,) * n]
+        assert runs == expected_runs
 
 
 def test_planted_solve_budget(rng):
@@ -317,7 +352,7 @@ def test_planted_solve_budget(rng):
     # size took a median of 29 s
     systems = [planted_system(rng, 12) for _ in range(5)]
     start = time.perf_counter()
-    solutions = [solve_boolean_system(system) for system, _ in systems]
+    solutions = [solve_boolean_system(system, "groebner") for system, _ in systems]
     assert time.perf_counter() - start < 2.0
     for (system, planted), sols in zip(systems, solutions):
         assert sols == solve_boolean_system(system, "enumerate")
@@ -327,7 +362,7 @@ def test_planted_solve_budget(rng):
 def test_solutions_are_sorted(rng):
     for _ in range(10):
         system = random_system(rng, max_vars=6)
-        sols = solve_boolean_system(system)
+        sols = solve_boolean_system(system, "groebner")
         assert sols == sorted(sols)
         assert len(set(sols)) == len(sols)
 
