@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import json
 import re
+import struct
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import logic
 from .errors import IDENT, ParseError, source_lines
-from .gf2 import BoolPoly, VarSet, decode_state, table_zeros, translate_expr, variable_tables
+from .gf2 import (BoolPoly, VarSet, decode_state, table_zeros, translate_expr, variable_tables,
+                  zero_codes)
 from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
+
+# a truth table's digits as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 State = tuple[int, ...]
 
@@ -110,49 +116,95 @@ class BooleanNetwork:
         if method is None:
             method = default_method(len(self.vars))
         if method == "enumerate":
-            tables, rule_tables = self._tables(params)
-            disagree = 0
-            for x, rule in zip(tables, rule_tables):
-                disagree |= x ^ rule
-            return table_zeros(disagree, len(self.vars))
+            return table_zeros(self._disagreement(params), len(self.vars))
         if method != "groebner":
             raise ValueError(f"unknown method {method!r}")
         return solve_boolean_system(self.to_polynomial_system(params), "groebner")
 
+    def fixed_points_by_setting(self, method: str | None = None
+                                ) -> list[tuple[dict[str, int], list[State]]]:
+        """Every parameter setting with its fixed points, the first parameter
+        the most significant bit of the setting's code, in code order.
+
+        When the method resolves to "enumerate" and the parameters and
+        variables number at most ENUMERATE_CAP together, one agreement table
+        over both answers every setting: the parameters lead, so setting c
+        is the c-th block of 2^n digits.  Otherwise each setting is solved
+        alone.
+        """
+        n, k = len(self.vars), len(self.params)
+        if method is None:
+            method = default_method(n)
+        settings = [dict(zip(self.params, decode_state(c, k))) for c in range(1 << k)]
+        if method != "enumerate" or n + k > ENUMERATE_CAP:
+            return [(s, self.fixed_points(s, method)) for s in settings]
+        rows = [(s, []) for s in settings]
+        for code in zero_codes(self._disagreement(None), n + k):
+            rows[code >> n][1].append(decode_state(code, n))
+        return rows
+
     def state_graph(self, params) -> "StateGraph":
+        """Successors, attractors and basins of all 2^n states under one setting.
+
+        Attractors are listed short cycles first, then by smallest member,
+        and each cycle starts at its smallest member.
+        """
         succ = self._successors(params)
-        attractors, attr_id = _attractors(succ)
-        # canonical presentation: short cycles first, then smallest member
-        ranked = sorted(range(len(attractors)), key=lambda a: (len(attractors[a]), attractors[a][0]))
-        remap = {old: new for new, old in enumerate(ranked)}
-        attractors = [attractors[a] for a in ranked]
-        basin = [0] * len(attractors)
-        for code in range(len(succ)):
-            attr_id[code] = remap[attr_id[code]]
-            basin[attr_id[code]] += 1
-        return StateGraph(self.vars, tuple(succ), tuple(tuple(c) for c in attractors),
-                          tuple(basin), tuple(attr_id))
+        return StateGraph(self.vars, succ, *_attractors(succ))
 
-    def _successors(self, params) -> list[int]:
-        """Successor code of every state code: the rule tables read column
-        by column spell out the successor codes."""
+    def _successors(self, params) -> tuple[int, ...]:
+        """Successor code of every state code, read off the rule tables.
+
+        The digits of each rule table become the bytes 0 and 1, one per
+        state, and so one integer with a byte per state; shifted to the
+        rule's bit of the code, these are ORed into one integer per byte of
+        the code.  Those fill the lanes of 1, 2 or 4 bytes per state, which
+        are read back little-endian in one call.
+        """
         _, rule_tables = self._tables(params)
-        size = 1 << len(self.vars)
-        columns = zip(*(format(t, f"0{size}b") for t in rule_tables))
-        return [int("".join(column), 2) for column in columns]
-
-    def _tables(self, params) -> tuple[list[int], list[int]]:
-        """The truth tables of the variables and of the update rules over
-        all 2^n states, in the layout of `gf2.variable_tables`."""
-        setting = self.check_params(params)
         n = len(self.vars)
-        if n > ENUMERATE_CAP:
-            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
-        full = (1 << (1 << n)) - 1
-        tables = variable_tables(n)
-        env = dict(zip(self.vars.names, tables))
+        size = 1 << n
+        lane, kind = (1, "B") if n <= 8 else (2, "H") if n <= 16 else (4, "I")
+        parts = [0] * lane
+        for i, table in enumerate(rule_tables):
+            bit = n - 1 - i
+            digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
+            parts[bit >> 3] |= int.from_bytes(digits, "little") << (bit & 7)
+        codes = bytearray(size * lane)
+        for byte, part in enumerate(parts):
+            codes[byte::lane] = part.to_bytes(size, "little")
+        return struct.unpack(f"<{size}{kind}", codes)
+
+    def _disagreement(self, params) -> int:
+        """The agreement table: the OR over the variables of rule XOR
+        variable, laid out as `_tables(params)` lays out its tables."""
+        tables, rule_tables = self._tables(params)
+        disagree = 0
+        for x, rule in zip(tables, rule_tables):
+            disagree |= x ^ rule
+        return disagree
+
+    def _tables(self, params) -> tuple[list[int], Iterator[int]]:
+        """The truth tables of the variables and, one at a time, of the
+        update rules, in the layout of `gf2.variable_tables`.
+
+        Under a parameter setting they run over the 2^n states.  With params
+        None the parameters are table variables too, ahead of the state
+        variables, and the tables run over all 2^(k+n) (setting, state) codes.
+        """
+        if params is None:
+            setting, lead = {}, len(self.params)
+        else:
+            setting, lead = self.check_params(params), 0
+        width = lead + len(self.vars)
+        if width > ENUMERATE_CAP:
+            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {width})")
+        full = (1 << (1 << width)) - 1
+        tables = variable_tables(width)
+        env = dict(zip(self.params, tables[:lead]))
+        env.update(zip(self.vars.names, tables[lead:]))
         env.update((p, full * v) for p, v in setting.items())
-        return tables, [logic.evaluate(r, env, full) for r in self.rules]
+        return tables[lead:], (logic.evaluate(r, env, full) for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -225,33 +277,42 @@ def encode_state(state: Sequence[int]) -> int:
 
 
 def _attractors(succ):
-    """Cycle detection in a functional graph; every state flows to one cycle."""
-    n = len(succ)
-    attr_id = [-1] * n
-    attractors: list[list[int]] = []
-    for start in range(n):
-        if attr_id[start] != -1:
+    """The cycles of a functional graph, the number of states that flow to
+    each, and the index of the cycle each state flows to.
+
+    A state flows where its successor does, so only states in the image of
+    succ are walked.  A walk marks the states on its path -2: reaching a
+    marked state closes a new cycle, reaching a labelled one joins an old
+    basin.  Cycles are ranked short first, then by smallest member, and
+    start at their smallest member.
+    """
+    label = [-1] * len(succ)
+    cycles: list[list[int]] = []
+    for start in set(succ):
+        if label[start] != -1:
             continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
+        path = []
         cur = start
-        while True:
-            if attr_id[cur] != -1:
-                aid = attr_id[cur]
-                break
-            if cur in pos:
-                cycle = path[pos[cur] :]
-                low = cycle.index(min(cycle))
-                cycle = cycle[low:] + cycle[:low]
-                aid = len(attractors)
-                attractors.append(cycle)
-                break
-            pos[cur] = len(path)
+        while label[cur] == -1:
+            label[cur] = -2
             path.append(cur)
             cur = succ[cur]
+        found = label[cur]
+        if found == -2:
+            cycle = path[path.index(cur) :]
+            low = cycle.index(min(cycle))
+            found = len(cycles)
+            cycles.append(cycle[low:] + cycle[:low])
         for c in path:
-            attr_id[c] = aid
-    return attractors, attr_id
+            label[c] = found
+    ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
+    rank = [0] * len(ranked)
+    for new, old in enumerate(ranked):
+        rank[old] = new
+    attractor_of = tuple([rank[label[nxt]] for nxt in succ])
+    basins = Counter(attractor_of)
+    return (tuple(tuple(cycles[a]) for a in ranked), tuple(basins[a] for a in range(len(ranked))),
+            attractor_of)
 
 
 def fixed_points_json(points: Sequence[State]) -> str:

@@ -73,8 +73,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# --all-params solves once per parameter setting, 2^k times; at the cap a
-# three-variable network takes about 0.25 s on truth tables
+# --all-params answers all 2^k parameter settings from one truth table over
+# the parameters and variables, or else solves each setting; at the cap a
+# three-variable network takes about 0.2 s, a twelve-variable one 0.5 s
 MAX_ALL_PARAMS = 12
 
 
@@ -85,13 +86,8 @@ def cmd_fixed_points(args) -> int:
         if k > MAX_ALL_PARAMS:
             raise ValueError(f"--all-params is capped at {MAX_ALL_PARAMS} parameters "
                              f"(got {k}); use --set")
-        rows = []
-        for code in range(2 ** k):
-            values = {name: (code >> (k - 1 - i)) & 1
-                      for i, name in enumerate(net.params)}
-            label = ",".join(f"{name}={values[name]}" for name in net.params)
-            points = net.fixed_points(values, method=args.method)
-            rows.append((label, points))
+        rows = [(",".join(f"{name}={value}" for name, value in setting.items()), points)
+                for setting, points in net.fixed_points_by_setting(args.method)]
         if args.json:
             payload = {label: sorted(_bits(p) for p in points)
                        for label, points in rows}

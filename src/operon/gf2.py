@@ -310,16 +310,21 @@ def decode_state(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def table_zeros(table: int, n: int) -> list[tuple[int, ...]]:
-    """The points where a truth table over n variables reads 0, in
-    ascending order of code, which is the order of the points as tuples."""
+def zero_codes(table: int, n: int) -> list[int]:
+    """The codes where a truth table over n variables reads 0, ascending."""
     digits = format(table, f"0{1 << n}b")
     out = []
     code = digits.find("0")
     while code >= 0:
-        out.append(decode_state(code, n))
+        out.append(code)
         code = digits.find("0", code + 1)
     return out
+
+
+def table_zeros(table: int, n: int) -> list[tuple[int, ...]]:
+    """The points where a truth table over n variables reads 0, in
+    ascending order of code, which is the order of the points as tuples."""
+    return [decode_state(code, n) for code in zero_codes(table, n)]
 
 
 def monomial_str(mask: int, vars: VarSet) -> str:

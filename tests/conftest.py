@@ -383,3 +383,49 @@ def ref_buchberger(system, order):
         for i in active
     )
     return basis, reductions + len(active)
+
+
+# ---------------------------------------------------------------------------
+# Boolean network state graphs as they were read before lane-packed successor
+# codes and the stamped walk: one string join per state, and a dict of path
+# positions per walk.  The differential tests hold `state_graph` to them.
+
+
+def ref_successors(net, params):
+    """`net.state_graph(params).successors`, as a list: the rule tables read
+    column by column spell out the successor codes."""
+    _, rule_tables = net._tables(params)
+    size = 1 << len(net.vars)
+    columns = zip(*(format(t, f"0{size}b") for t in rule_tables))
+    return [int("".join(column), 2) for column in columns]
+
+
+def ref_attractors(succ):
+    """The cycles of a functional graph, each from its smallest member and
+    in order of discovery, and the index of each state's cycle."""
+    n = len(succ)
+    attr_id = [-1] * n
+    attractors = []
+    for start in range(n):
+        if attr_id[start] != -1:
+            continue
+        path = []
+        pos = {}
+        cur = start
+        while True:
+            if attr_id[cur] != -1:
+                aid = attr_id[cur]
+                break
+            if cur in pos:
+                cycle = path[pos[cur] :]
+                low = cycle.index(min(cycle))
+                cycle = cycle[low:] + cycle[:low]
+                aid = len(attractors)
+                attractors.append(cycle)
+                break
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = succ[cur]
+        for c in path:
+            attr_id[c] = aid
+    return attractors, attr_id

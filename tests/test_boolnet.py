@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from operon.errors import ParseError
 from operon.gf2 import VarSet
 from operon.groebner import TABLE_VARS, solve_boolean_system
 
-from conftest import SEED, random_expr
+from conftest import SEED, random_expr, ref_attractors, ref_successors
 
 FIXED_POINTS = {
     (0, 0): ["000110000"],
@@ -259,10 +260,11 @@ def test_attractor_states(net):
     assert graph.attractor_states(0) == (bits("000010000"),)
 
 
-def random_network(rng, n):
-    """Random network with up to two parameters, constant rules and nested !/^."""
+def random_network(rng, n, k=None):
+    """Random network with k parameters (by default up to two), constant
+    rules and nested !/^."""
     names = [f"x{i}" for i in range(n)]
-    params = tuple(f"p{i}" for i in range(rng.randint(0, 2)))
+    params = tuple(f"p{i}" for i in range(rng.randint(0, 2) if k is None else k))
     idents = names + list(params)
     rules = []
     for _ in names:
@@ -277,20 +279,111 @@ def random_network(rng, n):
     return BooleanNetwork("random", VarSet(names), params, tuple(rules))
 
 
+def settings_of(net):
+    """Every parameter setting of net, in the order of its code."""
+    k = len(net.params)
+    return [dict(zip(net.params, decode_state(code, k))) for code in range(1 << k)]
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_truth_table_kernel_matches_step(n):
     # the all-states kernel against one independent step per state
     rng = random.Random(SEED + n)
     for _ in range(2):
         net = random_network(rng, n)
-        for code in range(1 << len(net.params)):
-            setting = dict(zip(net.params, decode_state(code, len(net.params))))
+        for setting in settings_of(net):
             graph = net.state_graph(setting)
             for c in range(1 << n):
                 assert graph.successors[c] == encode_state(net.step(decode_state(c, n), setting))
             cycles = [decode_state(cyc[0], n) for cyc in graph.attractors if len(cyc) == 1]
             for method in (None, "enumerate", "groebner"):
                 assert net.fixed_points(setting, method=method) == cycles
+
+
+def check_against_references(net, setting):
+    # the state graph against the column join and the dict walk it replaced,
+    # ranked and counted here as state_graph presents them
+    graph = net.state_graph(setting)
+    succ = ref_successors(net, setting)
+    assert list(graph.successors) == succ
+    cycles, attr_id = ref_attractors(succ)
+    ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
+    rank = {old: new for new, old in enumerate(ranked)}
+    basins = Counter(attr_id)
+    assert graph.attractors == tuple(tuple(cycles[a]) for a in ranked)
+    assert graph.basin_sizes == tuple(basins[a] for a in ranked)
+    assert list(graph.attractor_of) == [rank[a] for a in attr_id]
+    return graph
+
+
+def counter_network(n):
+    """The state code plus one, modulo 2^n: one cycle through every state."""
+    names = [f"x{i}" for i in range(n)]
+    rules = []
+    for i in range(n):
+        carry = None
+        for name in names[i + 1 :]:
+            carry = logic.Var(name) if carry is None else logic.And(carry, logic.Var(name))
+        bit = logic.Var(names[i])
+        rules.append(logic.Not(bit) if carry is None else logic.Xor(bit, carry))
+    return BooleanNetwork("counter", VarSet(names), (), tuple(rules))
+
+
+# 1-byte successor lanes up to 8 variables, 2-byte up to 16, then 4-byte
+LANE_WIDTHS = (1, 2, 8, 9, 16, 17)
+
+
+@pytest.mark.parametrize("n", LANE_WIDTHS)
+def test_state_graph_matches_references(n):
+    rng = random.Random(SEED + 100 + n)
+    net = random_network(rng, n)
+    for setting in settings_of(net):
+        graph = check_against_references(net, setting)
+        if n <= 10:
+            for c in range(1 << n):
+                assert graph.successors[c] == encode_state(net.step(decode_state(c, n), setting))
+
+
+@pytest.mark.parametrize("n", LANE_WIDTHS)
+def test_state_graph_edge_networks(n):
+    size = 1 << n
+    names = [f"x{i}" for i in range(n)]
+    # constant rules: every state steps to one fixed point
+    rules = tuple(logic.Const(i % 2) for i in range(n))
+    graph = check_against_references(BooleanNetwork("constant", VarSet(names), (), rules), {})
+    code = encode_state(i % 2 for i in range(n))
+    assert graph.successors == (code,) * size
+    assert graph.attractors == ((code,),) and graph.basin_sizes == (size,)
+    # the identity: 2^n fixed points, each its own basin
+    rules = tuple(logic.Var(name) for name in names)
+    graph = check_against_references(BooleanNetwork("identity", VarSet(names), (), rules), {})
+    assert graph.successors == graph.attractor_of == tuple(range(size))
+    assert graph.attractors == tuple((c,) for c in range(size))
+    assert graph.basin_sizes == (1,) * size
+    # a counter: one walk along a cycle through all 2^n states
+    graph = check_against_references(counter_network(n), {})
+    assert graph.successors == tuple(range(1, size)) + (0,)
+    assert graph.attractors == (tuple(range(size)),) and graph.basin_sizes == (size,)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_fixed_points_by_setting_matches_each_setting(k):
+    # one agreement table over parameters and variables, against one solve
+    # per setting by every method
+    rng = random.Random(SEED + 200 + k)
+    for n in (1, 2, 4, 6):
+        net = random_network(rng, n, k)
+        settings = settings_of(net)
+        for method in (None, "enumerate", "groebner"):
+            expected = [(s, net.fixed_points(s, method)) for s in settings]
+            assert net.fixed_points_by_setting(method) == expected
+
+
+def test_fixed_points_by_setting_on_lac(net):
+    rows = net.fixed_points_by_setting()
+    assert [tuple(s.values()) for s, _ in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for setting, points in rows:
+        assert points == [bits(FIXED_POINTS[setting["a"], setting["g"]][0])]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from operon import __version__, cli, model_path
+from operon import __version__, boolnet, cli, gf2, groebner, model_path
 from operon.cli import lactose_range, main, parse_rational
+
+from conftest import SEED
 
 F = Fraction
 
@@ -312,6 +315,87 @@ def test_all_params_cap(capsys, tmp_path, monkeypatch, extra):
                          "--all-params", *extra)
     assert code == 1 and out == ""
     assert err == "operon: --all-params is capped at 2 parameters (got 3); use --set\n"
+
+
+def _random_parameter_network(path, rng, n, k):
+    names = [f"x{i}" for i in range(n)]
+    idents = names + [f"p{i}" for i in range(k)]
+    rules = []
+    for x in names:
+        a, b, c = (("!" if rng.random() < 0.3 else "") + rng.choice(idents) for _ in range(3))
+        rules.append(f"{x}' = {a} {rng.choice('&|^')} ({b} {rng.choice('&|^')} {c})")
+    params = f"params: {', '.join(idents[n:])}\n" if k else ""
+    path.write_text(f"network rnd\nvars: {', '.join(names)}\n{params}" + "\n".join(rules) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_all_params_output_is_the_same_by_every_method(capsys, tmp_path, k):
+    rng = random.Random(SEED + k)
+    for n in (1, 3, 6):
+        model = _random_parameter_network(tmp_path / f"rnd{n}.bn", rng, n, k)
+        for extra in ([], ["--json"]):
+            outputs = {run(capsys, "fixed-points", model, "--all-params", *extra, *method)
+                       for method in ([], ["--method", "enumerate"], ["--method", "groebner"])}
+            (output,) = outputs
+            assert output[0] == 0 and output[2] == ""
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "enumerate"], ["--method", "groebner"]])
+def test_all_params_without_parameters(capsys, tmp_path, method):
+    # one setting, with an empty label
+    model = tmp_path / "swap.bn"
+    model.write_text("network swap\nvars: x, y\nx' = y\ny' = x\n")
+    assert run(capsys, "fixed-points", str(model), "--all-params", *method) == (0, ": 00 11\n", "")
+    code, out, _ = run(capsys, "fixed-points", str(model), "--all-params", "--json", *method)
+    assert code == 0 and out == '{\n  "": [\n    "00",\n    "11"\n  ]\n}\n'
+
+
+def test_all_params_routes(capsys, tmp_path, monkeypatch):
+    # by default every setting is read off one agreement table over the
+    # parameters and variables; --method groebner solves each setting, and so
+    # does "enumerate" when parameters and variables pass ENUMERATE_CAP
+    model = _parameter_network(tmp_path / "four.bn", 4)
+    monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 6)
+    tables, solves = [], []
+    monkeypatch.setattr(boolnet, "variable_tables",
+                        lambda n: tables.append(n) or gf2.variable_tables(n))
+    monkeypatch.setattr(boolnet, "solve_boolean_system",
+                        lambda *args: solves.append(args) or groebner.solve_boolean_system(*args))
+    code, table, _ = run(capsys, "fixed-points", model, "--all-params")
+    assert code == 0 and tables == [6] and solves == []
+    tables.clear()
+    assert run(capsys, "fixed-points", model, "--all-params", "--method", "groebner")[1] == table
+    assert tables == [] and len(solves) == 16
+    solves.clear()
+    monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 5)
+    assert run(capsys, "fixed-points", model, "--all-params", "--method", "enumerate")[1] == table
+    assert tables == [2] * 16 and solves == []
+
+
+def test_all_params_at_the_cap_is_one_pass(capsys, tmp_path):
+    # 12 parameters over 12 variables: the one agreement table over 2^24
+    # codes took about 0.35 s; cutting it into the 4,096 settings by one
+    # shift per setting took 1.4 s more
+    names = [f"x{i}" for i in range(12)]
+    params = [f"p{i}" for i in range(12)]
+    rules = [f"{x}' = (x{(i + 1) % 12} & p{i}) ^ (x{(i + 2) % 12} | !p{(i + 1) % 12})"
+             for i, x in enumerate(names)]
+    model = tmp_path / "cap.bn"
+    model.write_text(f"network cap\nvars: {', '.join(names)}\nparams: {', '.join(params)}\n"
+                     + "\n".join(rules) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", str(model), "--all-params")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 4096
+    net = boolnet.load_network(str(model))
+    for c in (0, 1, 2047, 4095):
+        setting = dict(zip(params, gf2.decode_state(c, 12)))
+        label = ",".join(f"{p}={v}" for p, v in setting.items())
+        points = " ".join("".join(map(str, p)) for p in net.fixed_points(setting, "groebner"))
+        assert lines[c] == f"{label}: {points}"
 
 
 # ---------------------------------------------------------------------------
