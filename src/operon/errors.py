@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import re
+import string
 from fractions import Fraction
 from typing import Iterator
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 """Regex for a variable, parameter or constant name in every format."""
+
+NAME_START = frozenset(string.ascii_letters + "_")
+"""The characters an IDENT may start with."""
+
+TOKEN = re.compile(rf"{IDENT}|\S")
+"""A token of the expression and polynomial formats: an identifier or one
+other visible character.  `TOKEN.findall(line)` splits a line into its
+tokens and drops the whitespace between them."""
+
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 MAX_EXPONENT = 10 ** 6
 """Largest decimal exponent accepted in a rational: `Fraction` builds
@@ -22,11 +34,27 @@ class ParseError(ValueError):
 
 
 def source_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, content) of each non-blank line; ``#`` starts a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(1-based line number, content) of each non-blank line; ``#`` starts a comment.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, as text-mode `open` reads
+    them; other characters that `str.splitlines` breaks at (``\\f``,
+    ``\\x1c``, ``\\u2028`` ...) are whitespace inside a line.
+    """
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def scan_error(tokens: list[str], symbols: str, noun: str, message: str,
+               line: int | None) -> ParseError:
+    """The ParseError for a line that `TOKEN` split into tokens.  Its first
+    unexpected character, a token that is neither a name nor one of the
+    format's symbols, takes priority over message, the grammar error."""
+    for tok in tokens:
+        if tok[0] not in NAME_START and tok not in symbols:
+            return ParseError(f"unexpected character {tok!r} in {noun}", line)
+    return ParseError(message, line)
 
 
 def parse_rational(text: str) -> Fraction:

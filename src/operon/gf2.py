@@ -13,7 +13,7 @@ import re
 from typing import Iterable, Mapping
 
 from . import logic
-from .errors import IDENT, ParseError
+from .errors import IDENT, ParseError, TOKEN, scan_error
 
 MAX_VARS = 64  # one machine word per monomial
 
@@ -343,34 +343,43 @@ def format_poly(p: BoolPoly, order: MonomialOrder | None = None) -> str:
     return " + ".join(monomial_str(m, p.vars) for m in terms)
 
 
-_POLY_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([+*]))")
+_POLY_SYMBOLS = "01+*"
 
 
 def parse_poly(text: str, vars: VarSet, line: int | None = None) -> BoolPoly:
     """Parse ``x1*x5 + x4 + 1`` syntax; whitespace is insignificant."""
-    tokens = logic.tokenize(text, line, _POLY_TOKEN, "polynomial")
+    tokens = TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty polynomial", line)
+    index = vars._index
     monomials: set[int] = set()
-    # one pass: '*' folds factors into mask; '+', also one after the end, closes a term
+    # one pass: '*' folds factors into mask; '+', and the end, close a term
     mask, annihilated, want_factor = 0, False, True
-    for kind, value, _ in tokens + [("op", "+", len(text))]:
-        if kind == "op":
-            if want_factor:
-                raise ParseError("dangling operator in polynomial", line)
-            want_factor = True
-            if value == "+":
-                if not annihilated:
-                    monomials ^= {mask}
-                mask, annihilated = 0, False
-        elif not want_factor:
-            raise ParseError("missing '+' or '*' between terms", line)
-        else:
-            want_factor = False
-            if kind == "ident":
-                if value not in vars:
-                    raise ParseError(f"unknown identifier '{value}'", line)
-                mask |= 1 << vars.index(value)
-            elif value == "0":
-                annihilated = True
+    try:
+        for tok in tokens:
+            if tok == "+" or tok == "*":
+                if want_factor:
+                    raise ParseError("dangling operator in polynomial")
+                want_factor = True
+                if tok == "+":
+                    if not annihilated:
+                        monomials ^= {mask}
+                    mask, annihilated = 0, False
+            elif not want_factor:
+                raise ParseError("missing '+' or '*' between terms")
+            else:
+                want_factor = False
+                i = index.get(tok)
+                if i is not None:
+                    mask |= 1 << i
+                elif tok == "0":
+                    annihilated = True
+                elif tok != "1":
+                    raise ParseError(f"unknown identifier '{tok}'")
+        if want_factor:
+            raise ParseError("dangling operator in polynomial")
+    except ParseError as exc:
+        raise scan_error(tokens, _POLY_SYMBOLS, "polynomial", str(exc), line) from None
+    if not annihilated:
+        monomials ^= {mask}
     return BoolPoly(vars, monomials)

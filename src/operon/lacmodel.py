@@ -94,13 +94,14 @@ class LacParams:
 
 
 _KEYS = ("c0", "c", "gamma", "v", "delta", "h", "n", "L")
+_ASSIGN = re.compile(rf"({IDENT})\s*=\s*(\S+)\Z")
 
 
 def parse_ode_text(text: str) -> LacParams:
     """Read `key = value` model constants; `L = sym` keeps L symbolic."""
     seen: dict[str, object] = {}
     for lineno, line in source_lines(text):
-        m = re.match(rf"({IDENT})\s*=\s*(\S+)\Z", line)
+        m = _ASSIGN.match(line)
         if not m:
             raise ParseError("expected 'key = value'", lineno)
         key, value = m.group(1), m.group(2)

@@ -2,16 +2,17 @@
 
 Operator precedence is NOT > AND > XOR > OR; the binary operators associate
 to the left.  The concrete syntax uses ``!``, ``&``, ``^``, ``|``, parentheses
-and the constants ``0`` and ``1``.
+and the constants ``0`` and ``1``.  `parse_expr` splits a line into tokens
+with one `errors.TOKEN` scan and builds the tree in one loop over them, an
+operator-precedence parser with explicit stacks, so it does not recurse.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import IDENT, ParseError
+from .errors import NAME_START, ParseError, TOKEN, scan_error
 
 
 @dataclass(frozen=True)
@@ -49,129 +50,99 @@ class Xor:
 
 Expr = Union[Var, Const, Not, And, Or, Xor]
 
-_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([!&|^()]))")
-_KINDS = ("ident", "const", "op")
-
-
-def tokenize(text: str, line: int | None = None, pattern: re.Pattern = _TOKEN,
-             noun: str = "expression") -> list[tuple[str, str, int]]:
-    """Split into (kind, value, column) triples; kind is ident/const/op.
-
-    pattern matches whitespace and one token in group 1 (ident), 2 (const)
-    or 3 (op); noun names the input in the unexpected-character message.
-    """
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in {noun}", line)
-        group = m.lastindex
-        out.append((_KINDS[group - 1], m.group(group), m.start(group)))
-        pos = m.end()
-    return out
-
-
 MAX_DEPTH = 100
 """Deepest expression accepted: at most this many parentheses open at once,
-and at most this many operators on any path down the parsed tree.  The
-parser recurses once per parenthesis and the tree walkers (evaluate,
-variables, gf2.translate_expr) once per operator, so the cap keeps them
-well inside Python's recursion limit."""
+and at most this many operators on any path down the parsed tree.  The tree
+walkers (evaluate, variables, gf2.translate_expr) recurse once per operator,
+so the cap keeps them well inside Python's recursion limit."""
+
+_SYMBOLS = "01!&|^()"
+_BINARY = {"|": (1, Or), "^": (2, Xor), "&": (3, And)}  # precedence, node
+_CONST = {"0": Const(0), "1": Const(1)}
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
-class _Parser:
-    """Recursive descent; each rule returns (expression, height of its tree)."""
+def _negated(expr: Expr, height: int, nots: int) -> tuple[Expr, int]:
+    """expr, of the given height, under nots NOT signs, and that tree's height."""
+    height += nots
+    if height > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP)
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr, height
 
-    def __init__(self, tokens, line=None):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
-        self.open = 0  # parentheses open at the current position
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line)
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r} at column {tok[2] + 1}", self.line)
-
-    def parse(self) -> Expr:
-        expr, _ = self.or_expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r} at column {tok[2] + 1}", self.line)
-        return expr
-
-    def _check_depth(self, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.line)
-        return depth
-
-    def _chain(self, op, cls, operand):
-        expr, height = operand()
-        while self._at_op(op):
-            self.take()
-            right, right_height = operand()
-            expr = cls(expr, right)
-            height = self._check_depth(max(height, right_height) + 1)
-        return expr, height
-
-    def or_expr(self):
-        return self._chain("|", Or, self.xor_expr)
-
-    def xor_expr(self):
-        return self._chain("^", Xor, self.and_expr)
-
-    def and_expr(self):
-        return self._chain("&", And, self.unary)
-
-    def unary(self):
-        nots = 0
-        while self._at_op("!"):
-            self.take()
-            nots += 1
-        expr, height = self.atom()
-        for _ in range(nots):
-            expr = Not(expr)
-        return expr, self._check_depth(height + nots)
-
-    def atom(self):
-        kind, value, col = self.take()
-        if kind == "ident":
-            return Var(value), 0
-        if kind == "const":
-            return Const(int(value)), 0
-        if value == "(":
-            self.open = self._check_depth(self.open + 1)
-            inner = self.or_expr()
-            self.expect_op(")")
-            self.open -= 1
-            return inner
-        raise ParseError(f"unexpected {value!r} at column {col + 1}", self.line)
-
-    def _at_op(self, op):
-        tok = self.peek()
-        return tok is not None and tok[0] == "op" and tok[1] == op
+def _reduce(operands: list, ops: list, prec: int) -> None:
+    """Apply the stacked operators that bind at least as tightly as prec."""
+    while ops and ops[-1][0] >= prec:
+        _, node = ops.pop()
+        right, right_height = operands.pop()
+        left, height = operands[-1]
+        height = (height if height > right_height else right_height) + 1
+        if height > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        operands[-1] = (node(left, right), height)
 
 
 def parse_expr(text: str, line: int | None = None) -> Expr:
-    """Parse a Boolean expression; raises ParseError on malformed input."""
-    tokens = tokenize(text, line)
+    """Parse a Boolean expression; raises ParseError on malformed input.
+
+    One pass over the tokens: operands, each with the height of its tree,
+    and binary operators wait on two stacks until an operator that binds no
+    tighter, a ``)`` or the end reduces them; an open parenthesis saves both
+    stacks and the ``!`` count before it.
+    """
+    tokens = TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression", line)
-    return _Parser(tokens, line).parse()
+    operands, ops, frames, nots = [], [], [], 0
+    want_operand = True
+    try:
+        for i, tok in enumerate(tokens):
+            if want_operand:
+                if tok == "!":
+                    nots += 1
+                elif tok == "(":
+                    if len(frames) == MAX_DEPTH:
+                        raise ParseError(_TOO_DEEP)
+                    frames.append((operands, ops, nots))
+                    operands, ops, nots = [], [], 0
+                else:
+                    expr = _CONST.get(tok)
+                    if expr is None:
+                        if tok[0] not in NAME_START:
+                            raise ParseError(f"unexpected {tok!r} at column {_column(text, i)}")
+                        expr = Var(tok)
+                    operands.append(_negated(expr, 0, nots))
+                    nots, want_operand = 0, False
+                continue
+            binary = _BINARY.get(tok)
+            _reduce(operands, ops, binary[0] if binary else 0)
+            if binary:
+                ops.append(binary)
+                want_operand = True
+            elif tok == ")" and frames:
+                [inner] = operands
+                operands, ops, nots = frames.pop()
+                operands.append(_negated(*inner, nots))
+                nots = 0
+            elif frames:
+                raise ParseError(f"expected ')' at column {_column(text, i)}")
+            else:
+                raise ParseError(f"unexpected {tok!r} at column {_column(text, i)}")
+        if want_operand:
+            raise ParseError("unexpected end of expression")
+        _reduce(operands, ops, 0)
+        if frames:
+            raise ParseError("unexpected end of expression")
+    except ParseError as exc:
+        raise scan_error(tokens, _SYMBOLS, "expression", str(exc), line) from None
+    return operands[0][0]
+
+
+def _column(text: str, i: int) -> int:
+    """1-based column of the i-th token of text."""
+    return list(TOKEN.finditer(text))[i].start() + 1
 
 
 def evaluate(expr: Expr, env: Mapping[str, int], full: int = 1) -> int:

@@ -7,6 +7,7 @@ from acceptance tests as well) with thin fixture wrappers.
 
 import heapq
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -15,6 +16,7 @@ import pytest
 
 from operon import model_path
 from operon import logic
+from operon.errors import IDENT, ParseError
 from operon.exactpoly import Poly, homogeneous_value, integer_coeffs
 from operon.realroots import RootBox, simplest_rational, squarefree_part, sturm_chain
 from operon.gf2 import BoolPoly, VarSet
@@ -65,6 +67,164 @@ def all_assignments(names):
     n = len(names)
     for code in range(1 << n):
         yield {name: (code >> (n - 1 - i)) & 1 for i, name in enumerate(names)}
+
+
+# ---------------------------------------------------------------------------
+# The Boolean front end as it was before the one-scan parsers: one `re.match`
+# per token, and recursive descent for expressions.  The differential tests
+# hold `logic.parse_expr` and `gf2.parse_poly` to the same trees,
+# polynomials, error messages and lines.
+
+_REF_EXPR_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([!&|^()]))")
+_REF_POLY_TOKEN = re.compile(rf"\s*(?:({IDENT})|([01])|([+*]))")
+_REF_KINDS = ("ident", "const", "op")
+
+
+def _ref_tokenize(text, line, pattern, noun):
+    """(kind, value, column) triples; kind is ident/const/op."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r} in {noun}", line)
+        group = m.lastindex
+        out.append((_REF_KINDS[group - 1], m.group(group), m.start(group)))
+        pos = m.end()
+    return out
+
+
+class _RefParser:
+    """Recursive descent; each rule returns (expression, height of its tree)."""
+
+    def __init__(self, tokens, line=None):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line
+        self.open = 0  # parentheses open at the current position
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", self.line)
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.take()
+        if tok[0] != "op" or tok[1] != op:
+            raise ParseError(f"expected {op!r} at column {tok[2] + 1}", self.line)
+
+    def parse(self):
+        expr, _ = self.or_expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected {tok[1]!r} at column {tok[2] + 1}", self.line)
+        return expr
+
+    def _check_depth(self, depth):
+        if depth > logic.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {logic.MAX_DEPTH} levels",
+                             self.line)
+        return depth
+
+    def _chain(self, op, cls, operand):
+        expr, height = operand()
+        while self._at_op(op):
+            self.take()
+            right, right_height = operand()
+            expr = cls(expr, right)
+            height = self._check_depth(max(height, right_height) + 1)
+        return expr, height
+
+    def or_expr(self):
+        return self._chain("|", logic.Or, self.xor_expr)
+
+    def xor_expr(self):
+        return self._chain("^", logic.Xor, self.and_expr)
+
+    def and_expr(self):
+        return self._chain("&", logic.And, self.unary)
+
+    def unary(self):
+        nots = 0
+        while self._at_op("!"):
+            self.take()
+            nots += 1
+        expr, height = self.atom()
+        for _ in range(nots):
+            expr = logic.Not(expr)
+        return expr, self._check_depth(height + nots)
+
+    def atom(self):
+        kind, value, col = self.take()
+        if kind == "ident":
+            return logic.Var(value), 0
+        if kind == "const":
+            return logic.Const(int(value)), 0
+        if value == "(":
+            self.open = self._check_depth(self.open + 1)
+            inner = self.or_expr()
+            self.expect_op(")")
+            self.open -= 1
+            return inner
+        raise ParseError(f"unexpected {value!r} at column {col + 1}", self.line)
+
+    def _at_op(self, op):
+        tok = self.peek()
+        return tok is not None and tok[0] == "op" and tok[1] == op
+
+
+def ref_parse_expr(text, line=None):
+    """`logic.parse_expr(text, line)` by tokens and recursive descent."""
+    tokens = _ref_tokenize(text, line, _REF_EXPR_TOKEN, "expression")
+    if not tokens:
+        raise ParseError("empty expression", line)
+    return _RefParser(tokens, line).parse()
+
+
+def ref_parse_poly(text, vars, line=None):
+    """`gf2.parse_poly(text, vars, line)` by the token loop with a closing
+    '+' appended."""
+    tokens = _ref_tokenize(text, line, _REF_POLY_TOKEN, "polynomial")
+    if not tokens:
+        raise ParseError("empty polynomial", line)
+    monomials = set()
+    mask, annihilated, want_factor = 0, False, True
+    for kind, value, _ in tokens + [("op", "+", len(text))]:
+        if kind == "op":
+            if want_factor:
+                raise ParseError("dangling operator in polynomial", line)
+            want_factor = True
+            if value == "+":
+                if not annihilated:
+                    monomials ^= {mask}
+                mask, annihilated = 0, False
+        elif not want_factor:
+            raise ParseError("missing '+' or '*' between terms", line)
+        else:
+            want_factor = False
+            if kind == "ident":
+                if value not in vars:
+                    raise ParseError(f"unknown identifier '{value}'", line)
+                mask |= 1 << vars.index(value)
+            elif value == "0":
+                annihilated = True
+    return BoolPoly(vars, monomials)
+
+
+def parse_outcome(parse, *args):
+    """What parse(*args) gives: ("ok", result) or ("error", message, line)."""
+    try:
+        return ("ok", parse(*args))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
 
 
 # ---------------------------------------------------------------------------

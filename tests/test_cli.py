@@ -15,6 +15,7 @@ import pytest
 
 from operon import __version__, boolnet, cli, gf2, groebner, model_path
 from operon.cli import lactose_range, main, parse_rational
+from operon.errors import source_lines
 
 from conftest import SEED
 
@@ -646,6 +647,32 @@ def test_malformed_model_is_a_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "fixed-points", str(bad), "--set", "")
     assert code == 1
     assert "line 3" in err
+
+
+def test_lines_end_only_at_newlines():
+    # \r\n and \r end a line as \n does; \v, \f, \x1c-\x1e, \x85, \u2028 and
+    # \u2029, where str.splitlines also breaks, are whitespace inside a line
+    text = "a\x0bb\r\nc\rd\x0c\x1c\x1d\x1e\x85e\u2028\u2029f\n\n g # h\n"
+    assert list(source_lines(text)) == [
+        (1, "a\x0bb"), (2, "c"), (3, "d\x0c\x1c\x1d\x1e\x85e\u2028\u2029f"), (5, "g")]
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    # one equation, not the two equations x1 and x2 + 1
+    ("sep.gf2", "vars: x1 x2\nx1\x1cx2 + 1\n", ["solve"],
+     "line 2: missing '+' or '*' between terms"),
+    # one rule line, not the two rules a' = b and b' = a
+    ("sep.bn", "network n\nvars: a, b\na' = b\x1db' = a\n", ["fixed-points", "--set", ""],
+     "line 3: unexpected character \"'\" in expression"),
+    # a form feed ends no line, so the error is on line 3, not line 4
+    ("feed.gf2", "vars: x1 x2\nx1 + x2\x0c\nx1 +\n", ["solve"],
+     "line 3: dangling operator in polynomial"),
+])
+def test_line_breaks_in_files(capsys, tmp_path, name, text, argv, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", f"operon: {message}\n")
 
 
 @pytest.mark.parametrize("body", [

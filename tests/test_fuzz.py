@@ -16,11 +16,14 @@ from operon.groebner import parse_system
 from operon.lacmodel import parse_ode_text
 
 TOKENS = {
-    "gf2": ["vars:", "x1", "x2", "x3", "y", "+", "*", "0", "1", "#", "\n", " ", "-"],
+    "gf2": ["vars:", "x1", "x2", "x3", "y", "+", "*", "0", "1", "#", "\n", " ", "-",
+            "\t", "\f", "\x1c", "\u2028", "\xa0"],
     "ode": ["c0", "c", "gamma", "v", "delta", "h", "n", "L", "=", "sym", "1/2", "0",
-            "-3", "2", "65", "1e5", "1/0", "#", "\n", " ", "."],
+            "-3", "2", "65", "1e5", "1/0", "#", "\n", " ", ".",
+            "\t", "\f", "\x1c", "\u2028", "\xa0"],
     "bn": ["network", "lac", "vars:", "params:", "a", "b", "g", "'", "=", "&", "|",
-           "^", "!", "(", ")", "0", "1", "#", "\n", " ", ","],
+           "^", "!", "(", ")", "0", "1", "#", "\n", " ", ",",
+           "\t", "\f", "\x1c", "\u2028", "\xa0"],
 }
 
 # a valid file of each format, as (header, body lines); a structured fuzz case

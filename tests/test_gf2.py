@@ -17,7 +17,15 @@ from operon.gf2 import (
 )
 from operon import logic
 
-from conftest import all_assignments, random_bool_poly, random_expr, ref_key, rename
+from conftest import (
+    all_assignments,
+    parse_outcome,
+    random_bool_poly,
+    random_expr,
+    ref_key,
+    ref_parse_poly,
+    rename,
+)
 
 V4 = VarSet(["x1", "x2", "x3", "x4"])
 
@@ -280,6 +288,54 @@ def test_parse_format_round_trip(rng):
     for _ in range(100):
         p = random_bool_poly(rng, V4)
         assert parse_poly(format_poly(p, order), V4) == p
+
+
+V_PARSE = VarSet(["x1", "x2", "x3", "x12"])
+# the format's tokens, names outside V_PARSE, whitespace of several kinds
+# and characters outside the syntax
+POLY_TOKENS = ["x1", "x2", "x12", "y", "1x", "102", "0", "1", "+", "*", "+", "*",
+               " ", "\t", "\xa0", "\u2003", "$", "2", "\xe9", "!"]
+
+
+def assert_parses_poly_as_reference(text, line=None):
+    outcome = parse_outcome(parse_poly, text, V_PARSE, line)
+    assert outcome == parse_outcome(ref_parse_poly, text, V_PARSE, line), text
+    return outcome
+
+
+def test_parse_poly_matches_reference_on_random_strings(rng):
+    for _ in range(20000):
+        text = "".join(rng.choice(POLY_TOKENS) for _ in range(rng.randint(0, 14)))
+        assert_parses_poly_as_reference(text, rng.choice([None, 3]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(POLY_TOKENS), max_size=20).map("".join),
+       st.sampled_from([None, 5]))
+def test_parse_poly_matches_reference_hypothesis(text, line):
+    assert_parses_poly_as_reference(text, line)
+
+
+def test_parse_poly_reads_formatted_polys(rng):
+    for _ in range(500):
+        p = random_bool_poly(rng, V_PARSE)
+        spaced = format_poly(p).replace(" ", rng.choice(["", " ", "\t", "\xa0", "\u2003"]))
+        assert assert_parses_poly_as_reference(spaced) == ("ok", p)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x12*x1\t+\xa0x2\u2003+ 1", BoolPoly(V_PARSE, {0b1001, 0b0010, 0})),
+    ("1x", "missing '+' or '*' between terms"),
+    ("102", "unexpected character '2' in polynomial"),
+    ("x1 x2 $", "unexpected character '$' in polynomial"),
+    ("y + 2", "unexpected character '2' in polynomial"),
+])
+def test_parse_poly_fixed_cases(text, expected):
+    outcome = assert_parses_poly_as_reference(text, 9)
+    if isinstance(expected, str):
+        assert outcome == ("error", f"line 9: {expected}", 9)
+    else:
+        assert outcome == ("ok", expected)
 
 
 def test_parse_poly_cancels_pairs_and_zero_terms():

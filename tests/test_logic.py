@@ -1,13 +1,14 @@
 """Parser and evaluator for Boolean expressions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operon import logic
 from operon.errors import ParseError
 from operon.gf2 import VarSet, translate_expr
 from operon.logic import And, Const, Not, Or, Var, Xor, evaluate, parse_expr
 
-from conftest import all_assignments, random_expr
+from conftest import all_assignments, parse_outcome, random_expr, ref_parse_expr
 
 
 def test_precedence_not_and_xor_or():
@@ -148,3 +149,80 @@ def test_depth_cap_boundaries():
         with pytest.raises(ParseError, match=f"deeper than {cap} levels") as info:
             parse_expr(text, line=4)
         assert info.value.line == 4
+
+
+# the format's tokens, whitespace of several kinds, and characters outside
+# the syntax; "x12", "1x" and "102" probe where an identifier ends
+EXPR_TOKENS = ["a", "b", "x12", "1x", "102", "_q", "0", "1", "!", "&", "|", "^", "(", ")",
+               " ", "\t", "\xa0", "\u2003", "$", "2", "\xe9", "'"]
+SPACES = ["", " ", "  ", "\t", "\xa0", "\u2003"]
+
+
+def assert_parses_as_reference(text, line=None):
+    outcome = parse_outcome(parse_expr, text, line)
+    assert outcome == parse_outcome(ref_parse_expr, text, line), text
+    return outcome
+
+
+def test_parse_expr_matches_reference_on_random_strings(rng):
+    for _ in range(20000):
+        text = "".join(rng.choice(EXPR_TOKENS) for _ in range(rng.randint(0, 16)))
+        assert_parses_as_reference(text, rng.choice([None, 3]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(EXPR_TOKENS), max_size=24).map("".join),
+       st.sampled_from([None, 5]))
+def test_parse_expr_matches_reference_hypothesis(text, line):
+    assert_parses_as_reference(text, line)
+
+
+def render(expr, rng):
+    """expr as text, every binary node in parentheses, random whitespace."""
+    space = lambda: rng.choice(SPACES)  # noqa: E731
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Const):
+        return str(expr.value)
+    if isinstance(expr, Not):
+        return "!" + space() + render(expr.arg, rng)
+    op = {And: "&", Or: "|", Xor: "^"}[type(expr)]
+    left, right = render(expr.left, rng), render(expr.right, rng)
+    return f"({space()}{left}{space()}{op}{space()}{right}{space()})"
+
+
+def test_parse_expr_reads_rendered_trees(rng):
+    names = ["a", "b", "x12", "_q"]
+    for _ in range(2000):
+        expr = random_expr(rng, names, depth=rng.randint(0, 8))
+        text = render(expr, rng)
+        assert assert_parses_as_reference(text) == ("ok", expr)
+
+
+DEPTH = f"expression nested deeper than {logic.MAX_DEPTH} levels"
+FIXED_EXPRS = {
+    # an unexpected character is reported before a depth error
+    "(" * 101 + "$": "unexpected character '$' in expression",
+    # the depth error comes at the 101st operator, before the stray name
+    " | ".join(["a"] * 102) + " x": DEPTH,
+    # 60 outer NOT signs over a parenthesis of height 41
+    "!" * 60 + "(" + "!" * 41 + "a)": DEPTH,
+    "(" * 100 + "a" + ")" * 99: "unexpected end of expression",
+    "(" * 100 + "a" + ")" * 99 + " b": "expected ')' at column 202",
+    "a\t&\xa0b\u2003|\tc": Or(And(Var("a"), Var("b")), Var("c")),
+    "!\xa0(\u2003x12 ^\t1)": Not(Xor(Var("x12"), Const(1))),
+    "x12": Var("x12"),
+    "1x": "unexpected 'x' at column 2",
+    "102": "unexpected character '2' in expression",
+    "a &\u2003)": "unexpected ')' at column 5",
+}
+
+
+@pytest.mark.parametrize("text", list(FIXED_EXPRS), ids=range(len(FIXED_EXPRS)))
+def test_parse_expr_fixed_cases(text):
+    expected = FIXED_EXPRS[text]
+    outcome = assert_parses_as_reference(text, 9)
+    if isinstance(expected, str):
+        assert outcome == ("error", f"line 9: {expected}", 9)
+    else:
+        assert outcome == ("ok", expected)
