@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional
@@ -28,16 +29,17 @@ from .exactpoly import (
     Poly,
     clear_content,
     content_and_primitive,
-    derivative,
     format_poly,
     homogeneous_value,
 )
 from .realroots import (
     RootBox,
+    _check_precision,
     _Oracle,
+    _primitive,
     _trim,
+    _variations,
     decimal_str,
-    isolate_real_roots,
     narrow_until,
     simplest_rational,
 )
@@ -46,11 +48,13 @@ Coeffs = tuple[int, ...]  # integer coefficients, lowest degree first
 
 RESIDUAL_TARGET = Fraction(1, 10 ** 9)
 DEFAULT_PRECISION = Fraction(1, 10 ** 6)
-# largest Hill exponent accepted: the default `ode bifurcation` takes about
-# 0.3 s at n = 64 and 3 s at n = 128 (2-core Xeon VM)
+# largest Hill exponent accepted: `ode bifurcation --csv` takes about 0.4 s
+# at n = 64 and 3 s at n = 128, the default run 0.04 s and 0.2 s (2-core
+# Xeon VM)
 MAX_HILL = 64
-# most samples `bifurcation_curve` takes: each one isolates and refines the
-# steady states at its level; at the cap the bundled model takes about 10 s
+# most samples `bifurcation_curve` takes: a sample isolates and refines the
+# steady states at its level when its branches are read; writing them all
+# at the cap takes about 6 s on the bundled model
 MAX_SAMPLES = 10_000
 
 
@@ -227,44 +231,69 @@ def critical_lactose_values(p: LacParams,
     """
     if p.L is not None:
         raise ValueError("critical values need a symbolic lactose level (L = sym)")
-    return _critical_levels(*_lactose_curve(p), precision)
+    return _by_level(_fold_sequence(*_lactose_curve(p), precision))
 
 
-def _critical_levels(P: Coeffs, Q: Coeffs, precision: Fraction) -> list[RootBox]:
-    if not Q:
-        if not P:
-            raise ValueError("degenerate system: equations share a factor")
-        return []
-    levels = [RootBox(x, x) for x in _end_levels(P, Q)]
-    p, q = Poly("A", P), Poly("A", Q)
-    W = derivative(p) * q - p * derivative(q)
-    if W:
-        for box in isolate_real_roots(W, region="positive", precision=precision):
-            if box.multiplicity % 2:
-                levels.append(_fold_level(P, Q, box, precision))
+def _by_level(sequence: list) -> list[RootBox]:
+    """The critical levels of a fold sequence, ascending: the end limits
+    that are positive and finite, as exact boxes, and the folds."""
+    ends = {end.lo for end in (sequence[0], sequence[-1]) if end is not None and end.lo > 0}
+    levels = [RootBox(x, x) for x in sorted(ends)] + sequence[1:-1]
     levels.sort(key=lambda box: (box.lo, box.hi))
     return levels
 
 
-def _end_levels(P: Coeffs, Q: Coeffs) -> list[Fraction]:
-    """The limits of P/Q at A -> 0+ and at A -> infinity that are positive
-    and finite; with nonnegative coefficients, those where the lowest (or
-    the highest) powers of P and Q agree."""
-    if not P:
-        return []
+def _fold_sequence(P: Coeffs, Q: Coeffs, precision: Fraction) -> list:
+    """L(0+), the fold levels in increasing order of A, then L(infinity).
+
+    An end limit is an exact box, or None where it is infinite.  A fold
+    level is the level at a positive root of odd multiplicity of
+    W = P'Q - PQ', in a certified box no wider than precision.  Between two
+    folds L(A) is strictly monotone, so the steady states at a level
+    outside every box are read off this sequence (`_level_count`).
+    """
+    if not (P and Q):
+        if not (P or Q):
+            raise ValueError("degenerate system: equations share a factor")
+        # L(A) is 0 or infinite for every A > 0: no level is critical, and
+        # none has a steady state
+        return [None, None]
+    # with nonnegative coefficients, L(0+) is finite and positive where the
+    # lowest powers of P and Q agree, and 0 or infinite where they differ;
+    # likewise L(infinity) with the highest powers
     low_p = next(i for i, c in enumerate(P) if c)
     low_q = next(i for i, c in enumerate(Q) if c)
-    ends = set()
-    if low_p == low_q:
-        ends.add(Fraction(P[low_p], Q[low_q]))
-    if len(P) == len(Q):
-        ends.add(Fraction(P[-1], Q[-1]))
-    return sorted(ends)
+    sequence = [_end_limit(low_p - low_q, P[low_p], Q[low_q])]
+    W = _wronskian(P, Q)
+    if W:
+        for box in _Oracle(W).isolate(precision, positive=True):
+            if box.multiplicity % 2:
+                sequence.append(_fold_level(P, Q, box, precision))
+    sequence.append(_end_limit(len(Q) - len(P), P[-1], Q[-1]))
+    return sequence
 
 
-def _value(coeffs: Coeffs, x: Fraction) -> Fraction:
-    n, d = x.numerator, x.denominator
-    return Fraction(homogeneous_value(coeffs, n, d), d ** (len(coeffs) - 1))
+def _end_limit(excess: int, pc: int, qc: int) -> Optional[RootBox]:
+    """A limit of L(A) = P/Q from the terms pc*A^i and qc*A^j of P and Q
+    that dominate at that end: pc/qc when the powers agree, else 0 when P
+    vanishes faster (excess > 0) and infinity, None, when Q does."""
+    if excess:
+        return RootBox(Fraction(0), Fraction(0)) if excess > 0 else None
+    level = Fraction(pc, qc)
+    return RootBox(level, level)
+
+
+def _wronskian(P: Coeffs, Q: Coeffs) -> Coeffs:
+    """The primitive part of W = P'Q - PQ', signs kept, on integers: the
+    terms P_i*A^i and Q_j*A^j add (i - j)*P_i*Q_j to A^(i+j-1)."""
+    W = [0] * (len(P) + len(Q))
+    terms = [(j, qc) for j, qc in enumerate(Q) if qc]
+    for i, pc in enumerate(P):
+        if pc:
+            for j, qc in terms:
+                W[i + j - 1] += (i - j) * pc * qc
+    W = _trim(W)
+    return _primitive(W) if W else ()
 
 
 def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> RootBox:
@@ -284,22 +313,36 @@ def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> Root
     top = max(len(P), len(Q))
     pc, qc = (f + (0,) * (top - len(f)) for f in (P, Q))
     pn, pd = precision.numerator, precision.denominator
+    # the values of P and Q at the two ends x/den of the last stage, by x
+    ends: dict[int, tuple[int, int]] = {}
+    den = 1
 
-    def narrow(lo: int, hi: int, den: int) -> bool:
-        q_a = homogeneous_value(qc, lo, den)
+    def narrow(lo: int, hi: int, new_den: int) -> bool:
+        nonlocal ends, den
+        # a stage is a cell of the one before, over den * 2^k, and shares
+        # an end with it: the values at x*2^k over den*2^k are those at x
+        # over den times 2^(k*deg)
+        k = (new_den // den).bit_length() - 1
+        shift = k * (top - 1)
+        before = {x << k: (p << shift, q << shift) for x, (p, q) in ends.items()}
+        ends, den = {}, new_den
+        for x in (lo, hi):
+            ends[x] = before.get(x) or (homogeneous_value(pc, x, den),
+                                        homogeneous_value(qc, x, den))
+        (p_a, q_a), (p_b, q_b) = ends.values()
         if not q_a:
             return False
-        q_b = homogeneous_value(qc, hi, den)
         # P(b)/Q(a) - P(a)/Q(b) <= precision/4, over the positive Q(a)*Q(b)
-        spread = homogeneous_value(pc, hi, den) * q_b - homogeneous_value(pc, lo, den) * q_a
-        return spread * 4 * pd <= pn * q_a * q_b
+        return (p_b * q_b - p_a * q_a) * 4 * pd <= pn * q_a * q_b
 
     box = narrow_until(box, 1, narrow)
-    a, b = box.lo, box.hi
     if box.is_exact:
-        level = _value(pc, a) / _value(qc, a)
+        n, d = box.lo.numerator, box.lo.denominator
+        level = Fraction(homogeneous_value(pc, n, d), homogeneous_value(qc, n, d))
         return RootBox(level, level)
-    lo, hi = _value(pc, a) / _value(qc, b), _value(pc, b) / _value(qc, a)
+    # box is the last stage that narrow saw, (a, b] = (lo/den, hi/den]
+    (p_a, q_a), (p_b, q_b) = ends.values()
+    lo, hi = Fraction(p_a, q_b), Fraction(p_b, q_a)
     slack = precision / 8
     return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
                    simplest_rational(hi, hi + slack))
@@ -413,12 +456,22 @@ class Region:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """One sampled lactose level with its isolated steady-state branches."""
+    """One sampled lactose level; its steady-state branches are isolated
+    and refined when first asked for."""
 
     L: Fraction
-    roots: tuple[RootBox, ...]
-    count: int
     boundary: bool
+    # the integer curve P, Q of the report and its precision
+    _curve: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def roots(self) -> tuple[RootBox, ...]:
+        P, Q, precision = self._curve
+        return tuple(_branches(_eliminant(P, Q, self.L), precision))
+
+    @property
+    def count(self) -> int:
+        return len(self.roots)
 
 
 @dataclass(frozen=True)
@@ -434,7 +487,9 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
 
     Samples are evenly spaced across [lo, hi].  A sample whose L falls
     inside a critical box is flagged boundary (its count is still the exact
-    distinct-root count at that rational L).
+    distinct-root count at that rational L).  The branches of a sample are
+    found when first asked for, so a caller that reads only the census does
+    no work for them.
     """
     if p.L is not None:
         raise ValueError("bifurcation analysis needs a symbolic lactose level (L = sym)")
@@ -445,19 +500,31 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
         raise ValueError("need at least two samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples")
-    critical = tuple(critical_lactose_values(p, precision))
     P, Q = _lactose_curve(p)
-    regions = tuple(_census_regions(P, Q, critical))
+    sequence = _fold_sequence(P, Q, precision)
+    critical = tuple(_by_level(sequence))
+    regions = tuple(_census_regions(sequence, critical))
+    # the samples isolate their branches at this precision when asked, so
+    # a precision below the floor is refused now, after the census
+    curve = (P, Q, _check_precision(precision))
     pts = []
     for i in range(samples):
         L = lo + (hi - lo) * i / (samples - 1)
-        boxes = tuple(_branches(_eliminant(P, Q, L), precision))
         boundary = any(c.contains(L) or c.lo == L for c in critical)
-        pts.append(SamplePoint(L, boxes, len(boxes), boundary))
+        pts.append(SamplePoint(L, boundary, curve))
     return BifurcationReport(critical, regions, tuple(pts))
 
 
-def _census_regions(P: Coeffs, Q: Coeffs, critical: tuple) -> list[Region]:
+def _level_count(sequence: list, level: Fraction) -> int:
+    """The steady states at a level outside every box of a fold sequence:
+    the sign changes of l - level over its levels l.  L(A) is strictly
+    monotone between folds, so each change is one A with L(A) = level.  A
+    level l lies in its box and above the box's lo unless the box is exact,
+    so a level outside the box is below l exactly when it is at most lo."""
+    return _variations(1 if end is None or level <= end.lo else -1 for end in sequence)
+
+
+def _census_regions(sequence: list, critical: tuple) -> list[Region]:
     reps = [c.representative() for c in critical]
     regions = []
     for i in range(len(critical) + 1):
@@ -465,8 +532,7 @@ def _census_regions(P: Coeffs, Q: Coeffs, critical: tuple) -> list[Region]:
         right = critical[i] if i < len(critical) else None
         # the simplest rational in the middle half of the gap between the
         # certified boxes, with (0, right.lo) and (left.hi, left.hi + 2) at
-        # the open ends: any level in the gap will do, and a short one
-        # keeps the eliminant's coefficients small
+        # the open ends: any level in the gap will do
         a = Fraction(0) if left is None else left.hi
         b = a + 2 if right is None else right.lo
         probe = simplest_rational(a + (b - a) / 4, b - (b - a) / 4) if a < b else a
@@ -475,7 +541,7 @@ def _census_regions(P: Coeffs, Q: Coeffs, critical: tuple) -> list[Region]:
                              "precision; retry with a smaller precision")
         regions.append(Region(Fraction(0) if left is None else reps[i - 1],
                               None if right is None else reps[i],
-                              _Oracle(_eliminant(P, Q, probe)).count(0)))
+                              _level_count(sequence, probe)))
     return regions
 
 

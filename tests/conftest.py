@@ -18,7 +18,14 @@ from operon import model_path
 from operon import logic
 from operon.errors import IDENT, ParseError
 from operon.exactpoly import Poly, homogeneous_value, integer_coeffs
-from operon.realroots import RootBox, simplest_rational, squarefree_part, sturm_chain
+from operon.lacmodel import Region
+from operon.realroots import (
+    RootBox,
+    count_real_roots,
+    simplest_rational,
+    squarefree_part,
+    sturm_chain,
+)
 from operon.gf2 import BoolPoly, VarSet
 from operon.groebner import PolySystem
 
@@ -411,6 +418,32 @@ def ref_fold_level(P, Q, W, box, precision):
         box = ref_narrow(W, box, box.width / 2)
     level = value(P, box.lo) / value(Q, box.lo)
     return RootBox(level, level)
+
+
+# ---------------------------------------------------------------------------
+# The region census by a Sturm chain at each probe level, which the sign
+# changes along the fold sequence replaced.
+
+
+def ref_census_regions(P, Q, critical):
+    """`lacmodel._census_regions` by a Sturm chain at each probe: the steady
+    states at a level L in a gap between the critical boxes are the distinct
+    positive roots of P - L*Q."""
+    p, q = Poly("A", P), Poly("A", Q)
+    regions = []
+    for i in range(len(critical) + 1):
+        left = critical[i - 1] if i > 0 else None
+        right = critical[i] if i < len(critical) else None
+        a = Fraction(0) if left is None else left.hi
+        b = a + 2 if right is None else right.lo
+        probe = simplest_rational(a + (b - a) / 4, b - (b - a) / 4) if a < b else a
+        if probe <= 0 or any(c.contains(probe) for c in critical):
+            raise ValueError("critical values are closer than the working "
+                             "precision; retry with a smaller precision")
+        regions.append(Region(Fraction(0) if left is None else left.representative(),
+                              None if right is None else right.representative(),
+                              count_real_roots(p - probe * q, Fraction(0))))
+    return regions
 
 
 # ---------------------------------------------------------------------------

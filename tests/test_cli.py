@@ -503,6 +503,36 @@ def test_ode_bifurcation_levels(capsys, tmp_path, values, expected):
     assert out.splitlines() == expected
 
 
+@pytest.mark.parametrize("values,precision,expected", [
+    # v = delta = 0: L(A) = 0 for every A, so W is zero and nothing is
+    # isolated before the samples; the floor still holds for them
+    (dict(v="0", delta="0"), "1e-6", (0, "region counts: 0\nsamples: 25, boundary: 0\n", "")),
+    (dict(v="0", delta="0"), "1e-301",
+     (1, "", "operon: precision must be at least 1e-300\n")),
+    # c0 = c = delta = 0: P and Q are both zero, at any precision
+    (dict(c0="0", c="0", delta="0"), "1e-6",
+     (1, "", "operon: degenerate system: equations share a factor\n")),
+    (dict(c0="0", c="0", delta="0"), "1e-301",
+     (1, "", "operon: degenerate system: equations share a factor\n")),
+])
+def test_ode_bifurcation_exit_codes(capsys, tmp_path, values, precision, expected):
+    model = _ode_variant(tmp_path, **values)
+    assert run(capsys, "ode", "bifurcation", model, "--precision", precision) == expected
+
+
+def test_ode_bifurcation_builds_branches_only_for_csv(capsys, lac_ode, tmp_path, monkeypatch):
+    from operon import lacmodel
+
+    def refuse(*args):
+        raise AssertionError("built the sample branches")
+
+    monkeypatch.setattr(lacmodel, "_branches", refuse)
+    code, out, _ = run(capsys, "ode", "bifurcation", lac_ode)
+    assert code == 0 and out.endswith("samples: 25, boundary: 0\n")
+    with pytest.raises(AssertionError, match="branches"):
+        main(["ode", "bifurcation", lac_ode, "--csv", str(tmp_path / "sweep.csv")])
+
+
 @pytest.mark.parametrize("precision", ["1e-1000", "1e-200000"])
 def test_precision_floor(capsys, lac_ode, precision):
     start = time.perf_counter()

@@ -3,6 +3,7 @@
 import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from operon.lacmodel import (
     DEFAULT_PRECISION,
     MAX_HILL,
     RESIDUAL_TARGET,
+    BifurcationReport,
     LacParams,
     bifurcation_csv,
     bifurcation_curve,
@@ -35,16 +37,20 @@ from operon.lacmodel import (
     steady_states_at,
 )
 from operon.lacmodel import (
-    _critical_levels,
+    _by_level,
+    _census_regions,
     _eliminant,
     _fold_level,
+    _fold_sequence,
     _lactose_curve,
+    _level_count,
     _recover_state,
     _refine_residual,
+    _wronskian,
 )
-from operon.realroots import RootBox, isolate_real_roots
+from operon.realroots import RootBox, _integers, isolate_real_roots
 
-from conftest import ref_fold_level, ref_residual
+from conftest import ref_census_regions, ref_fold_level, ref_residual
 
 F = Fraction
 
@@ -291,7 +297,7 @@ def test_inflection_is_no_level():
     Q = (A + 1) ** 6
     P = Q * ((A - 1) ** 3 + 8)
     assert all(c >= 0 for c in P.coeffs)
-    (box,) = _critical_levels(integer_coeffs(P), integer_coeffs(Q), DEFAULT_PRECISION)
+    (box,) = _by_level(_fold_sequence(integer_coeffs(P), integer_coeffs(Q), DEFAULT_PRECISION))
     assert box.exact == 7
 
 
@@ -453,10 +459,6 @@ def test_count_matches_enumeration_of_states(rng):
 
 
 # ---------------------------------------------------------------------------
-# bifurcation sweep
-
-
-# ---------------------------------------------------------------------------
 # residual and fold refinement against the halving loop they replaced
 
 
@@ -518,8 +520,12 @@ def test_evaluation_budget(monkeypatch):
 
     for module in (realroots, lacmodel):
         monkeypatch.setattr(module, "homogeneous_value", counted)
-    bifurcation_curve(LacParams(n=64, **LAC), (F(1, 10), F(5, 2)), 25)
-    assert len(calls) <= 4_500  # 4,383 when written
+    report = bifurcation_curve(LacParams(n=64, **LAC), (F(1, 10), F(5, 2)), 25)
+    # the critical levels and the census; the branches wait for a caller
+    assert len(calls) <= 330  # 314 when written
+    for pt in report.samples:
+        pt.roots
+    assert len(calls) <= 4_500  # 4,293 when written
     calls.clear()
     steady_states_at(LacParams(n=5, **{**LAC, "c0": F(1, 10**300)}), F(1))
     assert len(calls) <= 950  # 914 when written
@@ -605,3 +611,128 @@ def test_bifurcation_argument_validation():
         bifurcation_curve(p, (F(0), F(1)), samples=5)
     with pytest.raises(ValueError, match="two samples"):
         bifurcation_curve(p, (F(1, 2), F(2)), samples=1)
+
+
+# ---------------------------------------------------------------------------
+# the census from the fold sequence, and sample branches on demand
+
+
+def census_models(rng):
+    """Jittered models at n = 1..16, and models with c0, c, v or delta at
+    zero, some with an exact end level (delta = 0)."""
+    jitter = [F(k, 20) for k in range(18, 23)]
+    models = []
+    for n in range(1, 17):
+        for consts in (LAC, SPURIOUS, rng.choice(CONSTANT_SETS)):
+            models.append(LacParams(n=n, **{k: v * rng.choice(jitter) for k, v in consts.items()}))
+    for n in (1, 2, 3, 5, 8):
+        for zero in ("c0", "c", "v", "delta"):
+            models.append(LacParams(n=n, **{**LAC, zero: F(0)}))
+        for consts in ({**LEVEL_AT_ZERO, "delta": F(0)}, {**LAC, "c0": F(0), "delta": F(0)},
+                       {**LAC, "v": F(0), "delta": F(0)}, {**LAC, "c0": F(0), "c": F(0)}):
+            models.append(LacParams(n=n, **consts))
+    return models
+
+
+def test_census_matches_sturm_chains(rng):
+    closer = 0
+    for p in census_models(rng):
+        P, Q = _lactose_curve(p)
+        # boxes up to 1 wide merge some folds
+        for precision in (F(2), F(1, 10 ** rng.choice([1, 3, 6]))):
+            sequence = _fold_sequence(P, Q, precision)
+            critical = tuple(_by_level(sequence))
+            assert list(critical) == critical_lactose_values(p, precision)
+            try:
+                expected = ref_census_regions(P, Q, critical)
+            except ValueError:
+                closer += 1
+                with pytest.raises(ValueError, match="closer than the working precision"):
+                    _census_regions(sequence, critical)
+                continue
+            assert _census_regions(sequence, critical) == expected
+            # levels outside every box: random ones, and the open lower
+            # ends of the fold boxes
+            levels = [F(rng.randint(1, 400), rng.randint(1, 100)) for _ in range(6)]
+            levels += [c.lo for c in critical if not c.is_exact and c.lo > 0]
+            for L in levels:
+                if not any(c.contains(L) for c in critical):
+                    assert _level_count(sequence, L) == steady_state_count(p, L)
+    assert closer
+
+
+def test_wronskian_on_integers(rng):
+    for p in census_models(rng):
+        P, Q = _lactose_curve(p)
+        p_ref, q_ref = Poly("A", P), Poly("A", Q)
+        W = derivative(p_ref) * q_ref - p_ref * derivative(q_ref)
+        assert _wronskian(P, Q) == (_integers(W) if W else ())
+
+
+def eager_samples(p, l_range, samples, precision):
+    """Every sample's branches built at once, from the public eliminant and
+    the halving loop in conftest."""
+    lo, hi = l_range
+    out = []
+    for i in range(samples):
+        L = lo + (hi - lo) * i / (samples - 1)
+        elim = eliminate_M(p.with_lactose(L))
+        roots = tuple(ref_residual(elim, box, RESIDUAL_TARGET)
+                      for box in isolate_real_roots(elim, "positive", precision))
+        out.append(SimpleNamespace(L=L, roots=roots, count=len(roots)))
+    return out
+
+
+def test_lazy_samples_match_eager_reference(rng, monkeypatch):
+    from operon import lacmodel
+
+    built = []
+    branches = lacmodel._branches
+    monkeypatch.setattr(lacmodel, "_branches", lambda *args: built.append(1) or branches(*args))
+    jitter = [F(k, 20) for k in range(18, 23)]
+    models = [LacParams.defaults(), LacParams(n=4, **SPURIOUS),
+              LacParams(n=3, **{**LAC, "delta": F(0)}), LacParams(n=1, **LEVEL_AT_ZERO)]
+    models += [LacParams(n=n, **{k: v * rng.choice(jitter) for k, v in LAC.items()})
+               for n in (2, 3, 6, 9)]
+    for p in models:
+        l_range, samples = (F(1, 10), F(5, 2)), rng.randint(2, 9)
+        precision = F(1, 10 ** rng.choice([3, 6, 9]))
+        report = bifurcation_curve(p, l_range, samples, precision)
+        assert not built
+        eager = eager_samples(p, l_range, samples, precision)
+        assert [pt.L for pt in report.samples] == [e.L for e in eager]
+        assert [pt.roots for pt in report.samples] == [e.roots for e in eager]
+        assert [pt.count for pt in report.samples] == [e.count for e in eager]
+        assert bifurcation_csv(report) == bifurcation_csv(
+            BifurcationReport(report.critical, report.regions, tuple(eager)))
+        assert len(built) == samples  # each sample builds its branches once
+        built.clear()
+
+
+def test_bifurcation_stays_on_integers(monkeypatch):
+    # P and Q are built once per call, and neither the critical levels nor
+    # the census nor the branches build a Poly or clear a content
+    from operon import exactpoly, lacmodel, realroots
+
+    models = [LacParams.defaults(), LacParams(n=4, **SPURIOUS), LacParams(n=1, **LEVEL_AT_ZERO),
+              LacParams(n=3, **{**LAC, "delta": F(0)}), LacParams(n=3, **{**LAC, "c0": F(0), "c": F(0)})]
+
+    def analyse(p):
+        report = bifurcation_curve(p, (F(1, 10), F(5, 2)), 4)
+        return report, [pt.roots for pt in report.samples], critical_lactose_values(p)
+
+    expected = [analyse(p) for p in models]
+    curves = []
+    lactose_curve = lacmodel._lactose_curve
+    monkeypatch.setattr(lacmodel, "_lactose_curve", lambda p: curves.append(p) or lactose_curve(p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the integer path")
+
+    monkeypatch.setattr(exactpoly.Poly, "__init__", refuse)
+    for module in (exactpoly, lacmodel, realroots):
+        for name in ("clear_content", "content_and_primitive"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [analyse(p) for p in models] == expected
+    assert len(curves) == 2 * len(models)
