@@ -374,10 +374,11 @@ def parse_network(text: str) -> BooleanNetwork:
                 f"duplicate update rule for '{target}' (first on line {rule_lines[target]})",
                 lineno,
             )
-        expr = logic.parse_expr(body, line=lineno)
-        for ident in sorted(logic.variables(expr)):
-            if ident not in vars and ident not in params:
-                raise ParseError(f"undeclared identifier '{ident}'", lineno)
+        names: dict[str, logic.Var] = {}
+        expr = logic.parse_expr(body, line=lineno, names=names)
+        undeclared = [ident for ident in names if ident not in vars and ident not in params]
+        if undeclared:
+            raise ParseError(f"undeclared identifier '{min(undeclared)}'", lineno)
         rules[target] = expr
         rule_lines[target] = lineno
 

@@ -72,9 +72,12 @@ class LacParams:
     L: Optional[Fraction] = None
 
     def __post_init__(self):
+        # a Fraction is kept as given: Fraction(x) would build a copy
         for name in ("c0", "c", "gamma", "v", "delta", "h"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.L is not None:
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
+        if self.L is not None and not isinstance(self.L, Fraction):
             object.__setattr__(self, "L", Fraction(self.L))
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
@@ -169,25 +172,32 @@ def _lactose_curve(p: LacParams) -> tuple[Coeffs, Coeffs]:
     Q = alpha*(A+h), with alpha = c0*(A^n+1) + c*A^n.  Both have
     nonnegative coefficients, so both increase on A >= 0, and Q > 0 on
     A > 0 unless Q is zero.  On the steady-state curve L = P/Q; the two
-    share one positive scale, which leaves that ratio unchanged.
+    share one positive scale, which leaves that ratio unchanged, and every
+    reader takes ratios or primitive parts of them.
 
     Expanded, with g = gamma*delta and s = c0 + c:
     P = (g*h + v*c0)*A + g*A^2 + (g*h + v*s)*A^(n+1) + g*A^(n+2) and
     Q = c0*h + c0*A + s*h*A^n + s*A^(n+1); for n = 1 powers coincide and
-    their terms add up.  Both are scaled by the least common denominator of
-    their terms, and trailing zeros are dropped (Q is empty when c0 = c = 0).
+    their terms add up.  With the six constants written as integers over
+    one common denominator D, D^3 * P and D^3 * Q are integer polynomials;
+    they are divided by the gcd of all their coefficients, and trailing
+    zeros are dropped (Q is empty when c0 = c = 0).
     """
-    n, h = p.n, p.h
-    g, s = p.gamma * p.delta, p.c0 + p.c
-    P = [Fraction(0)] * (n + 3)
-    Q = [Fraction(0)] * (n + 2)
-    for k, c in ((1, g * h + p.v * p.c0), (2, g), (n + 1, g * h + p.v * s), (n + 2, g)):
-        P[k] += c
-    for k, c in ((0, p.c0 * h), (1, p.c0), (n, s * h), (n + 1, s)):
-        Q[k] += c
-    scale = lcm(*(c.denominator for c in P + Q))
-    P, Q = ([c.numerator * (scale // c.denominator) for c in f] for f in (P, Q))
-    return tuple(_trim(P)), tuple(_trim(Q))
+    consts = (p.c0, p.c, p.gamma, p.v, p.delta, p.h)
+    d = lcm(*(x.denominator for x in consts))
+    c0, c, gamma, v, delta, h = (x.numerator * (d // x.denominator) for x in consts)
+    n, g, s = p.n, gamma * delta, c0 + c
+    gh = g * h
+    P = [0] * (n + 3)
+    Q = [0] * (n + 2)
+    for k, x in ((1, gh + v * c0 * d), (2, g * d), (n + 1, gh + v * s * d), (n + 2, g * d)):
+        P[k] += x
+    for k, x in ((0, c0 * h * d), (1, c0 * d * d), (n, s * h * d), (n + 1, s * d * d)):
+        Q[k] += x
+    # both vanish when c0 = c = delta = 0, and then so does the gcd
+    common = gcd(*P, *Q) or 1
+    return (tuple(_trim([x // common for x in P])),
+            tuple(_trim([x // common for x in Q])))
 
 
 def _eliminant(P: Coeffs, Q: Coeffs, L: Fraction) -> Coeffs:
@@ -391,20 +401,30 @@ def _recover_state(p: LacParams, box: RootBox) -> SteadyState:
     Both maps are monotone in t = A^n for A > 0 (M increasing since its
     derivative in t is gamma*c over a square; R = 1/(1+t) decreasing), so
     evaluating at the interval endpoints gives certified enclosures.
+
+    At A = a/b, with u = b^n, w = a^n and T = u + w, t = w/u, so
+    R = u/T and M = (c0*T + c*w) / (gamma*T); with the constants as
+    integers over their own denominators each is one integer quotient.
     """
     a_lo, a_hi = box.lo, box.hi
     if not box.is_exact and a_lo < 0:
         a_lo = Fraction(0)
+    n = p.n
+    c0n, c0d = p.c0.numerator, p.c0.denominator
+    cn, cd = p.c.numerator, p.c.denominator
+    # M = gd*(c0n*cd*T + cn*c0d*w) / (gn*c0d*cd*T), gamma = gn/gd
+    k0, k1 = p.gamma.denominator * c0n * cd, p.gamma.denominator * cn * c0d
+    km = p.gamma.numerator * c0d * cd
 
-    def m_of(a: Fraction) -> Fraction:
-        t = a ** p.n
-        return (p.c0 + (p.c0 + p.c) * t) / (p.gamma * (1 + t))
+    def m_and_r(a: Fraction) -> tuple[Fraction, Fraction]:
+        u, w = a.denominator ** n, a.numerator ** n
+        total = u + w
+        return Fraction(k0 * total + k1 * w, km * total), Fraction(u, total)
 
-    def r_of(a: Fraction) -> Fraction:
-        return 1 / (1 + a ** p.n)
-
-    return SteadyState(RootBox(a_lo, a_hi), RootBox(m_of(a_lo), m_of(a_hi)),
-                       RootBox(r_of(a_hi), r_of(a_lo)), box.multiplicity)
+    m_lo, r_hi = m_and_r(a_lo)
+    m_hi, r_lo = (m_lo, r_hi) if a_lo == a_hi else m_and_r(a_hi)
+    return SteadyState(RootBox(a_lo, a_hi), RootBox(m_lo, m_hi),
+                       RootBox(r_lo, r_hi), box.multiplicity)
 
 
 def steady_states_at(p: LacParams, L,

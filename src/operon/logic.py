@@ -84,17 +84,23 @@ def _reduce(operands: list, ops: list, prec: int) -> None:
         operands[-1] = (node(left, right), height)
 
 
-def parse_expr(text: str, line: int | None = None) -> Expr:
+def parse_expr(text: str, line: int | None = None,
+               names: dict[str, Var] | None = None) -> Expr:
     """Parse a Boolean expression; raises ParseError on malformed input.
 
     One pass over the tokens: operands, each with the height of its tree,
     and binary operators wait on two stacks until an operator that binds no
     tighter, a ``)`` or the end reduces them; an open parenthesis saves both
-    stacks and the ``!`` count before it.
+    stacks and the ``!`` count before it.  Each identifier becomes one `Var`,
+    shared by all its occurrences; given a dict, the parse enters every
+    identifier it meets there, so a caller learns the names without walking
+    the tree.
     """
     tokens = TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty expression", line)
+    if names is None:
+        names = {}
     operands, ops, frames, nots = [], [], [], 0
     want_operand = True
     try:
@@ -108,11 +114,11 @@ def parse_expr(text: str, line: int | None = None) -> Expr:
                     frames.append((operands, ops, nots))
                     operands, ops, nots = [], [], 0
                 else:
-                    expr = _CONST.get(tok)
+                    expr = _CONST.get(tok) or names.get(tok)
                     if expr is None:
                         if tok[0] not in NAME_START:
                             raise ParseError(f"unexpected {tok!r} at column {_column(text, i)}")
-                        expr = Var(tok)
+                        expr = names[tok] = Var(tok)
                     operands.append(_negated(expr, 0, nots))
                     nots, want_operand = 0, False
                 continue

@@ -11,10 +11,12 @@ d**deg * q(n/d), evaluated by homogeneous Horner.  One integer remainder
 sequence serves as the only gcd: the Sturm chain, the squarefree part and
 Yun's decomposition all read it.  A polynomial is prepared once into an
 oracle (`_Oracle`) on its integer coefficients, which counts, isolates
-and refines; the root boxes it produces carry it along, so refining a box
-later does not prepare the polynomial again.  The public entries clear a
-`Poly`'s content once to reach the oracle; Fractions occur only as box
-endpoints.
+and refines.  Isolation bisects integer numerators over one denominator,
+and each isolated interval goes on into one refinement kernel (`_Cells`).
+The root boxes carry the oracle and that kernel along, so refining a box
+later neither prepares the polynomial again nor evaluates it again at the
+box's ends.  The public entries clear a `Poly`'s content once to reach the
+oracle; Fractions are built only for the endpoints of the boxes returned.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ class RootBox:
     # the oracle of the polynomial this box was isolated for, which
     # narrow_until refines on and refine_root_box reuses for that polynomial
     _oracle: Optional["_Oracle"] = field(default=None, compare=False, repr=False)
+    # the kernel that certified the box, and the box's depth in it: the box
+    # is its cell of that depth, and refining goes on from there.  Several
+    # boxes share one kernel, so the depth is kept here, not on the kernel.
+    _cells: Optional["_Cells"] = field(default=None, compare=False, repr=False)
+    _depth: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -81,7 +88,9 @@ class RootBox:
 
     def decimal(self, digits: int = 5) -> str:
         """The midpoint as a fixed-point decimal string."""
-        return decimal_str(self.representative(), digits)
+        lo, hi = self.lo, self.hi
+        ld, hd = lo.denominator, hi.denominator
+        return _decimal(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd, digits)
 
     def __str__(self):
         if self.is_exact:
@@ -310,9 +319,8 @@ class _Oracle:
 
     It is given as integer coefficients f, lowest degree first, with a
     nonzero last entry.  The Sturm chain of f ends in gcd(f, f'); when that
-    is not constant, the chain of the squarefree part q is taken.  The
-    oracle also keeps the Sturm variations already computed at each
-    endpoint and, once asked, the Yun factors.  Every box it isolates
+    is not constant, the chain of the squarefree part q is taken.  Once
+    asked, the oracle keeps the Yun factors too.  Every box it isolates
     carries it, so the box is refined on this oracle and f is never
     prepared twice.
     """
@@ -327,43 +335,53 @@ class _Oracle:
         self.degree = len(self.coeffs) - 1
         self.lead = abs(self.coeffs[-1])
         self.bound = _root_bound(self.coeffs)  # at least 1
-        self._variations: dict[Fraction, int] = {}
 
     def value(self, num: int, den: int) -> int:
         """den**deg * q(num/den): for den > 0, the sign of q(num/den)."""
         return homogeneous_value(self.coeffs, num, den)
 
-    def variations(self, x: Fraction) -> int:
-        v = self._variations.get(x)
-        if v is None:
-            n, d = x.numerator, x.denominator
-            v = _variations(_sign(homogeneous_value(c, n, d)) for c in self.chain)
-            self._variations[x] = v
-        return v
+    def variations(self, num: int, den: int) -> int:
+        """The sign variations of the Sturm chain at num/den, for den > 0."""
+        return _variations(_sign(homogeneous_value(c, num, den)) for c in self.chain)
 
     def count(self, lo=None, hi=None) -> int:
         """Distinct real roots of f in (lo, hi]; None leaves a side unbounded."""
         a = -self.bound if lo is None else Fraction(lo)
         b = self.bound if hi is None else Fraction(hi)
-        return self.variations(a) - self.variations(b) if a < b else 0
+        if a >= b:
+            return 0
+        return (self.variations(a.numerator, a.denominator)
+                - self.variations(b.numerator, b.denominator))
 
     def isolate(self, precision: Fraction, positive: bool = False) -> list[RootBox]:
         """Boxes no wider than precision around the distinct real roots of f,
-        or its positive roots only, in increasing order."""
+        or its positive roots only, in increasing order.
+
+        Bisection runs on integer numerators over den << depth, where den is
+        the denominator of the root bound B: (a, b] starts as (-B, B], or
+        (0, B], and halves at (a + b)/2.  Each interval on the stack carries
+        the Sturm variations at its ends, so every grid point is evaluated
+        once.  An interval with one root goes on into a refinement kernel,
+        which the box it ends in carries along.
+        """
         precision = _check_precision(precision)
+        pn, pd = precision.numerator, precision.denominator
+        b, den = self.bound.numerator, self.bound.denominator
+        a = 0 if positive else -b
         out = []
-        stack = [(Fraction(0) if positive else -self.bound, self.bound)]
+        # (lo, hi, depth, variations at lo, variations at hi), left half on top
+        stack = [(a, b, 0, self.variations(a, den), self.variations(b, den))]
         while stack:
-            a, b = stack.pop()
-            n = self.variations(a) - self.variations(b)
+            lo, hi, depth, v_lo, v_hi = stack.pop()
+            n = v_lo - v_hi
             if n == 1:
-                a, b = _Cells(self, a, b).narrow(precision)
-                out.append(RootBox(a, b, self.multiplicity(a, b), self))
+                cells = _Cells(self, lo, hi - lo, den << depth)
+                out.append(cells.settle(cells.reach(cells.depth_for(pn, pd))))
             elif n > 1:
-                mid = (a + b) / 2
-                stack.append((mid, b))
-                stack.append((a, mid))
-        out.sort(key=lambda box: box.lo)
+                mid, depth = lo + hi, depth + 1
+                v_mid = self.variations(mid, den << depth)
+                stack.append((mid, 2 * hi, depth, v_mid, v_hi))
+                stack.append((2 * lo, mid, depth, v_lo, v_mid))
         return out
 
     @cached_property
@@ -373,24 +391,22 @@ class _Oracle:
             return [(self.coeffs, 1)]
         return _yun(self.f, self.gcd)
 
-    def multiplicity(self, lo: Fraction, hi: Fraction) -> int:
-        """The multiplicity in f of the root in the isolated box (lo, hi],
-        or of the root lo when lo == hi."""
+    def multiplicity(self, lo: int, hi: int, den: int) -> int:
+        """The multiplicity in f of the root in the isolated box
+        (lo/den, hi/den], or of the root lo/den when lo == hi."""
         factors = self.factors
         if len(factors) == 1:
             return factors[0][1]
         if lo == hi:
             for f, k in factors:
-                if homogeneous_value(f, lo.numerator, lo.denominator) == 0:
+                if homogeneous_value(f, lo, den) == 0:
                     return k
         else:
             # q is nonzero at both ends of a box that is not exact, and the
             # box holds one simple root of q: only the factor owning that
             # root changes sign across it
             for f, k in factors:
-                at_lo = _sign(homogeneous_value(f, lo.numerator, lo.denominator))
-                at_hi = _sign(homogeneous_value(f, hi.numerator, hi.denominator))
-                if at_lo != at_hi:
+                if _sign(homogeneous_value(f, lo, den)) != _sign(homogeneous_value(f, hi, den)):
                     return k
         raise ArithmeticError("isolated root matched no squarefree factor")
 
@@ -417,15 +433,12 @@ class _Cells:
     is integer arithmetic; Fractions are built only for returned boxes.
     """
 
-    def __init__(self, oracle: _Oracle, a: Fraction, b: Fraction):
-        den = lcm(a.denominator, b.denominator)
+    def __init__(self, oracle: _Oracle, lo0: int, w: int, den: int):
         self.oracle = oracle
-        self.lo0 = a.numerator * (den // a.denominator)
-        self.w = b.numerator * (den // b.denominator) - self.lo0
-        self.den0 = den
+        self.lo0, self.w, self.den0 = lo0, w, den
         self.depth = self.index = 0
-        self.f_lo = oracle.value(self.lo0, den)
-        self.f_hi = oracle.value(self.lo0 + self.w, den)
+        self.f_lo = oracle.value(lo0, den)
+        self.f_hi = oracle.value(lo0 + w, den)
         # s is the sign of q on (a, r); q is squarefree, so when a is a root
         # q' is not zero there and gives the sign just right of it
         self.a_is_root = not self.f_lo
@@ -435,6 +448,13 @@ class _Cells:
             self.s = _sign(self.f_lo)
         self.bits = 2  # m of the next secant step
         self._rational = None
+
+    @classmethod
+    def between(cls, oracle: _Oracle, a: Fraction, b: Fraction) -> "_Cells":
+        """The kernel of the box (a, b], over the least common denominator."""
+        den = lcm(a.denominator, b.denominator)
+        lo0 = a.numerator * (den // a.denominator)
+        return cls(oracle, lo0, b.numerator * (den // b.denominator) - lo0, den)
 
     def depth_for(self, num: int, den: int) -> int:
         """The fewest halvings that bring (a, b] to width at most num/den."""
@@ -512,29 +532,40 @@ class _Cells:
                               and (k, lead))
         return self._rational
 
-    def exact(self, lo: int, hi: int, den: int) -> Optional[Fraction]:
-        """r, when r is rational and one of the probes of the halving loop
-        names it: hi, the midpoint or the simplest rational of the cell
-        (lo/den, hi/den].  The cell holds no root of q but r, so a probe is
-        a root exactly when it is r."""
+    def exact(self, lo: int, hi: int, den: int) -> Optional[tuple[int, int]]:
+        """r as (num, den), when r is rational and one of the probes of the
+        halving loop names it: hi, the midpoint or the simplest rational of
+        the cell (lo/den, hi/den].  The cell holds no root of q but r, so a
+        probe is a root exactly when it is r."""
         root = self._rational_root()
         if not root:
             return None
         k, lead = root
         probes = ((hi, den), (lo + hi, 2 * den), _simplest(lo, den, hi, den))
         if any(num * lead == k * pden for num, pden in probes):
-            return Fraction(k, lead)
+            return root
         return None
 
-    def narrow(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """The box that halving (a, b] until it is no wider than width ends
-        in, as Fractions, or (r, r) when a probe names r."""
-        depth = self.reach(self.depth_for(width.numerator, width.denominator))
+    def box(self, depth: int, multiplicity: int, root=None) -> RootBox:
+        """The exact box of root, given as (num, den), or else the cell of
+        the given depth as a root box that carries this kernel."""
+        if root is not None:
+            x = Fraction(*root)
+            return RootBox(x, x, multiplicity, self.oracle)
         lo, hi, den = self.cell(depth)
-        x = self.exact(lo, hi, den)
-        if x is not None:
-            return x, x
-        return Fraction(lo, den), Fraction(hi, den)
+        return RootBox(Fraction(lo, den), Fraction(hi, den), multiplicity, self.oracle,
+                       self, depth)
+
+    def settle(self, depth: int, multiplicity: Optional[int] = None) -> RootBox:
+        """The box of the cell of the given depth, or of r when a probe of
+        that cell names it.  Without a multiplicity, the oracle reads it off
+        the cell or the root."""
+        lo, hi, den = self.cell(depth)
+        root = self.exact(lo, hi, den)
+        if multiplicity is None:
+            multiplicity = (self.oracle.multiplicity(lo, hi, den) if root is None
+                            else self.oracle.multiplicity(root[0], root[0], root[1]))
+        return self.box(depth, multiplicity, root)
 
 
 def isolate_real_roots(p: Poly, region: str = "all",
@@ -562,7 +593,8 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     hi, the midpoint or the simplest rational of that box names it.  Exact
     boxes pass through; for any other box, precision must be at least
     MIN_PRECISION.  A box from `isolate_real_roots(p)` or an earlier
-    refinement brings the oracle for p along, so p is not prepared again.
+    refinement brings the oracle for p along, so p is not prepared again,
+    and the kernel that certified it, so refining goes on from its cell.
     """
     if box.is_exact:
         return box
@@ -571,8 +603,19 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     oracle = box._oracle
     if oracle is None or oracle.f != f:
         oracle = _Oracle(f)
-    a, b = _Cells(oracle, box.lo, box.hi).narrow(precision)
-    return RootBox(a, b, box.multiplicity, oracle)
+    cells, depth = _kernel(box, oracle)
+    # the box is the cell of its depth, and the fewest halvings of it that
+    # reach the width end at the deeper of that depth and depth_for's
+    depth = max(depth, cells.depth_for(precision.numerator, precision.denominator))
+    return cells.settle(cells.reach(depth), box.multiplicity)
+
+
+def _kernel(box: RootBox, oracle: _Oracle) -> tuple[_Cells, int]:
+    """The refinement kernel of a box for the oracle, with the box's depth
+    in it: the kernel the box carries, or a new one whose depth 0 is the box."""
+    if box._cells is not None and box._cells.oracle is oracle:
+        return box._cells, box._depth
+    return _Cells.between(oracle, box.lo, box.hi), 0
 
 
 def narrow_until(box: RootBox, bits: int, done) -> RootBox:
@@ -585,35 +628,42 @@ def narrow_until(box: RootBox, bits: int, done) -> RootBox:
     width: the same boxes and the same exact roots.  done is asked about
     each box that is not exact, the given box first, as the integers of
     (lo/den, hi/den], and the first box it accepts is returned.  The stages
-    share one kernel, whose secant steps certify cells ahead of the stage
-    that asks for them.
+    go on in the kernel that certified the box, when it carries one, whose
+    secant steps certify cells ahead of the stage that asks for them.
     """
     if box.is_exact:
         return box
     if box._oracle is None:
         raise ValueError("the box carries no oracle: isolate it first")
-    cells = _Cells(box._oracle, box.lo, box.hi)
-    depth = 0
-    lo, hi, den = cells.cell(0)
+    cells, depth = _kernel(box, box._oracle)
+    lo, hi, den = cells.cell(depth)
     while not done(lo, hi, den):
         depth = cells.reach(depth + bits)
         lo, hi, den = cells.cell(depth)
-        x = cells.exact(lo, hi, den)
-        if x is not None:
-            return RootBox(x, x, box.multiplicity, cells.oracle)
-    return RootBox(Fraction(lo, den), Fraction(hi, den), box.multiplicity, cells.oracle)
+        root = cells.exact(lo, hi, den)
+        if root is not None:
+            return cells.box(depth, box.multiplicity, root)
+    return cells.box(depth, box.multiplicity)
 
 
 def decimal_str(x: Fraction, digits: int = 5) -> str:
     """Fixed-point decimal string, rounded half-even to `digits` places."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return _decimal(x.numerator, x.denominator, digits)
+
+
+def _decimal(num: int, den: int, digits: int) -> str:
+    """decimal_str of num/den for den > 0, on integers."""
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    x = Fraction(x)
     scale = 10 ** digits
-    scaled = round(x * scale)
+    # num/den * scale = scaled + rest/den with 0 <= rest < den; round half-even
+    scaled, rest = divmod(num * scale, den)
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, scale)
+    whole, frac = divmod(abs(scaled), scale)
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{digits}d}"

@@ -18,10 +18,12 @@ from operon import model_path
 from operon import logic
 from operon.errors import IDENT, ParseError
 from operon.exactpoly import Poly, homogeneous_value, integer_coeffs
-from operon.lacmodel import Region
+from operon.lacmodel import Region, SteadyState
 from operon.realroots import (
     RootBox,
     count_real_roots,
+    narrow_until,
+    refine_root_box,
     simplest_rational,
     squarefree_part,
     sturm_chain,
@@ -388,6 +390,41 @@ def ref_narrow(p, box, width):
     return RootBox(a, b, box.multiplicity)
 
 
+def assert_handover_repeats(p, box, bits=4, stages=8):
+    """Narrowing an isolated box goes on in the shared kernel that certified
+    it.  Check that this gives the stages, the box and the exact root that a
+    new kernel started on the box alone gives, when the box is narrowed
+    twice, narrowed again after `refine_root_box` has moved the kernel on,
+    and refined first and then narrowed; each against the same box rebuilt
+    without a kernel.  p is the polynomial the box was isolated for."""
+    def run(start):
+        seen = []
+
+        def done(lo, hi, den):
+            seen.append((Fraction(lo, den), Fraction(hi, den)))
+            return len(seen) > stages
+
+        end = narrow_until(start, bits, done)
+        return seen, end, end.exact
+
+    def rebuilt(b):
+        return RootBox(b.lo, b.hi, b.multiplicity, b._oracle)
+
+    if box.is_exact:
+        return
+    assert box._cells is not None
+    expected = run(rebuilt(box))
+    assert run(box) == expected
+    assert run(box) == expected
+    for k in (0, 3, 40):
+        width = box.width / 2 ** k
+        refined = refine_root_box(p, box, width)
+        assert refined == refine_root_box(p, rebuilt(box), width) == ref_narrow(p, box, width)
+        assert refined.is_exact or refined._cells is box._cells
+        assert run(box) == expected
+        assert run(refined) == run(rebuilt(refined))
+
+
 def ref_residual(elim, box, target):
     """`lacmodel._refine_residual`: width/16 stages until |elim(mid)| < target."""
     coeffs = integer_coeffs(elim)
@@ -418,6 +455,51 @@ def ref_fold_level(P, Q, W, box, precision):
         box = ref_narrow(W, box, box.width / 2)
     level = value(P, box.lo) / value(Q, box.lo)
     return RootBox(level, level)
+
+
+# ---------------------------------------------------------------------------
+# The steady-state curve and the recovery of M and R as they were computed
+# in Fraction arithmetic.  The differential tests hold the integer versions
+# in `lacmodel` to them.
+
+
+def ref_lactose_curve(p):
+    """`lacmodel._lactose_curve(p)` up to a common positive factor: the
+    terms accumulated as Fractions and scaled by the least common
+    denominator of all of them, trailing zeros dropped."""
+    n, h = p.n, p.h
+    g, s = p.gamma * p.delta, p.c0 + p.c
+    P = [Fraction(0)] * (n + 3)
+    Q = [Fraction(0)] * (n + 2)
+    for k, c in ((1, g * h + p.v * p.c0), (2, g), (n + 1, g * h + p.v * s), (n + 2, g)):
+        P[k] += c
+    for k, c in ((0, p.c0 * h), (1, p.c0), (n, s * h), (n + 1, s)):
+        Q[k] += c
+    scale = lcm(*(c.denominator for c in P + Q))
+    P, Q = ([c.numerator * (scale // c.denominator) for c in f] for f in (P, Q))
+    while P and not P[-1]:
+        P.pop()
+    while Q and not Q[-1]:
+        Q.pop()
+    return tuple(P), tuple(Q)
+
+
+def ref_recover_state(p, box):
+    """`lacmodel._recover_state(p, box)`, with t = a**n and M and R in
+    Fraction arithmetic at both ends of the A box."""
+    a_lo, a_hi = box.lo, box.hi
+    if not box.is_exact and a_lo < 0:
+        a_lo = Fraction(0)
+
+    def m_of(a):
+        t = a ** p.n
+        return (p.c0 + (p.c0 + p.c) * t) / (p.gamma * (1 + t))
+
+    def r_of(a):
+        return 1 / (1 + a ** p.n)
+
+    return SteadyState(RootBox(a_lo, a_hi), RootBox(m_of(a_lo), m_of(a_hi)),
+                       RootBox(r_of(a_hi), r_of(a_lo)), box.multiplicity)
 
 
 # ---------------------------------------------------------------------------

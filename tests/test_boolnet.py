@@ -71,6 +71,19 @@ def test_parse_rejects_malformed(text, message):
         parse_network(text)
 
 
+@pytest.mark.parametrize("rule,name", [
+    ("a' = q & b", "b"),
+    ("a' = zz | !q", "q"),
+    ("a' = (y ^ x) & a & y", "x"),
+])
+def test_parse_names_the_first_undeclared_identifier(rule, name):
+    # two undeclared names in one rule: the alphabetically first is named
+    with pytest.raises(ParseError) as err:
+        parse_network(f"network n\nvars: a\n{rule}\n")
+    assert str(err.value) == f"line 3: undeclared identifier '{name}'"
+    assert err.value.line == 3
+
+
 def test_rule_lookup(net):
     from operon import logic
 

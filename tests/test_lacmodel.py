@@ -48,9 +48,16 @@ from operon.lacmodel import (
     _refine_residual,
     _wronskian,
 )
-from operon.realroots import RootBox, _integers, isolate_real_roots
+from operon.realroots import RootBox, _integers, _Oracle, isolate_real_roots
 
-from conftest import ref_census_regions, ref_fold_level, ref_residual
+from conftest import (
+    assert_handover_repeats,
+    ref_census_regions,
+    ref_fold_level,
+    ref_lactose_curve,
+    ref_recover_state,
+    ref_residual,
+)
 
 F = Fraction
 
@@ -437,6 +444,25 @@ def test_recover_state_limits():
     assert at_one.R.lo == at_one.R.hi == F(1, 2)
 
 
+def test_recover_state_matches_fraction_reference(rng):
+    jitter = [F(k, 20) for k in range(18, 23)]
+    for n in range(1, MAX_HILL + 1):
+        consts = {k: v * rng.choice(jitter) for k, v in LAC.items()}
+        if n % 4 == 0:
+            consts[rng.choice(["c0", "c"])] = F(0)
+        p = LacParams(n=n, **consts)
+        a = F(rng.randint(1, 3000), rng.randint(1, 1000))
+        boxes = [RootBox(F(0), F(0)), RootBox(F(1), F(1)), RootBox(a, a),
+                 RootBox(a, a + F(1, rng.randint(1, 10**9)), rng.randint(1, 3)),
+                 # lo < 0 is clamped to 0
+                 RootBox(-a, F(1, rng.randint(1, 100)))]
+        for box in boxes:
+            state = _recover_state(p, box)
+            assert state == ref_recover_state(p, box)
+            assert state.multiplicity == box.multiplicity
+            assert state.as_dict(9) == ref_recover_state(p, box).as_dict(9)
+
+
 def test_as_dict_rendering():
     state = steady_states_at(LacParams.defaults(), 1)[0]
     d = state.as_dict(digits=5)
@@ -506,10 +532,105 @@ def test_residual_refinement_with_repeated_factors():
                 ref_residual(elim, box, RESIDUAL_TARGET)
 
 
+def test_lactose_curve_is_proportional_to_the_fraction_reference(rng):
+    # every reader of P and Q takes ratios or primitive parts, so the
+    # integer curve may differ from the reference by one positive factor
+    jitter = [F(k, 20) for k in range(18, 23)]
+    for n in range(1, MAX_HILL + 1):
+        for zero in (None, "c0", "c", "v", "delta"):
+            consts = {k: v * rng.choice(jitter) for k, v in LAC.items()}
+            if zero:
+                consts[zero] = F(0)
+            p = LacParams(n=n, **consts)
+            (P, Q), (ref_p, ref_q) = _lactose_curve(p), ref_lactose_curve(p)
+            assert len(P) == len(ref_p) and len(Q) == len(ref_q)
+            factor = F(P[-1], ref_p[-1])
+            assert factor > 0
+            assert [F(x) for x in P + Q] == [factor * x for x in ref_p + ref_q]
+    # c0 = c = delta = 0: P and Q both vanish, and the analyses refuse it
+    p = LacParams(n=3, **{**LAC, "c0": F(0), "c": F(0), "delta": F(0)})
+    assert _lactose_curve(p) == ref_lactose_curve(p) == ((), ())
+    for analyse in (critical_lactose_values, eliminate_M):
+        with pytest.raises(ValueError, match="degenerate system"):
+            analyse(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 32, 64])
+def test_handing_the_cell_over_repeats_on_the_bundled_model(n):
+    # the residual and fold-level loops go on in the kernel that isolation
+    # left on each box; narrowing it again, after refine_root_box or from a
+    # box rebuilt without a kernel gives the same stages and boxes
+    p = LacParams(n=n, **LAC)
+    P, Q = _lactose_curve(p)
+    W = _wronskian(P, Q)
+    for precision in (F(1, 10**3), F(1, 10**6), F(1, 10**12)):
+        for L in (F(7, 10), F(1), F(13, 10)):
+            elim = _eliminant(P, Q, L)
+            for box in _Oracle(elim).isolate(precision, positive=True):
+                assert_handover_repeats(Poly("A", elim), box)
+                rebuilt = RootBox(box.lo, box.hi, box.multiplicity, box._oracle)
+                assert _refine_residual(elim, box) == _refine_residual(elim, rebuilt) \
+                    == _refine_residual(elim, box)
+        for box in _Oracle(W).isolate(precision, positive=True):
+            assert_handover_repeats(Poly("A", W), box, bits=1)
+            rebuilt = RootBox(box.lo, box.hi, box.multiplicity, box._oracle)
+            assert _fold_level(P, Q, box, precision) == _fold_level(P, Q, rebuilt, precision) \
+                == _fold_level(P, Q, box, precision)
+
+
+def test_isolation_and_refinement_stay_on_integers(lac_ode, monkeypatch):
+    # isolation and residual refinement build Fractions only for the boxes
+    # they return, not per bisection or secant step, and one refinement
+    # kernel per isolated root: the residual loop goes on in it
+    from operon import realroots
+
+    class Counted(F):
+        """A Fraction that counts itself and every arithmetic result of it,
+        which it makes a Counted too."""
+
+        built = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    def counting(op):
+        def counted(*args):
+            out = op(*args)
+            return Counted(out) if isinstance(out, F) else out
+        return counted
+
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        for prefix in ("__", "__r"):
+            op = f"{prefix}{name}__"
+            setattr(Counted, op, counting(getattr(F, op)))
+    for op in ("__neg__", "__pos__", "__abs__"):
+        setattr(Counted, op, counting(getattr(F, op)))
+
+    kernels = []
+    cells_init = realroots._Cells.__init__
+    monkeypatch.setattr(realroots._Cells, "__init__",
+                        lambda self, *args: kernels.append(1) or cells_init(self, *args))
+    elim = _eliminant(*_lactose_curve(load_ode(lac_ode)), F(1))
+    expected = [_refine_residual(elim, box)
+                for box in _Oracle(elim).isolate(DEFAULT_PRECISION, positive=True)]
+    kernels.clear()
+    monkeypatch.setattr(realroots, "Fraction", Counted)
+    boxes = [_refine_residual(elim, box)
+             for box in _Oracle(elim).isolate(DEFAULT_PRECISION, positive=True)]
+    assert boxes == expected and len(boxes) == 3
+    assert len(kernels) == len(boxes)
+    # the root bound (two), the precision, and two ends per box in each of
+    # isolation and refinement: 15 when written, where the bisection on
+    # Fraction endpoints built 26 and started a second kernel per root
+    assert Counted.built <= 4 * len(boxes) + 3
+
+
 def test_evaluation_budget(monkeypatch):
     # homogeneous_value calls, the unit of work of every refinement, in the
     # default `ode bifurcation` at n = 64 and in `ode steady-states --L 1`
-    # with c0 = 1e-300 at n = 5; the halving loop made 11,585 and 6,657
+    # with c0 = 1e-300 at n = 5; the halving loop made 11,585 and 6,657, and
+    # a new kernel per refined box 314, 4,293 and 914
     from operon import exactpoly, lacmodel, realroots
 
     calls = []
@@ -522,13 +643,13 @@ def test_evaluation_budget(monkeypatch):
         monkeypatch.setattr(module, "homogeneous_value", counted)
     report = bifurcation_curve(LacParams(n=64, **LAC), (F(1, 10), F(5, 2)), 25)
     # the critical levels and the census; the branches wait for a caller
-    assert len(calls) <= 330  # 314 when written
+    assert len(calls) <= 320  # 306 when written
     for pt in report.samples:
         pt.roots
-    assert len(calls) <= 4_500  # 4,293 when written
+    assert len(calls) <= 4_000  # 3,817 when written
     calls.clear()
     steady_states_at(LacParams(n=5, **{**LAC, "c0": F(1, 10**300)}), F(1))
-    assert len(calls) <= 950  # 914 when written
+    assert len(calls) <= 900  # 867 when written
 
 
 def test_bifurcation_report_structure():

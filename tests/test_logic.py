@@ -199,6 +199,18 @@ def test_parse_expr_reads_rendered_trees(rng):
         assert assert_parses_as_reference(text) == ("ok", expr)
 
 
+def test_parse_expr_collects_the_identifiers(rng):
+    # the names a parse enters are those the tree walk finds, each with the
+    # one Var that every occurrence shares
+    for _ in range(500):
+        expr = random_expr(rng, ["a", "b", "x12", "_q"], depth=rng.randint(0, 8))
+        names = {}
+        parsed = parse_expr(render(expr, rng), names=names)
+        assert parsed == expr
+        assert set(names) == logic.variables(expr)
+        assert all(var == Var(name) for name, var in names.items())
+
+
 DEPTH = f"expression nested deeper than {logic.MAX_DEPTH} levels"
 FIXED_EXPRS = {
     # an unexpected character is reported before a depth error

@@ -30,6 +30,7 @@ from operon.realroots import (
 )
 
 from conftest import (
+    assert_handover_repeats,
     poly_from_roots,
     random_distinct_rationals,
     random_rat_poly,
@@ -577,6 +578,24 @@ def test_boxes_starting_at_a_root_match_the_sturm_path(rng):
             assert refine_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
+def test_handing_the_cell_over_repeats(rng):
+    # an isolated box goes on in the kernel that certified it, however
+    # often and in whatever order it is narrowed
+    for _ in range(30):
+        p = planted_poly(rng) if rng.random() < 0.7 else random_rat_poly(rng)
+        if p.degree < 1:
+            continue
+        for box in isolate_real_roots(p, precision=F(1, rng.choice([4, 1000, 10**6]))):
+            assert_handover_repeats(p, box, rng.choice([1, 4]))
+
+
+def test_isolation_keeps_no_memo():
+    # the variations at each end travel with the interval on the stack
+    oracle = realroots._Oracle(integer_coeffs((X**2 - 2) * (X - 5) * (3 * X + 1)))
+    assert len(oracle.isolate(F(1, 10**6))) == 4
+    assert not any(isinstance(v, dict) for v in vars(oracle).values())
+
+
 def test_simplest_rational_matches_recursive(rng):
     for _ in range(2000):
         a = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
@@ -640,6 +659,32 @@ def test_decimal_str_rounds_half_even():
     assert decimal_str(F(3, 8), 2) == "0.38"
     assert decimal_str(F(5, 2), 0) == "2"
     assert decimal_str(F(7, 2), 0) == "4"
+
+
+def ref_decimal_str(x, digits):
+    """decimal_str by Fraction arithmetic: round(x * 10**digits)."""
+    scale = 10 ** digits
+    scaled = round(x * scale)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), scale)
+    return f"{sign}{whole}" if digits == 0 else f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def test_decimal_str_matches_fraction_rounding(rng):
+    for _ in range(3000):
+        digits = rng.choice([0, 0, 1, 2, 5, 9])
+        kind = rng.random()
+        if kind < 0.3:  # an exact half in the last place
+            x = F(2 * rng.randint(-10**4, 10**4) + 1, 2 * 10**digits)
+        elif kind < 0.4:
+            x = F(rng.randint(-50, 50))
+        else:
+            x = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**rng.randint(0, 12)))
+        assert decimal_str(x, digits) == ref_decimal_str(x, digits)
+        box = RootBox(x, x + F(rng.randint(0, 9), rng.randint(1, 10**6)))
+        assert box.decimal(digits) == ref_decimal_str(box.representative(), digits)
+    assert decimal_str(3, 2) == "3.00"
+    assert decimal_str(0.5, 0) == "0"
 
 
 def test_decimal_str_rejects_negative_digits():
