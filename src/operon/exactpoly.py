@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Sequence, Union
 
-Rat = Fraction
-
 Coeff = Union[Fraction, "Poly"]
 
 

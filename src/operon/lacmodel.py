@@ -56,6 +56,8 @@ MAX_HILL = 64
 # steady states at its level when its branches are read; writing them all
 # at the cap takes about 6 s on the bundled model
 MAX_SAMPLES = 10_000
+# decimal places of the L and A columns that `bifurcation_csv` writes
+CSV_DIGITS = 6
 
 
 @dataclass(frozen=True)
@@ -565,14 +567,14 @@ def _census_regions(sequence: list, critical: tuple) -> list[Region]:
     return regions
 
 
-def bifurcation_csv(report: BifurcationReport, digits: int = 6) -> str:
+def bifurcation_csv(report: BifurcationReport) -> str:
     """CSV rendering of the sampled branches: header L,A,branch,region_count."""
     lines = ["L,A,branch,region_count"]
     for pt in report.samples:
         for branch, box in enumerate(pt.roots):
             lines.append(",".join([
-                decimal_str(pt.L, digits),
-                decimal_str(box.representative(), digits),
+                decimal_str(pt.L, CSV_DIGITS),
+                decimal_str(box.representative(), CSV_DIGITS),
                 str(branch),
                 str(pt.count),
             ]))

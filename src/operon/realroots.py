@@ -13,10 +13,11 @@ Yun's decomposition all read it.  A polynomial is prepared once into an
 oracle (`_Oracle`) on its integer coefficients, which counts, isolates
 and refines.  Isolation bisects integer numerators over one denominator,
 and each isolated interval goes on into one refinement kernel (`_Cells`).
-The root boxes carry the oracle and that kernel along, so refining a box
-later neither prepares the polynomial again nor evaluates it again at the
-box's ends.  The public entries clear a `Poly`'s content once to reach the
-oracle; Fractions are built only for the endpoints of the boxes returned.
+The root boxes carry that kernel, and through it the oracle, so refining
+a box later neither prepares the polynomial again nor evaluates it again
+at the box's ends.  The public entries clear a `Poly`'s content once to
+reach the oracle; Fractions are built only for the endpoints of the boxes
+returned.
 """
 
 from __future__ import annotations
@@ -44,14 +45,17 @@ class RootBox:
 
     A non-degenerate root box is half-open, (lo, hi].  A rational root that
     was recovered exactly is stored with lo == hi.
+
+    A box that isolation or refinement returns and that is not exact
+    carries the kernel (`_Cells`) that certified it, and through the
+    kernel the oracle of its polynomial: `narrow_until` refines on it, and
+    `refine_root_box` goes on in it for that polynomial.  An exact box and
+    a box made by hand carry nothing.
     """
 
     lo: Fraction
     hi: Fraction
     multiplicity: int = 1
-    # the oracle of the polynomial this box was isolated for, which
-    # narrow_until refines on and refine_root_box reuses for that polynomial
-    _oracle: Optional["_Oracle"] = field(default=None, compare=False, repr=False)
     # the kernel that certified the box, and the box's depth in it: the box
     # is its cell of that depth, and refining goes on from there.  Several
     # boxes share one kernel, so the depth is kept here, not on the kernel.
@@ -205,7 +209,8 @@ def _yun(f, d) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _root_bound(c) -> Fraction:
-    """Cauchy's bound 1 + max |c_i| / |lead| on the real roots."""
+    """Cauchy's bound B = 1 + max |c_i| / |lead|: every real root of the
+    polynomial with coefficients c lies strictly inside (-B, B)."""
     return 1 + Fraction(max((abs(x) for x in c[:-1]), default=0), abs(c[-1]))
 
 
@@ -218,20 +223,6 @@ def squarefree_part(p: Poly) -> Poly:
         return Poly(p.var, (1,))
     f = _integers(p)
     return Poly(p.var, _squarefree(f, _sturm(f)[-1]))
-
-
-def yun_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition: pairwise-coprime monic factors with exponents.
-
-    The product of factor**exponent recovers p up to a rational constant.
-    """
-    _require_univariate(p)
-    if not p:
-        raise ValueError("cannot decompose the zero polynomial")
-    if p.degree == 0:
-        return []
-    f = _integers(p)
-    return [(Poly(p.var, a) * Fraction(1, a[-1]), k) for a, k in _yun(f, _sturm(f)[-1])]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -249,14 +240,6 @@ def _sign(x) -> int:
 def _variations(signs) -> int:
     signs = [s for s in signs if s]
     return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
-    _require_univariate(p)
-    if not p:
-        raise ValueError("the zero polynomial has no root bound")
-    return _root_bound(p.coeffs)
 
 
 def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
@@ -321,8 +304,8 @@ class _Oracle:
     nonzero last entry.  The Sturm chain of f ends in gcd(f, f'); when that
     is not constant, the chain of the squarefree part q is taken.  Once
     asked, the oracle keeps the Yun factors too.  Every box it isolates
-    carries it, so the box is refined on this oracle and f is never
-    prepared twice.
+    carries it through its kernel, so the box is refined on this oracle and
+    f is never prepared twice.
     """
 
     def __init__(self, f: tuple[int, ...]):
@@ -547,14 +530,14 @@ class _Cells:
         return None
 
     def box(self, depth: int, multiplicity: int, root=None) -> RootBox:
-        """The exact box of root, given as (num, den), or else the cell of
-        the given depth as a root box that carries this kernel."""
+        """The exact box of root, given as (num, den), which carries
+        nothing, or else the cell of the given depth as a root box that
+        carries this kernel."""
         if root is not None:
             x = Fraction(*root)
-            return RootBox(x, x, multiplicity, self.oracle)
+            return RootBox(x, x, multiplicity)
         lo, hi, den = self.cell(depth)
-        return RootBox(Fraction(lo, den), Fraction(hi, den), multiplicity, self.oracle,
-                       self, depth)
+        return RootBox(Fraction(lo, den), Fraction(hi, den), multiplicity, self, depth)
 
     def settle(self, depth: int, multiplicity: Optional[int] = None) -> RootBox:
         """The box of the cell of the given depth, or of r when a probe of
@@ -593,49 +576,41 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     hi, the midpoint or the simplest rational of that box names it.  Exact
     boxes pass through; for any other box, precision must be at least
     MIN_PRECISION.  A box from `isolate_real_roots(p)` or an earlier
-    refinement brings the oracle for p along, so p is not prepared again,
-    and the kernel that certified it, so refining goes on from its cell.
+    refinement carries the kernel that certified it, whose oracle holds p
+    prepared, so refining goes on from the box's cell.  Any other box, or
+    a box isolated for another polynomial, starts a new kernel on p.
     """
     if box.is_exact:
         return box
     precision = _check_precision(precision)
     f = _integers(p)
-    oracle = box._oracle
-    if oracle is None or oracle.f != f:
-        oracle = _Oracle(f)
-    cells, depth = _kernel(box, oracle)
+    cells, depth = box._cells, box._depth
+    if cells is None or cells.oracle.f != f:
+        cells, depth = _Cells.between(_Oracle(f), box.lo, box.hi), 0
     # the box is the cell of its depth, and the fewest halvings of it that
     # reach the width end at the deeper of that depth and depth_for's
     depth = max(depth, cells.depth_for(precision.numerator, precision.denominator))
     return cells.settle(cells.reach(depth), box.multiplicity)
 
 
-def _kernel(box: RootBox, oracle: _Oracle) -> tuple[_Cells, int]:
-    """The refinement kernel of a box for the oracle, with the box's depth
-    in it: the kernel the box carries, or a new one whose depth 0 is the box."""
-    if box._cells is not None and box._cells.oracle is oracle:
-        return box._cells, box._depth
-    return _Cells.between(oracle, box.lo, box.hi), 0
-
-
 def narrow_until(box: RootBox, bits: int, done) -> RootBox:
     """Narrow a box in stages, each 2**bits times narrower than the last,
-    until done(lo, hi, den), on the integer oracle that the box carries.
+    until done(lo, hi, den), in the kernel that the box carries.
 
-    The box must come from an isolation or a refinement, which attach the
-    oracle of its polynomial.  Each stage is the box that `refine_root_box`
-    gives for the stage before at width / 2**bits, with no floor on the
-    width: the same boxes and the same exact roots.  done is asked about
-    each box that is not exact, the given box first, as the integers of
-    (lo/den, hi/den], and the first box it accepts is returned.  The stages
-    go on in the kernel that certified the box, when it carries one, whose
-    secant steps certify cells ahead of the stage that asks for them.
+    A box that is not exact must come from an isolation or a refinement,
+    which attach the kernel that certified it.  Each stage is the box that
+    `refine_root_box` gives for the stage before at width / 2**bits, with
+    no floor on the width: the same boxes and the same exact roots.  done
+    is asked about each box that is not exact, the given box first, as the
+    integers of (lo/den, hi/den], and the first box it accepts is returned.
+    The kernel's secant steps certify cells ahead of the stage that asks
+    for them.
     """
     if box.is_exact:
         return box
-    if box._oracle is None:
+    cells, depth = box._cells, box._depth
+    if cells is None:
         raise ValueError("the box carries no oracle: isolate it first")
-    cells, depth = _kernel(box, box._oracle)
     lo, hi, den = cells.cell(depth)
     while not done(lo, hi, den):
         depth = cells.reach(depth + bits)

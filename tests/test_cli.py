@@ -1,6 +1,5 @@
 """End-to-end behavior of the `operon` command-line interface."""
 
-import importlib.util
 import json
 import os
 import random
@@ -762,33 +761,3 @@ def test_cli_output_is_byte_deterministic(lac_ode):
     second = subprocess.run(argv, capture_output=True, env=CHILD_ENV)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-
-
-# ---------------------------------------------------------------------------
-# scripts
-
-
-def test_bifurcation_sweep_script(capsys):
-    path = Path(__file__).parent.parent / "scripts" / "bifurcation_sweep.py"
-    spec = importlib.util.spec_from_file_location("bifurcation_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--samples", "3"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "steady-state polynomial:",
-        f"  {ELIMINANT}",
-        "",
-        "critical lactose values:",
-        "  L1 = 0.6845390   certified in (4060/5931, 1864/2723]",
-        "  L2 = 1.5105399   certified in (6521/4317, 5231/3463]",
-        "",
-        "steady-state count by region:",
-        "  (0.00000, 0.68454): 1",
-        "  (0.68454, 1.51054): 3",
-        "  (1.51054, inf): 1",
-        "",
-        "         L  branches (A values)",
-        "   0.10000  0.02225",
-        "   1.30000  0.30771  0.56589  3.48340",
-        "   2.50000  8.84319",
-    ]

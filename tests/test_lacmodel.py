@@ -52,6 +52,7 @@ from operon.realroots import RootBox, _integers, _Oracle, isolate_real_roots
 
 from conftest import (
     assert_handover_repeats,
+    on_new_kernel,
     ref_census_regions,
     ref_fold_level,
     ref_lactose_curve,
@@ -258,7 +259,11 @@ def test_eliminant_matches_resultant(consts):
 
 def test_critical_values_golden():
     boxes = critical_lactose_values(LacParams.defaults())
-    assert len(boxes) == 2
+    # the certified fold boxes themselves, each no wider than the precision
+    assert [(box.lo, box.hi) for box in boxes] == [
+        (F(4060, 5931), F(1864, 2723)),
+        (F(6521, 4317), F(5231, 3463)),
+    ]
     for box, ref in zip(boxes, CRITICAL):
         assert box.width <= DEFAULT_PRECISION
         assert abs(box.representative() - ref) < F(2, 10**6)
@@ -568,12 +573,12 @@ def test_handing_the_cell_over_repeats_on_the_bundled_model(n):
             elim = _eliminant(P, Q, L)
             for box in _Oracle(elim).isolate(precision, positive=True):
                 assert_handover_repeats(Poly("A", elim), box)
-                rebuilt = RootBox(box.lo, box.hi, box.multiplicity, box._oracle)
+                rebuilt = on_new_kernel(box)
                 assert _refine_residual(elim, box) == _refine_residual(elim, rebuilt) \
                     == _refine_residual(elim, box)
         for box in _Oracle(W).isolate(precision, positive=True):
             assert_handover_repeats(Poly("A", W), box, bits=1)
-            rebuilt = RootBox(box.lo, box.hi, box.multiplicity, box._oracle)
+            rebuilt = on_new_kernel(box)
             assert _fold_level(P, Q, box, precision) == _fold_level(P, Q, rebuilt, precision) \
                 == _fold_level(P, Q, box, precision)
 

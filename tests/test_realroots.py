@@ -17,7 +17,6 @@ from operon import realroots
 from operon.realroots import (
     MIN_PRECISION,
     RootBox,
-    cauchy_root_bound,
     count_real_roots,
     decimal_str,
     isolate_real_roots,
@@ -26,11 +25,11 @@ from operon.realroots import (
     simplest_rational,
     squarefree_part,
     sturm_chain,
-    yun_factors,
 )
 
 from conftest import (
     assert_handover_repeats,
+    on_new_kernel,
     poly_from_roots,
     random_distinct_rationals,
     random_rat_poly,
@@ -43,6 +42,15 @@ X = Poly.x("x")
 
 def ev(p, x):
     return substitute(p, p.var, F(x))
+
+
+def oracle_of(p):
+    return realroots._Oracle(integer_coeffs(clear_content(p)))
+
+
+def oracle_factors(p):
+    """The oracle's Yun factors of p, each made monic."""
+    return [(Poly(p.var, f) * F(1, f[-1]), k) for f, k in oracle_of(p).factors]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def test_yun_factors_reconstruct(rng):
         roots = random_distinct_rationals(rng, rng.randint(1, 3))
         pairs = [(r, rng.randint(1, 3)) for r in roots]
         p = poly_from_roots("x", pairs, lead=F(rng.randint(1, 5)))
-        factors = yun_factors(p)
+        factors = oracle_factors(p)
         rebuilt = Poly("x", [F(1)])
         for f, k in factors:
             rebuilt = rebuilt * f**k
@@ -288,7 +296,9 @@ def test_cauchy_bound_contains_roots(rng):
         p = poly_from_roots("x", [(r, 1) for r in roots], lead=F(rng.randint(1, 7)))
         if p.degree < 1:
             continue
-        bound = cauchy_root_bound(p)
+        bound = realroots._root_bound(p.coeffs)
+        # p is squarefree, and the oracle bisects within the same bound
+        assert oracle_of(p).bound == bound
         assert all(abs(r) < bound for r in roots)
 
 
@@ -372,7 +382,7 @@ def ref_refine(q, chain, a, b, precision):
 def ref_isolate(p, region, precision):
     q = ref_squarefree(p)
     chain = ref_chain(q)
-    bound = cauchy_root_bound(q)
+    bound = realroots._root_bound(q.coeffs)
     stack = [(F(0) if region == "positive" else -bound, bound)]
     boxes = []
     while stack:
@@ -486,7 +496,7 @@ def test_yun_matches_fraction_reference(rng):
             p = p * (X**2 - rng.choice([2, 3, F(1, 5)])) ** rng.randint(1, 5)
         cases.append(p)
     for p in cases:
-        assert yun_factors(p) == ref_yun(p)
+        assert oracle_factors(p) == ref_yun(p)
         # the multiplicities come from the oracle's own integer Yun
         boxes = isolate_real_roots(p, precision=F(1, 1000))
         assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == \
@@ -514,8 +524,7 @@ def assert_stages_match(p, box, bits, count):
         seen.append(RootBox(F(lo, den), F(hi, den), box.multiplicity))
         return len(seen) > count
 
-    oracle = realroots._Oracle(integer_coeffs(clear_content(p)))
-    got = narrow_until(RootBox(box.lo, box.hi, box.multiplicity, oracle), bits, done)
+    got = narrow_until(on_new_kernel(box, oracle_of(p)), bits, done)
     expected = [box]
     while len(expected) <= count and not expected[-1].is_exact:
         expected.append(ref_narrow(p, expected[-1], expected[-1].width / 2**bits))
@@ -610,6 +619,9 @@ def test_oracle_is_built_once_per_polynomial(monkeypatch):
                         lambda self, p: built.append(p) or original(self, p))
     p = (X**2 - 2) * (X - 5) * (X**2 - 3)
     boxes = isolate_real_roots(p)
+    # a box reaches the oracle through its kernel; the exact box of 5
+    # carries none
+    assert [b.exact for b in boxes if b._cells is None] == [5]
     for box in boxes:
         for _ in range(10):
             box = refine_root_box(p, box, box.width / 16)
