@@ -16,8 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import logic
 from .errors import IDENT, ParseError, source_lines
-from .gf2 import (BoolPoly, VarSet, decode_state, table_zeros, translate_expr, variable_tables,
-                  zero_codes)
+from .gf2 import BoolPoly, VarSet, decode_state, translate_expr, variable_tables, zero_codes
 from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
@@ -108,15 +107,15 @@ class BooleanNetwork:
     def fixed_points(self, params, method: str | None = None) -> list[State]:
         """States equal to their successor, sorted.
 
-        "enumerate" reads them off the agreement table, the OR over the
-        variables of rule XOR variable, which is 0 exactly at the fixed
-        points; "groebner" solves the polynomial system.  With no method,
+        "enumerate" reads them off the agreement table (`_agreement_zeros`)
+        and "groebner" solves the polynomial system.  With no method,
         `default_method` chooses by the number of variables.
         """
+        n = len(self.vars)
         if method is None:
-            method = default_method(len(self.vars))
+            method = default_method(n)
         if method == "enumerate":
-            return table_zeros(self._disagreement(params), len(self.vars))
+            return [decode_state(code, n) for code in self._agreement_zeros(params)]
         if method != "groebner":
             raise ValueError(f"unknown method {method!r}")
         return solve_boolean_system(self.to_polynomial_system(params), "groebner")
@@ -126,11 +125,9 @@ class BooleanNetwork:
         """Every parameter setting with its fixed points, the first parameter
         the most significant bit of the setting's code, in code order.
 
-        When the method resolves to "enumerate" and the parameters and
-        variables number at most ENUMERATE_CAP together, one agreement table
-        over both answers every setting: the parameters lead, so setting c
-        is the c-th block of 2^n digits.  Otherwise each setting is solved
-        alone.
+        On tables, with at most ENUMERATE_CAP parameters and variables, one
+        agreement table over both answers every setting; otherwise each
+        setting is solved alone.
         """
         n, k = len(self.vars), len(self.params)
         if method is None:
@@ -139,7 +136,7 @@ class BooleanNetwork:
         if method != "enumerate" or n + k > ENUMERATE_CAP:
             return [(s, self.fixed_points(s, method)) for s in settings]
         rows = [(s, []) for s in settings]
-        for code in zero_codes(self._disagreement(None), n + k):
+        for code in self._agreement_zeros(None):
             rows[code >> n][1].append(decode_state(code, n))
         return rows
 
@@ -155,19 +152,24 @@ class BooleanNetwork:
     def _successors(self, params) -> tuple[int, ...]:
         """Successor code of every state code, read off the rule tables.
 
-        The digits of each rule table become the bytes 0 and 1, one per
-        state, and so one integer with a byte per state; shifted to the
-        rule's bit of the code, these are ORed into one integer per byte of
-        the code.  Those fill the lanes of 1, 2 or 4 bytes per state, which
-        are read back little-endian in one call.
+        Each rule's truth table over the 2^n states, in the layout of
+        `gf2.variable_tables`, has its digits turned into the bytes 0 and 1,
+        one per state, and so one integer with a byte per state; shifted to
+        the rule's bit of the code, these are ORed into one integer per byte
+        of the code.  Those fill the lanes of 1, 2 or 4 bytes per state,
+        which are read back little-endian in one call.
         """
-        _, rule_tables = self._tables(params)
-        n = len(self.vars)
+        setting = self.check_params(params)
+        n = _capped(len(self.vars))
         size = 1 << n
+        full = (1 << size) - 1
+        env = dict(zip(self.vars.names, variable_tables(n)))
+        env.update((p, full * v) for p, v in setting.items())
         lane, kind = (1, "B") if n <= 8 else (2, "H") if n <= 16 else (4, "I")
         parts = [0] * lane
-        for i, table in enumerate(rule_tables):
+        for i, rule in enumerate(self.rules):
             bit = n - 1 - i
+            table = logic.evaluate(rule, env, full)
             digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
             parts[bit >> 3] |= int.from_bytes(digits, "little") << (bit & 7)
         codes = bytearray(size * lane)
@@ -175,36 +177,34 @@ class BooleanNetwork:
             codes[byte::lane] = part.to_bytes(size, "little")
         return struct.unpack(f"<{size}{kind}", codes)
 
-    def _disagreement(self, params) -> int:
-        """The agreement table: the OR over the variables of rule XOR
-        variable, laid out as `_tables(params)` lays out its tables."""
-        tables, rule_tables = self._tables(params)
-        disagree = 0
-        for x, rule in zip(tables, rule_tables):
-            disagree |= x ^ rule
-        return disagree
-
-    def _tables(self, params) -> tuple[list[int], Iterator[int]]:
-        """The truth tables of the variables and, one at a time, of the
-        update rules, in the layout of `gf2.variable_tables`.
-
-        Under a parameter setting they run over the 2^n states.  With params
-        None the parameters are table variables too, ahead of the state
-        variables, and the tables run over all 2^(k+n) (setting, state) codes.
-        """
+    def _agreement_zeros(self, params) -> Iterator[int]:
+        """Ascending codes where the OR over the variables of rule XOR variable
+        reads 0: the fixed points under params, or with params None the
+        (setting, state) pairs, parameters leading; blocks bind high variables."""
         if params is None:
-            setting, lead = {}, len(self.params)
+            setting, names = {}, self.params + self.vars.names
         else:
-            setting, lead = self.check_params(params), 0
-        width = lead + len(self.vars)
-        if width > ENUMERATE_CAP:
-            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {width})")
-        full = (1 << (1 << width)) - 1
-        tables = variable_tables(width)
-        env = dict(zip(self.params, tables[:lead]))
-        env.update(zip(self.vars.names, tables[lead:]))
-        env.update((p, full * v) for p, v in setting.items())
-        return tables[lead:], (logic.evaluate(r, env, full) for r in self.rules)
+            setting, names = self.check_params(params), self.vars.names
+
+        def tabulate(h, tables, full):
+            env = {p: full * v for p, v in setting.items()}
+            env.update(zip(names[h:], tables))
+
+            def block(high):
+                env.update(zip(names, [full * b for b in decode_state(high, h)]))
+                disagree = 0
+                for x, rule in zip(self.vars.names, self.rules):
+                    disagree |= env[x] ^ logic.evaluate(rule, env, full)
+                return disagree
+            return block
+
+        return zero_codes(_capped(len(names)), tabulate)
+
+
+def _capped(width: int) -> int:
+    if width > ENUMERATE_CAP:
+        raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {width})")
+    return width
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,7 @@ class StateGraph:
     attractor_of: tuple[int, ...]
 
     def bitstring(self, code: int) -> str:
-        n = len(self.vars)
-        return format(code, f"0{n}b")
+        return format(code, f"0{len(self.vars)}b")
 
     def attractor_states(self, idx: int) -> tuple[State, ...]:
         n = len(self.vars)

@@ -10,7 +10,7 @@ pairs that collide.  This keeps every element of the ring in canonical form.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import logic
 from .errors import IDENT, ParseError, TOKEN, scan_error
@@ -179,11 +179,7 @@ class BoolPoly:
         acc: set[int] = set()
         for a in self.monomials:
             for b in other.monomials:
-                m = a | b
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
+                acc ^= {a | b}
         return BoolPoly(self.vars, acc)
 
     def support_mask(self) -> int:
@@ -218,22 +214,14 @@ class BoolPoly:
         bit = 1 << i
         acc: set[int] = set()
         for m in self.monomials:
-            if m & bit and not value & 1:
-                continue
-            mm = m & ~bit
-            if mm in acc:
-                acc.discard(mm)
-            else:
-                acc.add(mm)
+            if value & 1 or not m & bit:
+                acc ^= {m & ~bit}
         return BoolPoly(self.vars, acc)
 
     def leading_monomial(self, order: MonomialOrder) -> int:
         if not self.monomials:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.monomials, key=order.keys.__getitem__)
-
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.monomials), default=-1)
 
     def __eq__(self, other):
         return (
@@ -310,21 +298,25 @@ def decode_state(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def zero_codes(table: int, n: int) -> list[int]:
-    """The codes where a truth table over n variables reads 0, ascending."""
-    digits = format(table, f"0{1 << n}b")
-    out = []
-    code = digits.find("0")
-    while code >= 0:
-        out.append(code)
-        code = digits.find("0", code + 1)
-    return out
+BLOCK_VARS = 16  # the widest table built at once: 2^16 digits, 8 KB
 
 
-def table_zeros(table: int, n: int) -> list[tuple[int, ...]]:
-    """The points where a truth table over n variables reads 0, in
-    ascending order of code, which is the order of the points as tuples."""
-    return [decode_state(code, n) for code in zero_codes(table, n)]
+def zero_codes(n: int, tabulate) -> Iterator[int]:
+    """The codes of n variables where a truth table reads 0, ascending.
+
+    Each block fixes the top h = n - w variables, a code's high bits, and
+    runs over the w = min(n, BLOCK_VARS) low ones: `tabulate(h,
+    variable_tables(w), full)` maps a high code to its block's table.
+    """
+    w = min(n, BLOCK_VARS)
+    h = n - w
+    block = tabulate(h, variable_tables(w), (1 << (1 << w)) - 1)
+    for high in range(1 << h):
+        digits = format(block(high), f"0{1 << w}b")
+        code = digits.find("0")
+        while code >= 0:
+            yield high << w | code
+            code = digits.find("0", code + 1)
 
 
 def monomial_str(mask: int, vars: VarSet) -> str:

@@ -13,12 +13,13 @@ Weispfenning's UPDATE) before they are queued.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParseError, source_lines
-from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, parse_poly, table_zeros,
-                  variable_tables)
+from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, decode_state, parse_poly,
+                  zero_codes)
 
 ENUMERATE_CAP = 24
 
@@ -240,38 +241,28 @@ def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -
     return GroebnerBasis(vars, order, reduced)
 
 
-# Without a method, a solve reads its zero set off truth tables in up to
-# this many variables and runs Buchberger past it.  The tables double with
-# each variable: on a 2-core Xeon VM with CPython 3.11, random in-degree-3
-# networks took a median of 11 ms on tables and 12 ms by Groebner basis in
-# 20 variables, but 24 against 6 ms in 21.  Planted quadratic systems in 20
-# variables take milliseconds on tables and may run Buchberger for tens of
-# seconds.
-TABLE_VARS = 20
-
-
 def default_method(n: int) -> str:
-    """"enumerate" in up to TABLE_VARS variables, else "groebner"."""
-    return "enumerate" if n <= TABLE_VARS else "groebner"
+    """"enumerate" in up to ENUMERATE_CAP variables, else "groebner"."""
+    return "enumerate" if n <= ENUMERATE_CAP else "groebner"
 
 
 def solve_boolean_system(system: PolySystem, method: str | None = None) -> list[tuple[int, ...]]:
     """All common 0/1 zeros of the system, as sorted tuples in variable order.
 
-    "enumerate" reads them off truth tables over all 2^n points, and
-    "groebner" off the reduced basis; with no method, `default_method`
-    chooses by the number of variables.
+    "enumerate" reads them off the OR of the generators' truth tables,
+    built in blocks of at most `gf2.BLOCK_VARS` variables, and "groebner"
+    off the reduced basis; with no method, `default_method` chooses by the
+    number of variables.
     """
     n = len(system.vars)
     if method is None:
         method = default_method(n)
     if method == "enumerate":
         if n > ENUMERATE_CAP:
-            raise ValueError(
-                f"enumeration is capped at {ENUMERATE_CAP} variables "
-                f"(got {n}); use method='groebner'"
-            )
-        return table_zeros(_nonzero_table(system), n)
+            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n}); "
+                             "use method='groebner'")
+        block = partial(_nonzero_block, system.generators)
+        return [decode_state(code, n) for code in zero_codes(n, block)]
     if method != "groebner":
         raise ValueError(f"unknown method {method!r}")
 
@@ -314,22 +305,47 @@ def _split(polys, assigned, vars, order, out):
         _split(list(sub.polys), {**assigned, x: b}, vars, order, out)
 
 
-def _nonzero_table(system: PolySystem) -> int:
-    # the OR of the generators' truth tables: a generator's table is the XOR
-    # of its monomials', and a monomial's the AND of its variables'
-    n = len(system.vars)
-    tables = variable_tables(n)
-    full = (1 << (1 << n)) - 1
-    nonzero = 0
-    for g in system.generators:
-        value = 0
+class _MonomialTables(dict):
+    """Truth tables of monomials by mask, each computed once."""
+
+    __slots__ = ()
+
+    def __init__(self, tables: list[int], full: int):
+        super().__init__(zip([1 << i for i in range(len(tables))], tables))
+        self[0] = full
+
+    def __missing__(self, mask: int) -> int:
+        table = self[mask] = self[mask & (mask - 1)] & self[mask & -mask]
+        return table
+
+
+def _nonzero_block(generators, h, tables, full):
+    # the OR of the generators' tables, as a block function for `zero_codes`:
+    # monomials free of the high variables 0..h-1 count in every block, the
+    # others where the high code covers their high part, reversed to code order
+    low = _MonomialTables(tables, full)
+    high_mask = (1 << h) - 1
+    groups = []
+    for g in generators:
+        always, parts = 0, {}
         for m in g.monomials:
-            t = full
-            for i in _bit_indices(m):
-                t &= tables[i]
-            value ^= t
-        nonzero |= value
-    return nonzero
+            part = m & high_mask
+            if part:
+                part = int(f"{part:0{h}b}"[::-1], 2)
+                parts[part] = parts.get(part, 0) ^ low[m >> h]
+            else:
+                always ^= low[m >> h]
+        groups.append((always, tuple(parts.items())))
+
+    def block(high):
+        nonzero = 0
+        for value, parts in groups:
+            for part, table in parts:
+                if part & ~high == 0:
+                    value ^= table
+            nonzero |= value
+        return nonzero
+    return block
 
 
 def parse_system(text: str) -> PolySystem:

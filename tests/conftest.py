@@ -29,7 +29,7 @@ from operon.realroots import (
     squarefree_part,
     sturm_chain,
 )
-from operon.gf2 import BoolPoly, VarSet
+from operon.gf2 import BoolPoly, VarSet, variable_tables
 from operon.groebner import PolySystem
 
 SEED = 20260816
@@ -280,6 +280,20 @@ def planted_system(rng, n):
             monos.add(0)
         gens.append(BoolPoly(vars, monos))
     return PolySystem(vars, gens), planted
+
+
+def fix_leading(system, prefix):
+    """The system with its leading variables fixed to the 0/1 values in
+    prefix, over the variables that remain, so that `ref_enumerate` can
+    check one slice of a system too large to enumerate whole."""
+    h = len(prefix)
+    vars = VarSet(system.vars.names[h:])
+    gens = []
+    for g in system.generators:
+        for i, b in enumerate(prefix):
+            g = g.substitute_index(i, b)
+        gens.append(BoolPoly(vars, [m >> h for m in g.monomials]))
+    return PolySystem(vars, gens)
 
 
 def ref_enumerate(system):
@@ -678,8 +692,10 @@ def ref_buchberger(system, order):
 def ref_successors(net, params):
     """`net.state_graph(params).successors`, as a list: the rule tables read
     column by column spell out the successor codes."""
-    _, rule_tables = net._tables(params)
     size = 1 << len(net.vars)
+    env = dict(zip(net.vars.names, variable_tables(len(net.vars))))
+    env.update((p, ((1 << size) - 1) * v) for p, v in params.items())
+    rule_tables = [logic.evaluate(rule, env, (1 << size) - 1) for rule in net.rules]
     columns = zip(*(format(t, f"0{size}b") for t in rule_tables))
     return [int("".join(column), 2) for column in columns]
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from operon import boolnet, logic
+from operon import boolnet, gf2, logic
 from operon.boolnet import (
     BooleanNetwork,
     decode_state,
@@ -17,7 +17,7 @@ from operon.boolnet import (
 )
 from operon.errors import ParseError
 from operon.gf2 import VarSet
-from operon.groebner import TABLE_VARS, solve_boolean_system
+from operon.groebner import ENUMERATE_CAP, solve_boolean_system
 
 from conftest import SEED, random_expr, ref_attractors, ref_successors
 
@@ -211,12 +211,12 @@ def test_agreement_table_matches_step(net):
 
 
 def test_route_choice_at_the_table_width(monkeypatch):
-    # a ring shift register in TABLE_VARS variables takes the agreement
+    # a ring shift register in ENUMERATE_CAP variables takes the agreement
     # table; one variable more, the Groebner basis
     solves = []
     monkeypatch.setattr(boolnet, "solve_boolean_system",
                         lambda *args: solves.append(args) or solve_boolean_system(*args))
-    for n, expected_solves in ((TABLE_VARS, 0), (TABLE_VARS + 1, 1)):
+    for n, expected_solves in ((ENUMERATE_CAP, 0), (ENUMERATE_CAP + 1, 1)):
         names = [f"x{i}" for i in range(n)]
         rules = tuple(logic.Var(names[(i + 1) % n]) for i in range(n))
         net = BooleanNetwork("shift", VarSet(names), (), rules)
@@ -311,6 +311,48 @@ def test_truth_table_kernel_matches_step(n):
             cycles = [decode_state(cyc[0], n) for cyc in graph.attractors if len(cyc) == 1]
             for method in (None, "enumerate", "groebner"):
                 assert net.fixed_points(setting, method=method) == cycles
+
+
+def half_identity_network(rng, n, k):
+    """A random network whose even-indexed variables copy themselves, so
+    that its fixed points are many and spread over every block."""
+    net = random_network(rng, n, k)
+    rules = tuple(logic.Var(x) if i % 2 == 0 else rule
+                  for i, (x, rule) in enumerate(zip(net.vars.names, net.rules)))
+    return BooleanNetwork("half", net.vars, net.params, rules)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_agreement_blocks_match_step(monkeypatch, width):
+    # agreement tables in blocks of 2 or 3 variables: the parameters, and
+    # after them the leading state variables, are the fixed high bits of
+    # many blocks
+    monkeypatch.setattr(gf2, "BLOCK_VARS", width)
+    rng = random.Random(SEED + 300 + width)
+    for n in range(1, 9):
+        for k in range(4):
+            for net in (random_network(rng, n, k), half_identity_network(rng, n, k)):
+                states = [decode_state(code, n) for code in range(1 << n)]
+                rows = []
+                for setting in settings_of(net):
+                    expected = [s for s in states if net.step(s, setting) == s]
+                    assert net.fixed_points(setting) == expected
+                    assert net.fixed_points(setting, "enumerate") == expected
+                    rows.append((setting, expected))
+                assert net.fixed_points_by_setting() == rows
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_agreement_blocks_at_the_real_width(n):
+    # 2 to 16 blocks of 16 state variables, and up to 64 over the
+    # parameters and variables together, against the Groebner engine
+    rng = random.Random(SEED + 500 + n)
+    for k in (0, 2):
+        net = half_identity_network(rng, n, k)
+        rows = net.fixed_points_by_setting()
+        assert rows == [(s, net.fixed_points(s, "groebner")) for s in settings_of(net)]
+        assert [points for _, points in rows] == [net.fixed_points(s) for s in settings_of(net)]
+        assert any(points for _, points in rows)
 
 
 def check_against_references(net, setting):

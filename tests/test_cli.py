@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from operon import __version__, boolnet, cli, gf2, groebner, model_path
 from operon.cli import lactose_range, main, parse_rational
 from operon.errors import source_lines
 
-from conftest import SEED
+from conftest import SEED, planted_system
 
 F = Fraction
 
@@ -141,7 +142,7 @@ def test_fixed_points_methods_agree(capsys, lac_bn):
 def test_fixed_points_with_parameter_gated_products(capsys, tmp_path):
     # x0' = (p1 | x1) & ... & (p20 | x20) over 25 variables, the others
     # copying x0: over free parameters the rule has 3^20 monomials, but in one
-    # setting it is a single product, and past TABLE_VARS variables the
+    # setting it is a single product, and past ENUMERATE_CAP variables the
     # default route is the Groebner basis
     names = [f"x{i}" for i in range(25)]
     params = [f"p{i}" for i in range(1, 21)]
@@ -358,8 +359,9 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     model = _parameter_network(tmp_path / "four.bn", 4)
     monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 6)
     tables, solves = [], []
-    monkeypatch.setattr(boolnet, "variable_tables",
-                        lambda n: tables.append(n) or gf2.variable_tables(n))
+    variable_tables = gf2.variable_tables
+    monkeypatch.setattr(gf2, "variable_tables",
+                        lambda n: tables.append(n) or variable_tables(n))
     monkeypatch.setattr(boolnet, "solve_boolean_system",
                         lambda *args: solves.append(args) or groebner.solve_boolean_system(*args))
     code, table, _ = run(capsys, "fixed-points", model, "--all-params")
@@ -373,29 +375,56 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     assert tables == [2] * 16 and solves == []
 
 
-def test_all_params_at_the_cap_is_one_pass(capsys, tmp_path):
-    # 12 parameters over 12 variables: the one agreement table over 2^24
-    # codes took about 0.35 s; cutting it into the 4,096 settings by one
-    # shift per setting took 1.4 s more
+def _cap_network(path):
+    # 12 parameters over 12 variables, each rule reading two of each
     names = [f"x{i}" for i in range(12)]
     params = [f"p{i}" for i in range(12)]
     rules = [f"{x}' = (x{(i + 1) % 12} & p{i}) ^ (x{(i + 2) % 12} | !p{(i + 1) % 12})"
              for i, x in enumerate(names)]
-    model = tmp_path / "cap.bn"
-    model.write_text(f"network cap\nvars: {', '.join(names)}\nparams: {', '.join(params)}\n"
-                     + "\n".join(rules) + "\n")
+    path.write_text(f"network cap\nvars: {', '.join(names)}\nparams: {', '.join(params)}\n"
+                    + "\n".join(rules) + "\n")
+    return str(path), params
+
+
+def test_all_params_at_the_cap_is_one_pass(capsys, tmp_path):
+    # 12 parameters over 12 variables: the one agreement table over 2^24
+    # codes, in 256 blocks, takes about 0.2 s; cutting a flat table into
+    # the 4,096 settings by one shift per setting took 1.4 s more
+    model, params = _cap_network(tmp_path / "cap.bn")
     start = time.perf_counter()
-    code, out, err = run(capsys, "fixed-points", str(model), "--all-params")
+    code, out, err = run(capsys, "fixed-points", model, "--all-params")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert len(lines) == 4096
-    net = boolnet.load_network(str(model))
+    net = boolnet.load_network(model)
     for c in (0, 1, 2047, 4095):
         setting = dict(zip(params, gf2.decode_state(c, 12)))
         label = ",".join(f"{p}={v}" for p, v in setting.items())
         points = " ".join("".join(map(str, p)) for p in net.fixed_points(setting, "groebner"))
         assert lines[c] == f"{label}: {points}"
+
+
+def test_table_memory_at_the_cap(capsys, tmp_path):
+    # flat truth tables over 2^24 codes held one 2 MB table per variable and
+    # a 16 MB digit string: tracemalloc peaks of 67 MB for --all-params on
+    # 12 + 12 and 60 MB for a solve in 24 variables.  Blocks of 16 variables
+    # hold 8 KB tables; the peaks are 4 MB, most of it the 4,096 printed
+    # rows, and 1 MB
+    model, _ = _cap_network(tmp_path / "cap.bn")
+    system, _ = planted_system(random.Random(SEED), 24)
+    planted = tmp_path / "planted.gf2"
+    planted.write_text(f"vars: {' '.join(system.vars.names)}\n"
+                       + "".join(f"{gf2.format_poly(g)}\n" for g in system.generators))
+    for argv in (("fixed-points", model, "--all-params"), ("solve", str(planted))):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out and err == ""
+        assert peak < 8 * 2 ** 20, argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Buchberger-based bases and the Boolean system solver."""
 
+import random
 import time
 from collections import Counter
 
@@ -9,7 +10,7 @@ from operon import gf2, groebner
 from operon.errors import ParseError
 from operon.gf2 import BoolPoly, MonomialOrder, VarSet, parse_poly
 from operon.groebner import (
-    TABLE_VARS,
+    ENUMERATE_CAP,
     PolySystem,
     buchberger_reduced,
     load_system,
@@ -19,8 +20,8 @@ from operon.groebner import (
     solve_boolean_system,
 )
 
-from conftest import (planted_system, random_bool_poly, random_system, ref_buchberger,
-                      ref_enumerate, rename)
+from conftest import (SEED, fix_leading, planted_system, random_bool_poly, random_system,
+                      ref_buchberger, ref_enumerate, rename)
 
 ON_STATE_BASIS = [
     "x1 + 1",
@@ -329,7 +330,7 @@ def test_solver_methods_agree_on_random_systems(rng):
 
 
 def test_route_choice_at_the_table_width(monkeypatch):
-    # TABLE_VARS variables: truth tables, and no Buchberger run; one
+    # ENUMERATE_CAP variables: truth tables, and no Buchberger run; one
     # variable more: the reduced basis
     runs = 0
     engine = groebner.buchberger_reduced
@@ -340,11 +341,69 @@ def test_route_choice_at_the_table_width(monkeypatch):
         return engine(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger_reduced", counted)
-    for n, expected_runs in ((TABLE_VARS, 0), (TABLE_VARS + 1, 1)):
+    for n, expected_runs in ((ENUMERATE_CAP, 0), (ENUMERATE_CAP + 1, 1)):
         vars = VarSet(f"x{i + 1}" for i in range(n))
         system = PolySystem(vars, [BoolPoly.variable(vars, name) for name in vars.names])
         assert solve_boolean_system(system) == [(0,) * n]
         assert runs == expected_runs
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_table_blocks_match_the_point_loop(monkeypatch, rng, width):
+    # tables in blocks of 2 or 3 variables, so that systems in up to 10
+    # variables cross up to 256 blocks and their monomials split into every
+    # mix of high and low parts
+    monkeypatch.setattr(gf2, "BLOCK_VARS", width)
+    systems = [random_system(rng) for _ in range(60)] + edge_systems()
+    systems += [planted_system(rng, n)[0] for n in range(5, 11)]
+    for system in systems:
+        expected = ref_enumerate(system)
+        assert solve_boolean_system(system) == expected
+        assert solve_boolean_system(system, "enumerate") == expected
+
+
+def planted_point(planted, n):
+    return tuple((planted >> i) & 1 for i in range(n))
+
+
+def assert_slices_enumerate(system, solutions, prefixes):
+    # the solutions whose leading variables read prefix, against the point
+    # loop over the other variables
+    h = len(next(iter(prefixes)))
+    for prefix in prefixes:
+        assert ([s[h:] for s in solutions if s[:h] == prefix]
+                == ref_enumerate(fix_leading(system, prefix)))
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_table_blocks_at_the_real_width(n):
+    # 2 to 16 blocks of 16 variables; each checked slice is one block
+    rng = random.Random(SEED + n)
+    system, planted = planted_system(rng, n)
+    solutions = solve_boolean_system(system)
+    h = n - gf2.BLOCK_VARS
+    point = planted_point(planted, n)
+    assert point in solutions
+    prefixes = {point[:h], (0,) * h, (1,) * h}
+    assert_slices_enumerate(system, solutions, prefixes)
+
+
+@pytest.mark.parametrize("n", [21, 22, 24])
+def test_default_solve_past_twenty_variables(n):
+    # without a method these took the Buchberger route past 20 variables,
+    # which needed more than 2 s for the pair at n = 21 and more than 30 s
+    # at n = 22 and 24; on tables in blocks of 16 variables each solve takes
+    # milliseconds
+    rng = random.Random(SEED + n)
+    systems = [planted_system(rng, n) for _ in range(2)]
+    start = time.perf_counter()
+    solutions = [solve_boolean_system(system) for system, _ in systems]
+    assert time.perf_counter() - start < 2.0
+    for (system, planted), sols in zip(systems, solutions):
+        assert sols == solve_boolean_system(system, "enumerate")
+        point = planted_point(planted, n)
+        assert point in sols
+        assert_slices_enumerate(system, sols, {point[:n - gf2.BLOCK_VARS]})
 
 
 def test_planted_solve_budget(rng):
