@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import re
-import struct
-from collections import Counter
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, xor
 from typing import Iterator, Mapping, Sequence
 
 from . import logic
 from .errors import IDENT, ParseError, source_lines
-from .gf2 import BoolPoly, VarSet, decode_state, translate_expr, variable_tables, zero_codes
+from .gf2 import (BoolPoly, VarSet, block_width, blocks, decode_state, translate_expr,
+                  zero_codes)
 from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
@@ -125,15 +128,14 @@ class BooleanNetwork:
         """Every parameter setting with its fixed points, the first parameter
         the most significant bit of the setting's code, in code order.
 
-        On tables, with at most ENUMERATE_CAP parameters and variables, one
-        agreement table over both answers every setting; otherwise each
-        setting is solved alone.
+        On tables one agreement table over the parameters and variables
+        answers every setting; "groebner" solves each setting alone.
         """
         n, k = len(self.vars), len(self.params)
         if method is None:
             method = default_method(n)
         settings = [dict(zip(self.params, decode_state(c, k))) for c in range(1 << k)]
-        if method != "enumerate" or n + k > ENUMERATE_CAP:
+        if method != "enumerate":
             return [(s, self.fixed_points(s, method)) for s in settings]
         rows = [(s, []) for s in settings]
         for code in self._agreement_zeros(None):
@@ -149,62 +151,58 @@ class BooleanNetwork:
         succ = self._successors(params)
         return StateGraph(self.vars, succ, *_attractors(succ))
 
-    def _successors(self, params) -> tuple[int, ...]:
+    def _successors(self, params) -> array:
         """Successor code of every state code, read off the rule tables.
 
-        Each rule's truth table over the 2^n states, in the layout of
-        `gf2.variable_tables`, has its digits turned into the bytes 0 and 1,
-        one per state, and so one integer with a byte per state; shifted to
-        the rule's bit of the code, these are ORed into one integer per byte
-        of the code.  Those fill the lanes of 1, 2 or 4 bytes per state,
-        which are read back little-endian in one call.
+        In each block of `gf2.blocks`, each rule's table has its digits turned
+        into the bytes 0 and 1, one per state; shifted to the rule's bit of
+        the code, these are ORed into one integer per byte of the code, which
+        fill little-endian lanes of 1, 2 or 4 bytes per state in the array.
         """
         setting = self.check_params(params)
-        n = _capped(len(self.vars))
-        size = 1 << n
-        full = (1 << size) - 1
-        env = dict(zip(self.vars.names, variable_tables(n)))
-        env.update((p, full * v) for p, v in setting.items())
-        lane, kind = (1, "B") if n <= 8 else (2, "H") if n <= 16 else (4, "I")
-        parts = [0] * lane
-        for i, rule in enumerate(self.rules):
-            bit = n - 1 - i
-            table = logic.evaluate(rule, env, full)
-            digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
-            parts[bit >> 3] |= int.from_bytes(digits, "little") << (bit & 7)
-        codes = bytearray(size * lane)
-        for byte, part in enumerate(parts):
-            codes[byte::lane] = part.to_bytes(size, "little")
-        return struct.unpack(f"<{size}{kind}", codes)
+        n = len(self.vars)
+        size = 1 << block_width(n)
+        succ = array("B" if n <= 8 else "H" if n <= 16 else "I")
+        lane = succ.itemsize
+        for _, rule_tables in self._block_tables(self.vars.names, setting):
+            parts = [0] * lane
+            for bit, table in zip(range(n - 1, -1, -1), rule_tables):
+                digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
+                parts[bit >> 3] |= int.from_bytes(digits, "little") << (bit & 7)
+            codes = bytearray(size * lane)
+            for byte, part in enumerate(parts):
+                codes[byte::lane] = part.to_bytes(size, "little")
+            succ.frombytes(codes)
+        if sys.byteorder == "big":
+            succ.byteswap()
+        return succ
 
     def _agreement_zeros(self, params) -> Iterator[int]:
         """Ascending codes where the OR over the variables of rule XOR variable
         reads 0: the fixed points under params, or with params None the
-        (setting, state) pairs, parameters leading; blocks bind high variables."""
+        (setting, state) pairs, parameters leading."""
         if params is None:
             setting, names = {}, self.params + self.vars.names
         else:
             setting, names = self.check_params(params), self.vars.names
+        disagree = (reduce(or_, map(xor, var_tables, rule_tables), 0)
+                    for var_tables, rule_tables in self._block_tables(names, setting))
+        return zero_codes(len(names), disagree)
 
-        def tabulate(h, tables, full):
-            env = {p: full * v for p, v in setting.items()}
-            env.update(zip(names[h:], tables))
-
-            def block(high):
-                env.update(zip(names, [full * b for b in decode_state(high, h)]))
-                disagree = 0
-                for x, rule in zip(self.vars.names, self.rules):
-                    disagree |= env[x] ^ logic.evaluate(rule, env, full)
-                return disagree
-            return block
-
-        return zero_codes(_capped(len(names)), tabulate)
-
-
-def _capped(width: int) -> int:
-    if width > ENUMERATE_CAP:
-        raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {width})")
-    return width
+    def _block_tables(self, names, setting) -> Iterator[tuple[list[int], list[int]]]:
+        """In each block of `gf2.blocks` over names, the leading ones the high
+        bits, in order of the high code: the tables of the variables and of
+        their rules, with the parameters not in names bound to setting."""
+        n = len(self.vars)
+        if n > ENUMERATE_CAP:
+            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
+        h, tables, full = blocks(len(names))
+        env = {p: full * v for p, v in setting.items()}
+        env.update(zip(names[h:], tables))
+        for high in range(1 << h):
+            env.update(zip(names, [full * b for b in decode_state(high, h)]))
+            yield ([env[x] for x in self.vars.names],
+                   [logic.evaluate(rule, env, full) for rule in self.rules])
 
 
 @dataclass(frozen=True)
@@ -237,10 +235,10 @@ class StateGraph:
     """Complete successor map on all 2^n states (out-degree one everywhere)."""
 
     vars: VarSet
-    successors: tuple[int, ...]
+    successors: array  # of state codes
     attractors: tuple[tuple[int, ...], ...]  # state codes, smallest member first
     basin_sizes: tuple[int, ...]
-    attractor_of: tuple[int, ...]
+    attractor_of: array  # of indices into attractors
 
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
@@ -279,39 +277,40 @@ def _attractors(succ):
     """The cycles of a functional graph, the number of states that flow to
     each, and the index of the cycle each state flows to.
 
-    A state flows where its successor does, so only states in the image of
-    succ are walked.  A walk marks the states on its path -2: reaching a
-    marked state closes a new cycle, reaching a labelled one joins an old
-    basin.  Cycles are ranked short first, then by smallest member, and
-    start at their smallest member.
+    A state flows where its successor does, so a walk starts at each state's
+    successor and counts the state.  A walk marks the states on its path
+    -2: reaching a marked state closes a new cycle, reaching a labelled one
+    joins an old basin.  Cycles are ranked short first, then by smallest
+    member, and start at their smallest member.
     """
     label = [-1] * len(succ)
     cycles: list[list[int]] = []
-    for start in set(succ):
-        if label[start] != -1:
-            continue
-        path = []
-        cur = start
-        while label[cur] == -1:
-            label[cur] = -2
-            path.append(cur)
-            cur = succ[cur]
-        found = label[cur]
-        if found == -2:
-            cycle = path[path.index(cur) :]
-            low = cycle.index(min(cycle))
-            found = len(cycles)
-            cycles.append(cycle[low:] + cycle[:low])
-        for c in path:
-            label[c] = found
+    sizes: list[int] = []
+    for start in succ:
+        found = label[start]
+        if found == -1:
+            path = []
+            cur = start
+            while label[cur] == -1:
+                label[cur] = -2
+                path.append(cur)
+                cur = succ[cur]
+            found = label[cur]
+            if found == -2:
+                cycle = path[path.index(cur) :]
+                low = cycle.index(min(cycle))
+                found = len(cycles)
+                cycles.append(cycle[low:] + cycle[:low])
+                sizes.append(0)
+            for c in path:
+                label[c] = found
+        sizes[found] += 1
     ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
-    rank = [0] * len(ranked)
-    for new, old in enumerate(ranked):
-        rank[old] = new
-    attractor_of = tuple([rank[label[nxt]] for nxt in succ])
-    basins = Counter(attractor_of)
-    return (tuple(tuple(cycles[a]) for a in ranked), tuple(basins[a] for a in range(len(ranked))),
-            attractor_of)
+    rank = {old: new for new, old in enumerate(ranked)}
+    attractor_of = array(succ.typecode)
+    for low in range(0, len(succ), 1 << 16):
+        attractor_of += array(succ.typecode, [rank[label[c]] for c in succ[low : low + (1 << 16)]])
+    return tuple(tuple(cycles[a]) for a in ranked), tuple(sizes[a] for a in ranked), attractor_of
 
 
 def fixed_points_json(points: Sequence[State]) -> str:

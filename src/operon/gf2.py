@@ -301,18 +301,29 @@ def decode_state(code: int, n: int) -> tuple[int, ...]:
 BLOCK_VARS = 16  # the widest table built at once: 2^16 digits, 8 KB
 
 
-def zero_codes(n: int, tabulate) -> Iterator[int]:
+def block_width(n: int) -> int:
+    """The w = min(n, BLOCK_VARS) low variables of n that run through one
+    block's table; the top n - w are fixed per block, a code's high bits."""
+    return min(n, BLOCK_VARS)
+
+
+def blocks(n: int) -> tuple[int, list[int], int]:
+    """The number h of fixed high variables of n, the tables of the
+    w = `block_width(n)` low ones over the 2^w codes of a block, and the
+    all-ones table of a block."""
+    w = block_width(n)
+    return n - w, variable_tables(w), (1 << (1 << w)) - 1
+
+
+def zero_codes(n: int, tables: Iterable[int]) -> Iterator[int]:
     """The codes of n variables where a truth table reads 0, ascending.
 
-    Each block fixes the top h = n - w variables, a code's high bits, and
-    runs over the w = min(n, BLOCK_VARS) low ones: `tabulate(h,
-    variable_tables(w), full)` maps a high code to its block's table.
+    tables yields the table of each block of `blocks(n)`, in order of the
+    high code.
     """
-    w = min(n, BLOCK_VARS)
-    h = n - w
-    block = tabulate(h, variable_tables(w), (1 << (1 << w)) - 1)
-    for high in range(1 << h):
-        digits = format(block(high), f"0{1 << w}b")
+    w = block_width(n)
+    for high, table in enumerate(tables):
+        digits = format(table, f"0{1 << w}b")
         code = digits.find("0")
         while code >= 0:
             yield high << w | code

@@ -13,13 +13,12 @@ Weispfenning's UPDATE) before they are queued.
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParseError, source_lines
-from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, decode_state, parse_poly,
-                  zero_codes)
+from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, blocks, decode_state,
+                  parse_poly, zero_codes)
 
 ENUMERATE_CAP = 24
 
@@ -261,8 +260,8 @@ def solve_boolean_system(system: PolySystem, method: str | None = None) -> list[
         if n > ENUMERATE_CAP:
             raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n}); "
                              "use method='groebner'")
-        block = partial(_nonzero_block, system.generators)
-        return [decode_state(code, n) for code in zero_codes(n, block)]
+        nonzero = _nonzero_tables(system.generators, n)
+        return [decode_state(code, n) for code in zero_codes(n, nonzero)]
     if method != "groebner":
         raise ValueError(f"unknown method {method!r}")
 
@@ -319,10 +318,11 @@ class _MonomialTables(dict):
         return table
 
 
-def _nonzero_block(generators, h, tables, full):
-    # the OR of the generators' tables, as a block function for `zero_codes`:
-    # monomials free of the high variables 0..h-1 count in every block, the
-    # others where the high code covers their high part, reversed to code order
+def _nonzero_tables(generators, n):
+    # the OR of the generators' tables in each block of `blocks(n)`: monomials
+    # free of the high variables 0..h-1 count in every block, the others
+    # where the high code covers their high part, reversed to code order
+    h, tables, full = blocks(n)
     low = _MonomialTables(tables, full)
     high_mask = (1 << h) - 1
     groups = []
@@ -336,16 +336,14 @@ def _nonzero_block(generators, h, tables, full):
             else:
                 always ^= low[m >> h]
         groups.append((always, tuple(parts.items())))
-
-    def block(high):
+    for high in range(1 << h):
         nonzero = 0
         for value, parts in groups:
             for part, table in parts:
                 if part & ~high == 0:
                     value ^= table
             nonzero |= value
-        return nonzero
-    return block
+        yield nonzero
 
 
 def parse_system(text: str) -> PolySystem:

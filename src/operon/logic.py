@@ -53,8 +53,8 @@ Expr = Union[Var, Const, Not, And, Or, Xor]
 MAX_DEPTH = 100
 """Deepest expression accepted: at most this many parentheses open at once,
 and at most this many operators on any path down the parsed tree.  The tree
-walkers (evaluate, variables, gf2.translate_expr) recurse once per operator,
-so the cap keeps them well inside Python's recursion limit."""
+walkers, evaluate and gf2.translate_expr, recurse once per operator, so the
+cap keeps them well inside Python's recursion limit."""
 
 _SYMBOLS = "01!&|^()"
 _BINARY = {"|": (1, Or), "^": (2, Xor), "&": (3, And)}  # precedence, node
@@ -173,13 +173,3 @@ def evaluate(expr: Expr, env: Mapping[str, int], full: int = 1) -> int:
     if isinstance(expr, Or):
         return a | b
     return a ^ b
-
-
-def variables(expr: Expr) -> set[str]:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Not):
-        return variables(expr.arg)
-    return variables(expr.left) | variables(expr.right)

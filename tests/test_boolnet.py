@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -324,9 +326,9 @@ def half_identity_network(rng, n, k):
 
 @pytest.mark.parametrize("width", [2, 3])
 def test_agreement_blocks_match_step(monkeypatch, width):
-    # agreement tables in blocks of 2 or 3 variables: the parameters, and
-    # after them the leading state variables, are the fixed high bits of
-    # many blocks
+    # agreement tables and state graphs in blocks of 2 or 3 variables: the
+    # parameters, and after them the leading state variables, are the fixed
+    # high bits of many blocks
     monkeypatch.setattr(gf2, "BLOCK_VARS", width)
     rng = random.Random(SEED + 300 + width)
     for n in range(1, 9):
@@ -339,6 +341,7 @@ def test_agreement_blocks_match_step(monkeypatch, width):
                     assert net.fixed_points(setting) == expected
                     assert net.fixed_points(setting, "enumerate") == expected
                     rows.append((setting, expected))
+                    check_against_references(net, setting)
                 assert net.fixed_points_by_setting() == rows
 
 
@@ -399,6 +402,18 @@ def test_state_graph_matches_references(n):
                 assert graph.successors[c] == encode_state(net.step(decode_state(c, n), setting))
 
 
+@pytest.mark.parametrize("n", (9, 17))
+def test_successor_lanes_follow_the_byte_order(monkeypatch, n):
+    # lanes are packed little-endian and swapped on a big-endian host, so
+    # under the other byte order each successor reads byte-swapped
+    net = random_network(random.Random(SEED + 600 + n), n)
+    native = net._successors({p: 1 for p in net.params})
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    swapped = net._successors({p: 1 for p in net.params})
+    swapped.byteswap()
+    assert swapped == native
+
+
 @pytest.mark.parametrize("n", LANE_WIDTHS)
 def test_state_graph_edge_networks(n):
     size = 1 << n
@@ -407,31 +422,62 @@ def test_state_graph_edge_networks(n):
     rules = tuple(logic.Const(i % 2) for i in range(n))
     graph = check_against_references(BooleanNetwork("constant", VarSet(names), (), rules), {})
     code = encode_state(i % 2 for i in range(n))
-    assert graph.successors == (code,) * size
+    assert tuple(graph.successors) == (code,) * size
     assert graph.attractors == ((code,),) and graph.basin_sizes == (size,)
     # the identity: 2^n fixed points, each its own basin
     rules = tuple(logic.Var(name) for name in names)
     graph = check_against_references(BooleanNetwork("identity", VarSet(names), (), rules), {})
-    assert graph.successors == graph.attractor_of == tuple(range(size))
+    assert tuple(graph.successors) == tuple(graph.attractor_of) == tuple(range(size))
     assert graph.attractors == tuple((c,) for c in range(size))
     assert graph.basin_sizes == (1,) * size
     # a counter: one walk along a cycle through all 2^n states
     graph = check_against_references(counter_network(n), {})
-    assert graph.successors == tuple(range(1, size)) + (0,)
+    assert tuple(graph.successors) == tuple(range(1, size)) + (0,)
     assert graph.attractors == (tuple(range(size)),) and graph.basin_sizes == (size,)
+
+
+def xor_ring(n):
+    """x_i' = x_(i+1) XOR x_(i+2), indices modulo n."""
+    names = [f"x{i}" for i in range(n)]
+    rules = tuple(logic.Xor(logic.Var(names[(i + 1) % n]), logic.Var(names[(i + 2) % n]))
+                  for i in range(n))
+    return BooleanNetwork("ring", VarSet(names), (), rules)
+
+
+def test_state_graph_memory():
+    # 2^18 successors as 4-byte lanes in one array, built in blocks of 2^16
+    # states, peak at 7.3 MB under tracemalloc; Python ints per state do not
+    # fit under the bound
+    net = xor_ring(18)
+    tracemalloc.start()
+    try:
+        graph = net.state_graph({})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert sum(graph.basin_sizes) == len(graph.successors) == 1 << 18
+    for code in (0, 1, 12345, (1 << 18) - 1):
+        assert graph.successors[code] == encode_state(net.step(decode_state(code, 18), {}))
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_fixed_points_by_setting_matches_each_setting(k):
     # one agreement table over parameters and variables, against one solve
-    # per setting by every method
+    # per setting by every method; every method lists the points ascending,
+    # and the CLI prints them in that order
     rng = random.Random(SEED + 200 + k)
+    ordered = 0
     for n in (1, 2, 4, 6):
-        net = random_network(rng, n, k)
-        settings = settings_of(net)
-        for method in (None, "enumerate", "groebner"):
-            expected = [(s, net.fixed_points(s, method)) for s in settings]
-            assert net.fixed_points_by_setting(method) == expected
+        for net in (random_network(rng, n, k), half_identity_network(rng, n, k)):
+            settings = settings_of(net)
+            for method in (None, "enumerate", "groebner"):
+                expected = [(s, net.fixed_points(s, method)) for s in settings]
+                assert net.fixed_points_by_setting(method) == expected
+                for _, points in expected:
+                    assert points == sorted(points)
+                    ordered += len(points) > 1
+    assert ordered
 
 
 def test_fixed_points_by_setting_on_lac(net):

@@ -279,6 +279,7 @@ def test_state_graph_dot(capsys, lac_bn, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["state-graph", "--set", ""],
     ["fixed-points", "--set", "", "--method", "enumerate"],
+    ["fixed-points", "--all-params", "--method", "enumerate"],
 ])
 def test_enumeration_cap(capsys, tmp_path, argv):
     names = [f"x{i}" for i in range(25)]
@@ -354,8 +355,9 @@ def test_all_params_without_parameters(capsys, tmp_path, method):
 
 def test_all_params_routes(capsys, tmp_path, monkeypatch):
     # by default every setting is read off one agreement table over the
-    # parameters and variables; --method groebner solves each setting, and so
-    # does "enumerate" when parameters and variables pass ENUMERATE_CAP
+    # parameters and variables, and so it is with "enumerate" when parameters
+    # and variables together pass ENUMERATE_CAP; --method groebner solves
+    # each setting
     model = _parameter_network(tmp_path / "four.bn", 4)
     monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 6)
     tables, solves = [], []
@@ -372,7 +374,7 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     solves.clear()
     monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 5)
     assert run(capsys, "fixed-points", model, "--all-params", "--method", "enumerate")[1] == table
-    assert tables == [2] * 16 and solves == []
+    assert tables == [6] and solves == []
 
 
 def _cap_network(path):
