@@ -12,9 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, boolnet, gf2, groebner, lacmodel
+# each command imports the half it runs (Boolean or ODE) when it runs
+from . import __version__
 from .errors import parse_rational
-from .realroots import decimal_str
 
 
 def lactose_range(text: str) -> tuple[Fraction, Fraction]:
@@ -45,6 +45,8 @@ def _parse_set(text: str, error) -> dict[str, int]:
 
 
 def _load_network_params(args) -> tuple:
+    from . import boolnet
+
     net = boolnet.load_network(args.model)
     values = _parse_set(args.set or "", args.sub.error)
     try:
@@ -55,6 +57,8 @@ def _load_network_params(args) -> tuple:
 
 
 def cmd_groebner(args) -> int:
+    from . import gf2, groebner
+
     system = groebner.load_system(args.system)
     order = gf2.MonomialOrder(args.order, len(system.vars))
     basis = groebner.buchberger_reduced(system, order)
@@ -64,6 +68,8 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import groebner
+
     system = groebner.load_system(args.system)
     for solution in groebner.solve_boolean_system(system, method=args.method):
         print(_bits(solution))
@@ -77,6 +83,8 @@ MAX_ALL_PARAMS = 12
 
 
 def cmd_fixed_points(args) -> int:
+    from . import boolnet
+
     if args.all_params:
         net = boolnet.load_network(args.model)
         k = len(net.params)
@@ -141,30 +149,39 @@ def cmd_state_graph(args) -> int:
 
 
 def cmd_ode_eliminate(args) -> int:
+    from . import lacmodel
+
     params = lacmodel.load_ode(args.model)
     print(lacmodel.eliminant_text(params))
     return 0
 
 
 def cmd_ode_bifurcation(args) -> int:
+    from . import lacmodel
+    from .realroots import decimal_str
+
     params = lacmodel.load_ode(args.model)
     lo, hi = args.range
     report = lacmodel.bifurcation_curve(params, (lo, hi), args.samples,
                                         precision=args.precision)
-    for i, box in enumerate(report.critical, start=1):
-        print(f"critical L{i} = {decimal_str(box.representative(), args.digits)}")
-    print("region counts: " + ", ".join(str(r.count) for r in report.regions))
+    lines = [f"critical L{i} = {decimal_str(box.representative(), args.digits)}"
+             for i, box in enumerate(report.critical, start=1)]
+    lines.append("region counts: " + ", ".join(str(r.count) for r in report.regions))
     boundary = sum(1 for s in report.samples if s.boundary)
-    print(f"samples: {len(report.samples)}, boundary: {boundary}")
+    lines.append(f"samples: {len(report.samples)}, boundary: {boundary}")
+    # the file goes first, so a failed write leaves stdout empty
     if args.csv:
         text = lacmodel.bifurcation_csv(report)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"wrote {args.csv}")
+        lines.append(f"wrote {args.csv}")
+    print("\n".join(lines))
     return 0
 
 
 def cmd_ode_steady_states(args) -> int:
+    from . import lacmodel
+
     params = lacmodel.load_ode(args.model)
     if args.L is not None:
         level = args.L
@@ -184,9 +201,14 @@ MAX_DIGITS = 4300
 
 
 def _digits(text: str) -> int:
-    value = int(text)
+    # ArgumentTypeError messages reach the user as they are; a ValueError
+    # would show as "invalid _digits value"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise ValueError("digits must be nonnegative")
+        raise argparse.ArgumentTypeError("digits must be nonnegative")
     if value > MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"at most {MAX_DIGITS} digits")
     return value

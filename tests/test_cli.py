@@ -489,6 +489,18 @@ def test_ode_bifurcation_csv(capsys, lac_ode, tmp_path):
     assert lines[1].startswith("0.500000,")
 
 
+def test_ode_bifurcation_csv_write_failure_prints_nothing(capsys, lac_ode, tmp_path):
+    target = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(capsys, "ode", "bifurcation", lac_ode, "--csv", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("operon: ") and str(target) in err
+    # on success the report reads as without --csv, then names the file
+    target = tmp_path / "sweep.csv"
+    _, plain, _ = run(capsys, "ode", "bifurcation", lac_ode)
+    code, out, _ = run(capsys, "ode", "bifurcation", lac_ode, "--csv", str(target))
+    assert code == 0 and out == plain + f"wrote {target}\n"
+
+
 def test_ode_steady_states_golden_bytes(capsys, lac_ode):
     # every interval endpoint, not only the rounded values
     code, out, _ = run(capsys, "ode", "steady-states", lac_ode, "--L", "1")
@@ -627,6 +639,22 @@ def test_digits_bound(capsys, lac_ode, argv):
     code, out, err = run(capsys, "ode", argv[0], lac_ode, *argv[1:], "--digits", "4300")
     assert code == 0 and err == ""
     assert len(re.search(r"\d\.(\d+)", out).group(1)) == 4300
+
+
+@pytest.mark.parametrize("value,message", [
+    ("-1", "argument --digits: digits must be nonnegative"),
+    ("x", "argument --digits: invalid int value: 'x'"),
+    ("2.5", "argument --digits: invalid int value: '2.5'"),
+])
+@pytest.mark.parametrize("argv", [
+    ["steady-states", "--L", "1"],
+    ["bifurcation", "--samples", "2"],
+])
+def test_digits_usage_errors(capsys, lac_ode, argv, value, message):
+    code, err = run_usage_error(capsys, "ode", argv[0], lac_ode, *argv[1:],
+                                "--digits", value)
+    assert code == 2 and "_digits" not in err
+    assert err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_unprintable_interval(capsys, lac_ode):

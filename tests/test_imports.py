@@ -1,10 +1,43 @@
-"""The package depends on nothing outside the standard library."""
+"""The package depends on nothing outside the standard library, and its
+Boolean and ODE halves load apart: a command imports only the half it runs."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import operon
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "operon"
+
+BOOLEAN = {"logic", "gf2", "groebner", "boolnet"}
+ODE = {"exactpoly", "realroots", "lacmodel"}
+
+# every public name `import operon` gave before the namespace turned lazy
+PUBLIC = {
+    "errors": ["ParseError"],
+    "logic": ["parse_expr", "evaluate"],
+    "gf2": ["BoolPoly", "MonomialOrder", "VarSet", "translate_expr"],
+    "groebner": ["GroebnerBasis", "PolySystem", "buchberger_reduced", "load_system",
+                 "parse_system", "solve_boolean_system"],
+    "boolnet": ["BooleanNetwork", "StateGraph", "Trajectory", "load_network",
+                "parse_network"],
+    "exactpoly": ["Poly", "discriminant", "format_poly", "resultant"],
+    "realroots": ["RootBox", "count_real_roots", "decimal_str", "isolate_real_roots"],
+    "lacmodel": ["BifurcationReport", "LacParams", "SteadyState", "bifurcation_csv",
+                 "bifurcation_curve", "build_system", "critical_lactose_values",
+                 "eliminant_text", "eliminate_M", "load_ode", "steady_state_count",
+                 "steady_states_at"],
+}
+
+# child processes find the package where this process imported it from
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
 
 
 def test_package_imports_only_the_standard_library():
@@ -20,3 +53,131 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """The operon submodules a file imports when it is itself imported:
+    its import statements outside function bodies."""
+    found = set()
+    pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("operon.")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.startswith("operon."):
+                found.add(node.module.split(".")[1])
+            elif node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or (node.level == 0 and node.module == "operon"):
+                found |= {alias.name for alias in node.names}
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module,forbidden", [
+    *[(name, ODE) for name in sorted(BOOLEAN)],
+    *[(name, BOOLEAN) for name in sorted(ODE)],
+    ("cli", BOOLEAN | ODE),
+    ("__init__", BOOLEAN | ODE),
+])
+def test_halves_import_apart(module, forbidden):
+    assert module_level_imports(PACKAGE / f"{module}.py") & forbidden == set()
+
+
+def test_import_guard_sees_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import gf2, __version__\n"
+                    "from .lacmodel import load_ode\n"
+                    "import operon.realroots\n"
+                    "from operon.logic import parse_expr\n"
+                    "if True:\n"
+                    "    from operon import boolnet\n"
+                    "class C:\n"
+                    "    from . import exactpoly\n"
+                    "def f():\n"
+                    "    from . import groebner\n", encoding="utf-8")
+    assert module_level_imports(path) == {
+        "gf2", "__version__", "lacmodel", "realroots", "logic", "boolnet", "exactpoly"}
+
+
+def loaded_after(*argv) -> list[str]:
+    """The operon submodules a fresh interpreter holds after running
+    `operon.cli.main(argv)`, or after `import operon` alone when argv is empty."""
+    script = ("import sys, io, json, contextlib\n"
+              "import operon\n"
+              "if sys.argv[1:]:\n"
+              "    from operon import cli\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(sys.argv[1:]) == 0\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('operon.'))))\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return [name.split(".", 1)[1] for name in json.loads(done.stdout)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "lac_on.gf2"],
+    ["groebner", "lac_on.gf2"],
+    ["fixed-points", "lac.bn", "--all-params"],
+    ["state-graph", "lac.bn", "--set", "a=1,g=0", "--attractors"],
+])
+def test_boolean_commands_leave_the_ode_half_unloaded(argv):
+    argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
+    loaded = set(loaded_after(*argv))
+    assert loaded & BOOLEAN and loaded & ODE == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "eliminate", "lac.ode"],
+    ["ode", "bifurcation", "lac.ode"],
+    ["ode", "steady-states", "lac.ode", "--L", "1"],
+])
+def test_ode_commands_leave_the_boolean_half_unloaded(argv):
+    argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
+    loaded = set(loaded_after(*argv))
+    assert ODE <= loaded and loaded & BOOLEAN == set()
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_after() == []
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"operon.{module}")
+        for name in names:
+            assert getattr(operon, name) is getattr(home, name), name
+
+
+def test_submodules_reachable_after_a_bare_import():
+    script = ("import json, operon\n"
+              "names = ['logic', 'gf2', 'groebner', 'boolnet', 'exactpoly', 'realroots',"
+              " 'lacmodel']\n"
+              "print(json.dumps([getattr(operon, n).__name__ for n in names]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        "operon.logic", "operon.gf2", "operon.groebner", "operon.boolnet",
+        "operon.exactpoly", "operon.realroots", "operon.lacmodel"]
+
+
+def test_star_import_and_dir_list_every_name():
+    every = {name for names in PUBLIC.values() for name in names} | set(PUBLIC) | {
+        "model_path"}
+    namespace = {}
+    exec("from operon import *", namespace)
+    assert every <= set(namespace)
+    assert every <= set(dir(operon))
+    assert set(operon.__all__) <= set(dir(operon))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        operon.nonexistent
+    assert not hasattr(operon, "cli_main")
