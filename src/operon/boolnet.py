@@ -11,7 +11,6 @@ import json
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_, xor
 from typing import Iterator, Mapping, Sequence
@@ -22,6 +21,8 @@ from .gf2 import (BoolPoly, VarSet, block_width, blocks, decode_state, translate
                   zero_codes)
 from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
 
+_set = object.__setattr__
+
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
 
 # a truth table's digits as the bytes 0 and 1
@@ -30,12 +31,15 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 State = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BooleanNetwork:
-    name: str
-    vars: VarSet
-    params: tuple[str, ...]
-    rules: tuple[logic.Expr, ...]  # aligned with vars
+class BooleanNetwork(logic.Frozen):
+    __slots__ = _fields = ("name", "vars", "params", "rules")
+
+    def __init__(self, name: str, vars: VarSet, params: tuple[str, ...],
+                 rules: tuple[logic.Expr, ...]):
+        _set(self, "name", name)
+        _set(self, "vars", vars)
+        _set(self, "params", params)
+        _set(self, "rules", rules)  # aligned with vars
 
     def rule(self, name: str) -> logic.Expr:
         return self.rules[self.vars.index(name)]
@@ -205,17 +209,19 @@ class BooleanNetwork:
                    [logic.evaluate(rule, env, full) for rule in self.rules])
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(logic.Frozen):
     """Synchronous orbit up to the first repeated state.
 
     states holds the distinct visited states; cycle_start is the index where
     the eventual cycle begins (None when the walk was truncated).
     """
 
-    states: tuple[State, ...]
-    cycle_start: int | None
-    truncated: bool
+    __slots__ = _fields = ("states", "cycle_start", "truncated")
+
+    def __init__(self, states: tuple[State, ...], cycle_start: int | None, truncated: bool):
+        _set(self, "states", states)
+        _set(self, "cycle_start", cycle_start)
+        _set(self, "truncated", truncated)
 
     @property
     def transient_length(self) -> int:
@@ -230,15 +236,32 @@ class Trajectory:
         return self.states[self.cycle_start :]
 
 
-@dataclass(frozen=True)
-class StateGraph:
-    """Complete successor map on all 2^n states (out-degree one everywhere)."""
+class StateGraph(logic.Frozen):
+    """Complete successor map on all 2^n states (out-degree one everywhere).
 
-    vars: VarSet
-    successors: array  # of state codes
-    attractors: tuple[tuple[int, ...], ...]  # state codes, smallest member first
-    basin_sizes: tuple[int, ...]
-    attractor_of: array  # of indices into attractors
+    successors holds state codes; each attractor is a tuple of state codes,
+    smallest member first; attractor_of holds, per state, the index into
+    attractors of the cycle the state flows to.  No report reads
+    attractor_of, so unless given it is computed when first read.
+    """
+
+    __slots__ = ("vars", "successors", "attractors", "basin_sizes", "_attractor_of")
+    _fields = ("vars", "successors", "attractors", "basin_sizes", "attractor_of")
+
+    def __init__(self, vars: VarSet, successors: array,
+                 attractors: tuple[tuple[int, ...], ...], basin_sizes: tuple[int, ...],
+                 attractor_of: array | None = None):
+        _set(self, "vars", vars)
+        _set(self, "successors", successors)
+        _set(self, "attractors", attractors)
+        _set(self, "basin_sizes", basin_sizes)
+        _set(self, "_attractor_of", attractor_of)
+
+    @property
+    def attractor_of(self) -> array:
+        if self._attractor_of is None:
+            _set(self, "_attractor_of", _basin_index(self.successors, self.attractors))
+        return self._attractor_of
 
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
@@ -274,8 +297,8 @@ def encode_state(state: Sequence[int]) -> int:
 
 
 def _attractors(succ):
-    """The cycles of a functional graph, the number of states that flow to
-    each, and the index of the cycle each state flows to.
+    """The cycles of a functional graph and the number of states that flow
+    to each.
 
     A state flows where its successor does, so a walk starts at each state's
     successor and counts the state.  A walk marks the states on its path
@@ -306,11 +329,25 @@ def _attractors(succ):
                 label[c] = found
         sizes[found] += 1
     ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
-    rank = {old: new for new, old in enumerate(ranked)}
-    attractor_of = array(succ.typecode)
-    for low in range(0, len(succ), 1 << 16):
-        attractor_of += array(succ.typecode, [rank[label[c]] for c in succ[low : low + (1 << 16)]])
-    return tuple(tuple(cycles[a]) for a in ranked), tuple(sizes[a] for a in ranked), attractor_of
+    return tuple(tuple(cycles[a]) for a in ranked), tuple(sizes[a] for a in ranked)
+
+
+def _basin_index(succ, attractors) -> array:
+    """The index into attractors of the cycle each state flows to: with the
+    cycles labelled, each walk ends at a labelled state and labels its path."""
+    label = [-1] * len(succ)
+    for i, cycle in enumerate(attractors):
+        for c in cycle:
+            label[c] = i
+    for start in range(len(succ)):
+        path = []
+        cur = start
+        while label[cur] == -1:
+            path.append(cur)
+            cur = succ[cur]
+        for c in path:
+            label[c] = label[cur]
+    return array(succ.typecode, label)
 
 
 def fixed_points_json(points: Sequence[State]) -> str:

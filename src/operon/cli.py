@@ -24,6 +24,17 @@ def lactose_range(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(lo), parse_rational(hi)
 
 
+def _usage(convert):
+    """convert as an argparse type: the message of its ValueError is the
+    usage error, where argparse would print "invalid <name> value"."""
+    def argument(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return argument
+
+
 def _bits(state) -> str:
     return "".join(str(b) for b in state)
 
@@ -201,112 +212,174 @@ MAX_DIGITS = 4300
 
 
 def _digits(text: str) -> int:
-    # ArgumentTypeError messages reach the user as they are; a ValueError
-    # would show as "invalid _digits value"
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError("digits must be nonnegative")
+        raise ValueError("digits must be nonnegative")
     if value > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"at most {MAX_DIGITS} digits")
+        raise ValueError(f"at most {MAX_DIGITS} digits")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="operon",
-        description="Exact steady-state analysis of Boolean and ODE operon models.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+_METHOD_HELP = ("'groebner': from the reduced basis; 'enumerate': from truth tables over all "
+                "2^n {}, up to 24 variables (default: 'enumerate' up to 24 variables, "
+                "else 'groebner')")
 
-    p = sub.add_parser("groebner", help="reduced Groebner basis of a GF(2) system")
+
+def _groebner_args(p):
     p.add_argument("system", help="polynomial system file (.gf2)")
     p.add_argument("--order", choices=("lex", "degrevlex"), default="degrevlex")
-    p.set_defaults(func=cmd_groebner, sub=p)
 
-    p = sub.add_parser("solve", help="all 0/1 solutions of a GF(2) system")
+
+def _solve_args(p):
     p.add_argument("system", help="polynomial system file (.gf2)")
     p.add_argument("--method", choices=("groebner", "enumerate"), default=None,
-                   help="'groebner': from the reduced basis; 'enumerate': from truth tables "
-                        "over all 2^n points, up to 24 variables (default: 'enumerate' "
-                        "up to 24 variables, else 'groebner')")
-    p.set_defaults(func=cmd_solve, sub=p)
+                   help=_METHOD_HELP.format("points"))
 
-    p = sub.add_parser("fixed-points", help="fixed points of a Boolean network")
+
+def _fixed_points_args(p):
     p.add_argument("model", help="network file (.bn)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set", help="parameter values, e.g. a=1,g=0")
     group.add_argument("--all-params", action="store_true",
                        help="iterate every 0/1 parameter combination")
     p.add_argument("--method", choices=("groebner", "enumerate"), default=None,
-                   help="'groebner': from the reduced basis; 'enumerate': from truth tables "
-                        "over all 2^n states, up to 24 variables (default: 'enumerate' "
-                        "up to 24 variables, else 'groebner')")
+                   help=_METHOD_HELP.format("states"))
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=cmd_fixed_points, sub=p)
 
-    p = sub.add_parser("simulate", help="synchronous trajectory of a network")
+
+def _simulate_args(p):
     p.add_argument("model", help="network file (.bn)")
     p.add_argument("--set", required=True, help="parameter values, e.g. a=1,g=0")
     p.add_argument("--init", required=True, help="initial state bits, e.g. 110100101")
     p.add_argument("--steps", type=int, default=None,
                    help="maximum steps before truncation (default: full orbit)")
-    p.set_defaults(func=cmd_simulate, sub=p)
 
-    p = sub.add_parser("state-graph", help="full state-transition graph")
+
+def _state_graph_args(p):
     p.add_argument("model", help="network file (.bn)")
     p.add_argument("--set", required=True, help="parameter values, e.g. a=1,g=0")
     p.add_argument("--dot", metavar="FILE", help="write Graphviz DOT to FILE")
     p.add_argument("--attractors", action="store_true",
                    help="print attractors with basin sizes instead of adjacency")
-    p.set_defaults(func=cmd_state_graph, sub=p)
 
-    ode = sub.add_parser("ode", help="continuous-model analyses")
-    ode_sub = ode.add_subparsers(dest="ode_command", required=True,
-                                 metavar="ANALYSIS")
 
-    p = ode_sub.add_parser("eliminate",
-                           help="one-variable steady-state polynomial in A")
+def _ode_eliminate_args(p):
     p.add_argument("model", help="model constants file (.ode)")
-    p.set_defaults(func=cmd_ode_eliminate, sub=p)
 
-    p = ode_sub.add_parser("bifurcation",
-                           help="critical lactose values and branch census")
+
+def _precision_digits_args(p):
+    p.add_argument("--precision", type=_usage(parse_rational), default=Fraction(1, 10 ** 6),
+                   metavar="P", help="interval width target (default 1e-6)")
+    p.add_argument("--digits", type=_usage(_digits), default=5)
+
+
+def _ode_bifurcation_args(p):
     p.add_argument("model", help="model constants file (.ode)")
-    p.add_argument("--range", type=lactose_range, default=(Fraction(1, 10), Fraction(5, 2)),
+    p.add_argument("--range", type=_usage(lactose_range),
+                   default=(Fraction(1, 10), Fraction(5, 2)),
                    metavar="LO:HI", help="lactose sweep range (default 0.1:2.5)")
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--precision", type=parse_rational, default=Fraction(1, 10 ** 6),
-                   metavar="P", help="interval width target (default 1e-6)")
-    p.add_argument("--digits", type=_digits, default=5)
+    _precision_digits_args(p)
     p.add_argument("--csv", metavar="FILE", help="write sampled branches as CSV")
-    p.set_defaults(func=cmd_ode_bifurcation, sub=p)
 
-    p = ode_sub.add_parser("steady-states",
-                           help="certified steady states at one lactose level")
+
+def _ode_steady_states_args(p):
     p.add_argument("model", help="model constants file (.ode)")
-    p.add_argument("--L", type=parse_rational, default=None,
+    p.add_argument("--L", type=_usage(parse_rational), default=None,
                    help="lactose level (required when the model has L = sym)")
-    p.add_argument("--precision", type=parse_rational, default=Fraction(1, 10 ** 6),
-                   metavar="P", help="interval width target (default 1e-6)")
-    p.add_argument("--digits", type=_digits, default=5)
-    p.set_defaults(func=cmd_ode_steady_states, sub=p)
+    _precision_digits_args(p)
 
+
+# command words -> (help line, command, function adding its arguments), in the
+# order of the help listing; a group (ode) has no command of its own
+COMMANDS = {
+    ("groebner",): ("reduced Groebner basis of a GF(2) system", cmd_groebner, _groebner_args),
+    ("solve",): ("all 0/1 solutions of a GF(2) system", cmd_solve, _solve_args),
+    ("fixed-points",): ("fixed points of a Boolean network", cmd_fixed_points,
+                        _fixed_points_args),
+    ("simulate",): ("synchronous trajectory of a network", cmd_simulate, _simulate_args),
+    ("state-graph",): ("full state-transition graph", cmd_state_graph, _state_graph_args),
+    ("ode",): ("continuous-model analyses", None, None),
+    ("ode", "eliminate"): ("one-variable steady-state polynomial in A", cmd_ode_eliminate,
+                           _ode_eliminate_args),
+    ("ode", "bifurcation"): ("critical lactose values and branch census", cmd_ode_bifurcation,
+                             _ode_bifurcation_args),
+    ("ode", "steady-states"): ("certified steady states at one lactose level",
+                               cmd_ode_steady_states, _ode_steady_states_args),
+}
+
+
+def _command(p: argparse.ArgumentParser, words: tuple[str, ...]) -> argparse.ArgumentParser:
+    _, func, add_args = COMMANDS[words]
+    add_args(p)
+    p.set_defaults(func=func, sub=p)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the top-level parser, whose help and errors
+    cover every command."""
+    parser = argparse.ArgumentParser(
+        prog="operon",
+        description="Exact steady-state analysis of Boolean and ODE operon models.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    groups = {(): parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
+    for words, (line, func, _) in COMMANDS.items():
+        p = groups[words[:-1]].add_parser(words[-1], help=line)
+        if func is None:
+            groups[words] = p.add_subparsers(dest=f"{words[-1]}_command", required=True,
+                                             metavar="ANALYSIS")
+        else:
+            _command(p, words)
     return parser
 
 
+def _command_words(argv: list[str]) -> tuple[str, ...] | None:
+    """The command words argv starts with, or None when it names no command
+    (a group such as ode alone is none)."""
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        entry = COMMANDS.get(words)
+        if entry and entry[1]:
+            return words
+    return None
+
+
 _PARSER = None
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as `build_parser().parse_args` parses it.
+
+    The top-level parser hands everything after the command words to a
+    parser with prog "operon <words>" and that command's arguments, so when
+    argv names a command, that parser alone gives the same arguments, help
+    and usage errors.  The whole tree parses argv only when it names no
+    command or that parser leaves arguments over, since only the top-level
+    parser reports unrecognized arguments.
+    """
+    # parsers hold no state between calls, so one of each per process serves
+    global _PARSER
+    words = _command_words(argv)
+    if words is not None:
+        leaf = _LEAVES.get(words)
+        if leaf is None:
+            leaf = _LEAVES[words] = _command(
+                argparse.ArgumentParser(prog=" ".join(("operon", *words))), words)
+        args, rest = leaf.parse_known_args(argv[len(words):])
+        if not rest:
+            return args
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    # the parser holds no state between calls, so one per process serves
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

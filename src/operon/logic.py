@@ -9,43 +9,91 @@ operator-precedence parser with explicit stacks, so it does not recurse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import NAME_START, ParseError, TOKEN, scan_error
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Frozen:
+    """Base of the immutable records of the Boolean half.
+
+    A subclass lists its fields in ``_fields`` and stores them in slots of
+    the same names, set with `object.__setattr__` by its own ``__init__``.
+    Records compare equal when class and fields are equal, hash as the tuple
+    of their fields, print as ``Name(field=value, ...)``, refuse assignment
+    and deletion, and pickle and copy through their constructor: what a
+    frozen dataclass gives, without generating code at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Expr"
+class Var(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
+class Const(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
+class Not(Frozen):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Xor:
-    left: "Expr"
-    right: "Expr"
+class _Binary(Frozen):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Xor(_Binary):
+    __slots__ = ()
 
 
 Expr = Union[Var, Const, Not, And, Or, Xor]

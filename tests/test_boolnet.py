@@ -1,9 +1,12 @@
 """Synchronous Boolean network dynamics and the network file format."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -500,3 +503,64 @@ def test_encoding_is_msb_first():
     assert encode_state((1, 0, 0)) == 4
     assert encode_state((0, 0, 1)) == 1
     assert decode_state(4, 3) == (1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# networks, trajectories and state graphs are frozen records
+
+
+def test_network_record(net, lac_bn):
+    assert net == load_network(lac_bn) and hash(net) == hash(load_network(lac_bn))
+    other = BooleanNetwork(net.name, net.vars, net.params, net.rules[::-1])
+    assert net != other
+    assert BooleanNetwork(name=net.name, vars=net.vars, params=net.params,
+                          rules=net.rules) == net
+    assert repr(net).startswith(f"BooleanNetwork(name='lac', vars={net.vars!r}, "
+                                f"params=('a', 'g'), rules=({net.rules[0]!r}, ")
+    for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert clone == net and repr(clone) == repr(net)
+        assert clone.fixed_points({"a": 1, "g": 0}) == net.fixed_points({"a": 1, "g": 0})
+    with pytest.raises(AttributeError):
+        net.name = "other"
+    with pytest.raises(AttributeError):
+        del net.rules
+
+
+def test_trajectory_record(net):
+    traj = net.trajectory(bits("000000000"), {"a": 1, "g": 0})
+    assert traj == net.trajectory(bits("000000000"), {"a": 1, "g": 0})
+    assert traj != net.trajectory(bits("000000000"), {"a": 1, "g": 0}, max_steps=1)
+    assert hash(traj) == hash((traj.states, traj.cycle_start, traj.truncated))
+    assert boolnet.Trajectory(states=traj.states, cycle_start=traj.cycle_start,
+                              truncated=traj.truncated) == traj
+    assert repr(boolnet.Trajectory(((0, 1),), 0, False)) == \
+        "Trajectory(states=((0, 1),), cycle_start=0, truncated=False)"
+    assert pickle.loads(pickle.dumps(traj)) == traj == copy.deepcopy(traj)
+    with pytest.raises(AttributeError):
+        traj.truncated = True
+
+
+def test_state_graph_record(net):
+    graph = net.state_graph({"a": 1, "g": 0})
+    again = net.state_graph({"a": 1, "g": 0})
+    assert graph == again and graph != net.state_graph({"a": 0, "g": 0})
+    with pytest.raises(TypeError):
+        hash(graph)
+    fields = (graph.vars, graph.successors, graph.attractors, graph.basin_sizes)
+    assert boolnet.StateGraph(*fields, graph.attractor_of) == graph
+    assert boolnet.StateGraph(vars=graph.vars, successors=graph.successors,
+                              attractors=graph.attractors, basin_sizes=graph.basin_sizes,
+                              attractor_of=graph.attractor_of) == graph
+    assert boolnet.StateGraph(*fields, array(graph.successors.typecode, [1] * 512)) != graph
+    assert repr(graph) == (f"StateGraph(vars={graph.vars!r}, successors={graph.successors!r}, "
+                           f"attractors={graph.attractors!r}, "
+                           f"basin_sizes={graph.basin_sizes!r}, "
+                           f"attractor_of={graph.attractor_of!r})")
+    for clone in (pickle.loads(pickle.dumps(again)), copy.deepcopy(again)):
+        assert clone == graph and clone.attractor_report_json() == graph.attractor_report_json()
+        assert clone.attractor_of == graph.attractor_of
+    for field in ("successors", "attractor_of", "attractors"):
+        with pytest.raises(AttributeError):
+            setattr(graph, field, None)
+        with pytest.raises(AttributeError):
+            delattr(graph, field)

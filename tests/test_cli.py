@@ -599,7 +599,22 @@ def test_bad_rational_is_a_usage_error(capsys, lac_ode, argv, bad):
     assert code == 2 and "Traceback" not in err
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert error_lines == [err.splitlines()[-1]]
-    assert error_lines[0].endswith(f" value: {bad}")
+    # the message parse_rational builds, not "invalid parse_rational value"
+    named = bad.rpartition(":")[2].strip("'")
+    assert error_lines[0] == (f"operon ode {argv[0]}: error: argument {argv[-2]}: "
+                              f"invalid rational {named!r}")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1", "expected lo:hi"),
+    ("1..2", "expected lo:hi"),
+    ("1:x", "invalid rational 'x'"),
+])
+def test_bad_range_is_a_usage_error(capsys, lac_ode, value, message):
+    code, err = run_usage_error(capsys, "ode", "bifurcation", lac_ode, "--range", value)
+    assert code == 2
+    assert err.splitlines()[-1] == \
+        f"operon ode bifurcation: error: argument --range: {message}"
 
 
 def test_model_rational_exponent_bound(capsys, tmp_path):
@@ -811,6 +826,63 @@ def test_parser_is_built_once(capsys, monkeypatch, lac_ode, lac_gf2):
         assert (code, captured.out, captured.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr)
     assert len(builds) == 1
+
+
+LEAF_ARGV = [
+    # every command with valid arguments
+    "solve GF2", "solve GF2 --method groebner", "groebner GF2 --order lex",
+    "fixed-points BN --all-params --json", "fixed-points BN --set a=1,g=0 --method groebner",
+    "simulate BN --set a=1,g=0 --init 000000000 --steps 3",
+    "state-graph BN --set a=1,g=0 --attractors", "state-graph BN --set a=0,g=0",
+    "ode eliminate ODE", "ode bifurcation ODE --range 0.5:2 --samples 3 --digits 3",
+    "ode steady-states ODE --L=1 --precision 1e-8", "solve -- GF2",
+    # -h after each command
+    "groebner -h", "solve -h", "fixed-points -h", "simulate -h", "state-graph -h",
+    "ode eliminate -h", "ode bifurcation -h", "ode steady-states -h", "solve GF2 -h --bogus",
+    # missing required arguments, bad choices and bad values
+    "solve", "ode eliminate", "simulate BN --set a=1,g=0", "fixed-points BN",
+    "fixed-points BN --set a=1,g=0 --all-params", "groebner GF2 --order x",
+    "solve GF2 --method", "simulate BN --set a=1,g=0 --init 000000000 --steps x",
+    "ode steady-states ODE --L 1 --digits x", "ode bifurcation ODE --range 1",
+    "ode bifurcation ODE --samples 2.5", "ode steady-states ODE --L inf",
+    # unknown options, stray positionals, --version after a command
+    "solve GF2 --bogus", "solve --bogus", "ode eliminate ODE --bogus", "solve GF2 extra",
+    "ode steady-states ODE extra --L 1", "solve GF2 --version", "ode eliminate ODE --version",
+    "ode --version", "ode eliminate -- ODE extra",
+    # no command
+    "ode", "ode -h", "ode frobnicate", "frobnicate", "", "-h", "--version", "-- solve GF2",
+    # errors the command reports
+    "solve no_such_file.gf2", "fixed-points BN --set a=2", "state-graph BN --set q=1",
+    "simulate BN --set a=1,g=0 --init 01", "ode steady-states ODE --L -1",
+]
+
+
+@pytest.mark.parametrize("line", LEAF_ARGV)
+def test_leaf_parser_matches_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
+                                            line):
+    paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
+    argv = [paths.get(word, word) for word in line.split()]
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    leaf = outcome()
+    monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert leaf == outcome()
+
+
+@pytest.mark.parametrize("line", LEAF_ARGV[:12])
+def test_valid_commands_skip_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
+                                            line):
+    paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the whole tree"))
+    assert main([paths.get(word, word) for word in line.split()]) == 0
 
 
 def test_cli_output_is_byte_deterministic(lac_ode):

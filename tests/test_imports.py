@@ -104,8 +104,8 @@ def test_import_guard_sees_each_form(tmp_path):
         "gf2", "__version__", "lacmodel", "realroots", "logic", "boolnet", "exactpoly"}
 
 
-def loaded_after(*argv) -> list[str]:
-    """The operon submodules a fresh interpreter holds after running
+def loaded_after(*argv) -> set[str]:
+    """The modules a fresh interpreter holds after running
     `operon.cli.main(argv)`, or after `import operon` alone when argv is empty."""
     script = ("import sys, io, json, contextlib\n"
               "import operon\n"
@@ -113,22 +113,30 @@ def loaded_after(*argv) -> list[str]:
               "    from operon import cli\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert cli.main(sys.argv[1:]) == 0\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('operon.'))))\n")
+              "print(json.dumps(sorted(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-c", script, *argv], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return [name.split(".", 1)[1] for name in json.loads(done.stdout)]
+    return set(json.loads(done.stdout))
 
 
-@pytest.mark.parametrize("argv", [
+def submodules(loaded: set[str]) -> set[str]:
+    """The operon submodules among the loaded modules, without the package prefix."""
+    return {name.split(".", 1)[1] for name in loaded if name.startswith("operon.")}
+
+
+BOOLEAN_COMMANDS = [
     ["solve", "lac_on.gf2"],
     ["groebner", "lac_on.gf2"],
     ["fixed-points", "lac.bn", "--all-params"],
     ["state-graph", "lac.bn", "--set", "a=1,g=0", "--attractors"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BOOLEAN_COMMANDS)
 def test_boolean_commands_leave_the_ode_half_unloaded(argv):
     argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
-    loaded = set(loaded_after(*argv))
+    loaded = submodules(loaded_after(*argv))
     assert loaded & BOOLEAN and loaded & ODE == set()
 
 
@@ -139,12 +147,32 @@ def test_boolean_commands_leave_the_ode_half_unloaded(argv):
 ])
 def test_ode_commands_leave_the_boolean_half_unloaded(argv):
     argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
-    loaded = set(loaded_after(*argv))
+    loaded = submodules(loaded_after(*argv))
     assert ODE <= loaded and loaded & BOOLEAN == set()
 
 
+@pytest.mark.parametrize("module", sorted(BOOLEAN | {"cli", "errors", "__init__"}))
+def test_boolean_half_never_imports_dataclasses(module):
+    # a @dataclass generates and execs its methods when its class is
+    # created, on every fresh import; the Boolean records are plain classes
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize("argv", BOOLEAN_COMMANDS)
+def test_boolean_commands_load_neither_dataclasses_nor_inspect(argv):
+    argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
+    assert loaded_after(*argv) & {"dataclasses", "inspect"} == set()
+
+
 def test_bare_import_loads_no_submodule():
-    assert loaded_after() == []
+    assert submodules(loaded_after()) == set()
 
 
 def test_lazy_names_are_the_defining_modules_objects():

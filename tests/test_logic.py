@@ -1,5 +1,8 @@
 """Parser and evaluator for Boolean expressions."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -250,3 +253,58 @@ def test_parse_expr_fixed_cases(text):
         assert outcome == ("error", f"line 9: {expected}", 9)
     else:
         assert outcome == ("ok", expected)
+
+
+# ---------------------------------------------------------------------------
+# the nodes are frozen records: what a frozen dataclass gave them
+
+
+def test_nodes_compare_by_class_and_fields():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    assert And(a, b) == And(Var("a"), Var("b"))
+    assert And(a, b) != And(a, c) and And(a, b) != And(c, b)
+    assert And(a, b) != Or(a, b) and Or(a, b) != Xor(a, b) and And(a, b) != Xor(a, b)
+    assert Not(a) != Not(b) and Const(0) != Const(1) and Var("a") != Const(1)
+    assert parse_expr("!a ^ b & c | d") != parse_expr("!a ^ b & c | e")
+    assert (And(a, b) == (a, b)) is False
+
+
+def test_equal_nodes_hash_equal():
+    first, second = parse_expr("!(a | 1) ^ b & c"), parse_expr("!(a|1)^b&c")
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert hash(And(Var("a"), Var("b"))) == hash((Var("a"), Var("b")))
+    assert len({first, second, parse_expr("a")}) == 2
+
+
+def test_node_repr():
+    assert repr(parse_expr("!a & b")) == "And(left=Not(arg=Var(name='a')), right=Var(name='b'))"
+    assert repr(parse_expr("0 ^ x | y")) == \
+        "Or(left=Xor(left=Const(value=0), right=Var(name='x')), right=Var(name='y'))"
+
+
+@pytest.mark.parametrize("node,field", [
+    (Var("a"), "name"), (Const(1), "value"), (Not(Var("a")), "arg"),
+    (And(Var("a"), Var("b")), "left"), (Or(Var("a"), Var("b")), "right"),
+    (Xor(Var("a"), Var("b")), "left"), (Var("a"), "other"),
+])
+def test_nodes_are_frozen(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, Var("z"))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+
+
+def test_nodes_pickle_and_copy():
+    expr = parse_expr("!(a | 1) ^ b & c | !a")
+    for clone in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr), copy.copy(expr)):
+        assert clone == expr and repr(clone) == repr(expr)
+    assert pickle.loads(pickle.dumps(expr)) is not expr
+
+
+def test_nodes_take_keywords():
+    assert And(left=Var(name="a"), right=Const(value=1)) == And(Var("a"), Const(1))
+    assert Not(arg=Var("a")) == Not(Var("a"))
+    assert Or(Var("a"), right=Var("b")) == Or(Var("a"), Var("b"))
+    with pytest.raises(TypeError):
+        And(Var("a"))
