@@ -16,12 +16,10 @@ from operator import or_, xor
 from typing import Iterator, Mapping, Sequence
 
 from . import logic
-from .errors import IDENT, ParseError, source_lines
+from .errors import IDENT, Frozen, ParseError, _set, source_lines
 from .gf2 import (BoolPoly, VarSet, block_width, blocks, decode_state, translate_expr,
                   zero_codes)
 from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
-
-_set = object.__setattr__
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
 
@@ -31,15 +29,12 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 State = tuple[int, ...]
 
 
-class BooleanNetwork(logic.Frozen):
+class BooleanNetwork(Frozen):
     __slots__ = _fields = ("name", "vars", "params", "rules")
 
     def __init__(self, name: str, vars: VarSet, params: tuple[str, ...],
                  rules: tuple[logic.Expr, ...]):
-        _set(self, "name", name)
-        _set(self, "vars", vars)
-        _set(self, "params", params)
-        _set(self, "rules", rules)  # aligned with vars
+        self._init(name, vars, params, rules)  # rules aligned with vars
 
     def rule(self, name: str) -> logic.Expr:
         return self.rules[self.vars.index(name)]
@@ -209,7 +204,7 @@ class BooleanNetwork(logic.Frozen):
                    [logic.evaluate(rule, env, full) for rule in self.rules])
 
 
-class Trajectory(logic.Frozen):
+class Trajectory(Frozen):
     """Synchronous orbit up to the first repeated state.
 
     states holds the distinct visited states; cycle_start is the index where
@@ -219,9 +214,7 @@ class Trajectory(logic.Frozen):
     __slots__ = _fields = ("states", "cycle_start", "truncated")
 
     def __init__(self, states: tuple[State, ...], cycle_start: int | None, truncated: bool):
-        _set(self, "states", states)
-        _set(self, "cycle_start", cycle_start)
-        _set(self, "truncated", truncated)
+        self._init(states, cycle_start, truncated)
 
     @property
     def transient_length(self) -> int:
@@ -236,7 +229,7 @@ class Trajectory(logic.Frozen):
         return self.states[self.cycle_start :]
 
 
-class StateGraph(logic.Frozen):
+class StateGraph(Frozen):
     """Complete successor map on all 2^n states (out-degree one everywhere).
 
     successors holds state codes; each attractor is a tuple of state codes,
@@ -251,11 +244,7 @@ class StateGraph(logic.Frozen):
     def __init__(self, vars: VarSet, successors: array,
                  attractors: tuple[tuple[int, ...], ...], basin_sizes: tuple[int, ...],
                  attractor_of: array | None = None):
-        _set(self, "vars", vars)
-        _set(self, "successors", successors)
-        _set(self, "attractors", attractors)
-        _set(self, "basin_sizes", basin_sizes)
-        _set(self, "_attractor_of", attractor_of)
+        self._init(vars, successors, attractors, basin_sizes, attractor_of)
 
     @property
     def attractor_of(self) -> array:

@@ -1,4 +1,5 @@
-"""The input syntax shared by every file format and CLI value, and its error type."""
+"""The input syntax shared by every file format and CLI value, its error
+type, and `Frozen`, the base of every immutable record in both halves."""
 
 from __future__ import annotations
 
@@ -20,9 +21,66 @@ tokens and drops the whitespace between them."""
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 
+_set = object.__setattr__
+
 MAX_EXPONENT = 10 ** 6
 """Largest decimal exponent accepted in a rational: `Fraction` builds
 10^|e| before anything can check the value, so the bound goes first."""
+
+
+class Frozen:
+    """Base of the immutable records of both halves.
+
+    A subclass lists its fields in ``_fields`` and stores them in slots,
+    set with `object.__setattr__` or `_init` by its own ``__init__``; state
+    it keeps apart from its fields, such as a cache, lives in slots that
+    ``_fields`` does not name.  Records compare equal when class and fields
+    are equal, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
+    and copy through their constructor, given their fields (a record whose
+    constructor needs more overrides ``__reduce__``): what a frozen
+    dataclass gives, without generating code at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        """Store values in the slots the class declares, in their order."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def replace(self, **changes):
+        """A copy with the given fields changed.  It is built by the
+        constructor from what pickling would pass it, so the constructor's
+        checks run again; a name that is not a field is refused there."""
+        cls, args = self.__reduce__()
+        return cls(*[changes.pop(name, value) for name, value in zip(self._fields, args)],
+                   *args[len(self._fields):], **changes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class ParseError(ValueError):

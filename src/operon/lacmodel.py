@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import IDENT, ParseError, parse_rational, source_lines
+from .errors import IDENT, Frozen, ParseError, _set, parse_rational, source_lines
 from .exactpoly import (
     Poly,
     clear_content,
@@ -60,27 +58,21 @@ MAX_SAMPLES = 10_000
 CSV_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class LacParams:
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is kept as given, where Fraction(x)
+    would build a copy."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class LacParams(Frozen):
     """Exact model constants; L is None while the lactose level is symbolic."""
 
-    c0: Fraction
-    c: Fraction
-    gamma: Fraction
-    v: Fraction
-    delta: Fraction
-    h: Fraction
-    n: int
-    L: Optional[Fraction] = None
+    __slots__ = _fields = ("c0", "c", "gamma", "v", "delta", "h", "n", "L")
 
-    def __post_init__(self):
-        # a Fraction is kept as given: Fraction(x) would build a copy
-        for name in ("c0", "c", "gamma", "v", "delta", "h"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-        if self.L is not None and not isinstance(self.L, Fraction):
-            object.__setattr__(self, "L", Fraction(self.L))
+    def __init__(self, c0: Fraction, c: Fraction, gamma: Fraction, v: Fraction,
+                 delta: Fraction, h: Fraction, n: int, L: Optional[Fraction] = None):
+        self._init(*map(_fraction, (c0, c, gamma, v, delta, h)), n,
+                   None if L is None else _fraction(L))
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.n > MAX_HILL:
@@ -99,7 +91,7 @@ class LacParams:
                    v=Fraction(1), delta=Fraction(1, 5), h=Fraction(2), n=5)
 
     def with_lactose(self, L) -> "LacParams":
-        return replace(self, L=Fraction(L))
+        return self.replace(L=Fraction(L))
 
 
 _KEYS = ("c0", "c", "gamma", "v", "delta", "h", "n", "L")
@@ -372,14 +364,13 @@ def steady_state_count(p: LacParams, L) -> int:
     return _Oracle(_eliminant_at(p, L)).count(0)
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(Frozen):
     """One positive steady state with certified coordinate intervals."""
 
-    A: RootBox
-    M: RootBox
-    R: RootBox
-    multiplicity: int = 1
+    __slots__ = _fields = ("A", "M", "R", "multiplicity")
+
+    def __init__(self, A: RootBox, M: RootBox, R: RootBox, multiplicity: int = 1):
+        self._init(A, M, R, multiplicity)
 
     def as_dict(self, digits: int = 5) -> dict:
         boxes = {"A": self.A, "M": self.M, "R": self.R}
@@ -463,44 +454,52 @@ def _refine_residual(elim: Coeffs, box: RootBox) -> RootBox:
     return narrow_until(box, 4, small)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """Open lactose interval on which the steady-state count is constant.
 
     Edges are nominal rational stand-ins for the certified critical boxes
     (None marks an unbounded right edge).
     """
 
-    lo: Fraction
-    hi: Optional[Fraction]
-    count: int
+    __slots__ = _fields = ("lo", "hi", "count")
+
+    def __init__(self, lo: Fraction, hi: Optional[Fraction], count: int):
+        self._init(lo, hi, count)
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(Frozen):
     """One sampled lactose level; its steady-state branches are isolated
     and refined when first asked for."""
 
-    L: Fraction
-    boundary: bool
-    # the integer curve P, Q of the report and its precision
-    _curve: tuple = field(compare=False, repr=False)
+    # besides the fields, the integer curve P, Q of the report and its
+    # precision, and the roots once they are read
+    __slots__ = ("L", "boundary", "_curve", "_roots")
+    _fields = ("L", "boundary")
 
-    @cached_property
+    def __init__(self, L: Fraction, boundary: bool, _curve: tuple):
+        self._init(L, boundary, _curve, None)
+
+    def __reduce__(self):
+        return self.__class__, (self.L, self.boundary, self._curve)
+
+    @property
     def roots(self) -> tuple[RootBox, ...]:
-        P, Q, precision = self._curve
-        return tuple(_branches(_eliminant(P, Q, self.L), precision))
+        if self._roots is None:
+            P, Q, precision = self._curve
+            _set(self, "_roots", tuple(_branches(_eliminant(P, Q, self.L), precision)))
+        return self._roots
 
     @property
     def count(self) -> int:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class BifurcationReport:
-    critical: tuple[RootBox, ...]
-    regions: tuple[Region, ...]
-    samples: tuple[SamplePoint, ...]
+class BifurcationReport(Frozen):
+    __slots__ = _fields = ("critical", "regions", "samples")
+
+    def __init__(self, critical: tuple[RootBox, ...], regions: tuple[Region, ...],
+                 samples: tuple[SamplePoint, ...]):
+        self._init(critical, regions, samples)
 
 
 def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,

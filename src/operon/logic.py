@@ -11,48 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .errors import NAME_START, ParseError, TOKEN, scan_error
-
-_set = object.__setattr__
-
-
-class Frozen:
-    """Base of the immutable records of the Boolean half.
-
-    A subclass lists its fields in ``_fields`` and stores them in slots of
-    the same names, set with `object.__setattr__` by its own ``__init__``.
-    Records compare equal when class and fields are equal, hash as the tuple
-    of their fields, print as ``Name(field=value, ...)``, refuse assignment
-    and deletion, and pickle and copy through their constructor: what a
-    frozen dataclass gives, without generating code at import.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
+from .errors import NAME_START, Frozen, ParseError, TOKEN, _set, scan_error
 
 
 class Var(Frozen):

@@ -22,13 +22,13 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional
 
+from .errors import Frozen
 from .exactpoly import Poly, clear_content, homogeneous_value, integer_coeffs
 
 MIN_PRECISION = Fraction(1, 10 ** 300)
@@ -38,8 +38,7 @@ Every halving adds a bit to each endpoint, so a finer request only costs
 time and ends in endpoints too long to print."""
 
 
-@dataclass(frozen=True)
-class RootBox:
+class RootBox(Frozen):
     """Certified rational interval around one real root, or around one
     steady-state coordinate.
 
@@ -49,24 +48,24 @@ class RootBox:
     A box that isolation or refinement returns and that is not exact
     carries the kernel (`_Cells`) that certified it, and through the
     kernel the oracle of its polynomial: `narrow_until` refines on it, and
-    `refine_root_box` goes on in it for that polynomial.  An exact box and
-    a box made by hand carry nothing.
+    `refine_root_box` goes on in it for that polynomial.  An exact box, a
+    box made by hand and a pickled or copied box carry nothing.
     """
 
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
-    # the kernel that certified the box, and the box's depth in it: the box
-    # is its cell of that depth, and refining goes on from there.  Several
-    # boxes share one kernel, so the depth is kept here, not on the kernel.
-    _cells: Optional["_Cells"] = field(default=None, compare=False, repr=False)
-    _depth: int = field(default=0, compare=False, repr=False)
+    # besides the fields, the kernel that certified the box and the box's
+    # depth in it: the box is its cell of that depth, and refining goes on
+    # from there.  Several boxes share one kernel, so the depth is kept
+    # here, not on the kernel.
+    __slots__ = ("lo", "hi", "multiplicity", "_cells", "_depth")
+    _fields = ("lo", "hi", "multiplicity")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, multiplicity: int = 1,
+                 _cells: Optional["_Cells"] = None, _depth: int = 0):
+        if lo > hi:
             raise ValueError("root box needs lo <= hi")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be at least 1")
+        self._init(lo, hi, multiplicity, _cells, _depth)
 
     @property
     def is_exact(self) -> bool:
@@ -102,16 +101,17 @@ class RootBox:
         return f"root in ({self.lo}, {self.hi}] (multiplicity {self.multiplicity})"
 
 
-def _require_univariate(p: Poly) -> None:
+def _integers(p: Poly) -> tuple[int, ...]:
+    """p over its positive rational content: coprime integers, sign kept.
+
+    The one check of every entry that takes a `Poly`: p must be a nonzero
+    polynomial with rational coefficients."""
     if not isinstance(p, Poly):
         raise TypeError("expected a polynomial")
-    for c in p.coeffs:
-        if isinstance(c, Poly) and c.degree > 0:
-            raise ValueError("real-root routines need rational coefficients")
-
-
-def _integers(p: Poly) -> tuple[int, ...]:
-    """p over its positive rational content: coprime integers, sign kept."""
+    if any(isinstance(c, Poly) and c.degree > 0 for c in p.coeffs):
+        raise ValueError("real-root routines need rational coefficients")
+    if not p:
+        raise ValueError("real-root routines need a nonzero polynomial")
     return integer_coeffs(clear_content(p))
 
 
@@ -216,20 +216,14 @@ def _root_bound(c) -> Fraction:
 
 def squarefree_part(p: Poly) -> Poly:
     """p with repeated factors collapsed to multiplicity one (content cleared)."""
-    _require_univariate(p)
-    if not p:
-        raise ValueError("the zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return Poly(p.var, (1,))
     f = _integers(p)
+    if len(f) == 1:
+        return Poly(p.var, (1,))
     return Poly(p.var, _squarefree(f, _sturm(f)[-1]))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm sequence of p, each entry scaled to small integer coefficients."""
-    _require_univariate(p)
-    if not p:
-        raise ValueError("no Sturm chain for the zero polynomial")
     return [Poly(p.var, c) for c in _sturm(_integers(p))]
 
 
@@ -247,9 +241,6 @@ def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fracti
 
     Either bound may be None, meaning unbounded on that side.
     """
-    _require_univariate(p)
-    if not p:
-        raise ValueError("the zero polynomial has infinitely many roots")
     return _Oracle(_integers(p)).count(lo, hi)
 
 
@@ -560,12 +551,10 @@ def isolate_real_roots(p: Poly, region: str = "all",
     (at least MIN_PRECISION) and returned in increasing order.
     Multiplicities refer to p itself.
     """
-    _require_univariate(p)
-    if not p:
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    f = _integers(p)
     if region not in ("all", "positive"):
         raise ValueError(f"unknown region {region!r}")
-    return _Oracle(_integers(p)).isolate(precision, region == "positive")
+    return _Oracle(f).isolate(precision, region == "positive")
 
 
 def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
@@ -578,7 +567,8 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     MIN_PRECISION.  A box from `isolate_real_roots(p)` or an earlier
     refinement carries the kernel that certified it, whose oracle holds p
     prepared, so refining goes on from the box's cell.  Any other box, or
-    a box isolated for another polynomial, starts a new kernel on p.
+    a box isolated for another polynomial, starts a new kernel on p, and
+    must then hold exactly one root of p.
     """
     if box.is_exact:
         return box
@@ -586,7 +576,12 @@ def refine_root_box(p: Poly, box: RootBox, precision: Fraction) -> RootBox:
     f = _integers(p)
     cells, depth = box._cells, box._depth
     if cells is None or cells.oracle.f != f:
-        cells, depth = _Cells.between(_Oracle(f), box.lo, box.hi), 0
+        oracle = _Oracle(f)
+        roots = oracle.count(box.lo, box.hi)
+        if roots != 1:
+            raise ValueError(f"the box ({box.lo}, {box.hi}] holds {roots} roots of "
+                             "the polynomial, not one")
+        cells, depth = _Cells.between(oracle, box.lo, box.hi), 0
     # the box is the cell of its depth, and the fewest halvings of it that
     # reach the width end at the deeper of that depth and depth_for's
     depth = max(depth, cells.depth_for(precision.numerator, precision.denominator))

@@ -140,21 +140,25 @@ def test_boolean_commands_leave_the_ode_half_unloaded(argv):
     assert loaded & BOOLEAN and loaded & ODE == set()
 
 
-@pytest.mark.parametrize("argv", [
+ODE_COMMANDS = [
     ["ode", "eliminate", "lac.ode"],
     ["ode", "bifurcation", "lac.ode"],
     ["ode", "steady-states", "lac.ode", "--L", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", ODE_COMMANDS)
 def test_ode_commands_leave_the_boolean_half_unloaded(argv):
     argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
     loaded = submodules(loaded_after(*argv))
     assert ODE <= loaded and loaded & BOOLEAN == set()
 
 
-@pytest.mark.parametrize("module", sorted(BOOLEAN | {"cli", "errors", "__init__"}))
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_boolean_half_never_imports_dataclasses(module):
     # a @dataclass generates and execs its methods when its class is
-    # created, on every fresh import; the Boolean records are plain classes
+    # created, on every fresh import; the records of both halves are plain
+    # classes on errors.Frozen
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -165,10 +169,28 @@ def test_boolean_half_never_imports_dataclasses(module):
     assert "dataclasses" not in imported
 
 
-@pytest.mark.parametrize("argv", BOOLEAN_COMMANDS)
+@pytest.mark.parametrize("argv", BOOLEAN_COMMANDS + ODE_COMMANDS)
 def test_boolean_commands_load_neither_dataclasses_nor_inspect(argv):
     argv = [operon.model_path(arg) if "." in arg else arg for arg in argv]
     assert loaded_after(*argv) & {"dataclasses", "inspect"} == set()
+
+
+RECORDS = {
+    "logic": ["Var", "Const", "Not", "And", "Or", "Xor"],
+    "boolnet": ["BooleanNetwork", "Trajectory", "StateGraph"],
+    "realroots": ["RootBox"],
+    "lacmodel": ["LacParams", "SteadyState", "Region", "SamplePoint", "BifurcationReport"],
+}
+
+
+def test_every_record_sits_on_one_base():
+    from operon.errors import Frozen
+
+    for module, names in RECORDS.items():
+        home = importlib.import_module(f"operon.{module}")
+        assert "Frozen" not in vars(home) or home.Frozen is Frozen
+        for name in names:
+            assert issubclass(getattr(home, name), Frozen), name
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,7 +1,8 @@
 """Steady states and bifurcation structure of the continuous operon model."""
 
+import copy
+import pickle
 import time
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,6 +26,9 @@ from operon.lacmodel import (
     RESIDUAL_TARGET,
     BifurcationReport,
     LacParams,
+    Region,
+    SamplePoint,
+    SteadyState,
     bifurcation_csv,
     bifurcation_curve,
     build_system,
@@ -171,9 +175,9 @@ def test_hill_exponent_cap():
     text = "c0 = 1/20\nc = 1\ngamma = 1\nv = 1\ndelta = 1/5\nh = 2\nn = 64\nL = sym\n"
     assert parse_ode_text(text).n == MAX_HILL == 64
     assert parse_ode_text(text.replace("n = 64", "n = 0064")).n == 64
-    assert replace(LacParams.defaults(), n=MAX_HILL).n == MAX_HILL
+    assert LacParams.defaults().replace(n=MAX_HILL).n == MAX_HILL
     with pytest.raises(ValueError, match="n must be at most 64"):
-        replace(LacParams.defaults(), n=MAX_HILL + 1)
+        LacParams.defaults().replace(n=MAX_HILL + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,7 @@ def test_eliminate_rejects_degenerate_system():
     p = LacParams(c0=0, c=0, gamma=1, v=1, delta=0, h=2, n=1, L=F(1))
     with pytest.raises(ValueError, match="share a factor"):
         eliminate_M(p)
-    symbolic = replace(p, L=None)
+    symbolic = p.replace(L=None)
     assert resultant(*build_system(symbolic)) == 0
     with pytest.raises(ValueError, match="share a factor"):
         eliminate_M(symbolic)
@@ -325,7 +329,7 @@ def test_level_at_infinity():
     # with delta = 0, L(A) = P/Q rises to v as A -> infinity: one steady
     # state below v, none above
     p = LacParams.defaults()
-    p = replace(p, delta=F(0))
+    p = p.replace(delta=F(0))
     (box,) = critical_lactose_values(p)
     assert box.exact == p.v
     report = bifurcation_curve(p, (F(1, 10), F(5, 2)), samples=5)
@@ -862,3 +866,136 @@ def test_bifurcation_stays_on_integers(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     assert [analyse(p) for p in models] == expected
     assert len(curves) == 2 * len(models)
+
+
+# ---------------------------------------------------------------------------
+# the records are frozen plain classes: what a frozen dataclass gave them
+
+DEFAULTS_REPR = ("LacParams(c0=Fraction(1, 20), c=Fraction(1, 1), gamma=Fraction(1, 1), "
+                 "v=Fraction(1, 1), delta=Fraction(1, 5), h=Fraction(2, 1), n=5, L=None)")
+
+
+FIELDS = {
+    LacParams: ("c0", "c", "gamma", "v", "delta", "h", "n", "L"),
+    SteadyState: ("A", "M", "R", "multiplicity"),
+    Region: ("lo", "hi", "count"),
+    SamplePoint: ("L", "boundary"),
+    BifurcationReport: ("critical", "regions", "samples"),
+}
+
+
+def fields_of(record) -> tuple:
+    return tuple(getattr(record, name) for name in FIELDS[type(record)])
+
+
+def small_records():
+    """One record of each ODE class, each with a twin equal to it."""
+    state = SteadyState(RootBox(F(1), F(1)), RootBox(F(1, 2), F(1)), RootBox(F(0), F(1, 4)))
+    region = Region(F(0), None, 1)
+    return [LacParams.defaults(), state, region, BifurcationReport((), (region,), ())]
+
+
+def test_ode_records_print_as_before():
+    assert repr(LacParams.defaults()) == DEFAULTS_REPR
+    assert repr(LacParams.defaults().with_lactose(1)) == DEFAULTS_REPR.replace(
+        "L=None", "L=Fraction(1, 1)")
+    params, state, region, report = small_records()
+    assert repr(state) == (
+        "SteadyState(A=RootBox(lo=Fraction(1, 1), hi=Fraction(1, 1), multiplicity=1), "
+        "M=RootBox(lo=Fraction(1, 2), hi=Fraction(1, 1), multiplicity=1), "
+        "R=RootBox(lo=Fraction(0, 1), hi=Fraction(1, 4), multiplicity=1), multiplicity=1)")
+    assert repr(region) == "Region(lo=Fraction(0, 1), hi=None, count=1)"
+    assert repr(report) == ("BifurcationReport(critical=(), regions=(Region(lo=Fraction(0, 1), "
+                            "hi=None, count=1),), samples=())")
+    samples = bifurcation_curve(params, (F(1, 10), F(5, 2)), 2).samples
+    assert repr(samples) == ("(SamplePoint(L=Fraction(1, 10), boundary=False), "
+                             "SamplePoint(L=Fraction(5, 2), boundary=False))")
+
+
+def test_ode_records_compare_and_hash_by_class_and_fields():
+    for record, twin in zip(small_records(), small_records()):
+        assert record is not twin and record == twin and hash(record) == hash(twin)
+        assert hash(record) == hash(fields_of(record))
+        assert (record == fields_of(record)) is False
+    params = LacParams.defaults()
+    assert params != params.with_lactose(1) and params != LacParams(**{**LAC, "n": 4})
+    assert Region(F(0), None, 1) != Region(F(0), None, 3)
+    assert len({params, LacParams.defaults(), params.with_lactose(1)}) == 2
+    # a sample compares by L and boundary, not by its curve or its roots
+    first, second = (bifurcation_curve(params, (F(1, 10), F(5, 2)), 3).samples
+                     for _ in range(2))
+    first[1].roots
+    assert first == second and hash(first) == hash(second)
+    assert first[0] != first[1]
+
+
+def test_ode_records_are_frozen():
+    params, state, region, report = small_records()
+    sample = bifurcation_curve(params, (F(1, 10), F(5, 2)), 2).samples[0]
+    for record in (params, state, region, report, sample):
+        for name in (*FIELDS[type(record)], "_curve", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_ode_records_take_keywords():
+    params = LacParams(c0=F(1, 20), c=1, gamma=1, v=1, delta=F(1, 5), h=2, n=5)
+    assert params == LacParams.defaults()
+    assert all(type(getattr(params, name)) is F for name in ("c", "gamma", "v", "h"))
+    assert type(params.with_lactose(3).L) is F
+    assert type(LacParams(**{**LAC, "n": 5, "L": 3}).L) is F
+    box = RootBox(F(1), F(1))
+    assert SteadyState(A=box, M=box, R=box, multiplicity=2) == SteadyState(box, box, box, 2)
+    assert Region(lo=F(0), hi=None, count=1) == Region(F(0), None, 1)
+    assert BifurcationReport(critical=(), regions=(), samples=()) == BifurcationReport((), (), ())
+    with pytest.raises(TypeError):
+        SteadyState(box, box)
+
+
+def test_replace_runs_the_checks_again():
+    params = LacParams.defaults()
+    # test_hill_exponent_cap checks replace against MAX_HILL
+    assert params.replace() == params
+    assert params.replace(L=3) == params.with_lactose(3) and type(params.replace(L=3).L) is F
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        params.replace(gamma=0)
+    with pytest.raises(TypeError):
+        params.replace(m=1)
+    # a sample keeps its curve, so the copy still finds its branches
+    sample = bifurcation_curve(params, (F(1, 10), F(5, 2)), 2).samples[0]
+    moved = sample.replace(L=F(1))
+    assert moved == SamplePoint(F(1), False, sample._curve)
+    assert moved.count == steady_state_count(params, 1) == 3
+
+
+def test_sample_roots_are_found_once(monkeypatch):
+    from operon import lacmodel
+
+    report = bifurcation_curve(LacParams.defaults(), (F(1, 10), F(5, 2)), 3)
+    found = []
+    branches = lacmodel._branches
+    monkeypatch.setattr(lacmodel, "_branches", lambda *args: found.append(args) or branches(*args))
+    sample = report.samples[1]
+    assert found == []
+    roots = sample.roots
+    assert len(found) == 1 and len(roots) == sample.count == 3
+    assert sample.roots is roots and len(found) == 1
+
+
+def test_ode_records_pickle_and_copy(lac_ode):
+    params = load_ode(lac_ode)
+    states = steady_states_at(params, 1)
+    report = bifurcation_curve(params, (F(1, 10), F(5, 2)), 5)
+    counts = [pt.count for pt in report.samples]
+    for record in (params, params.with_lactose(1), states, report, *small_records()):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert clone == record and repr(clone) == repr(record)
+    # a copied report's samples carry the curve: their branches can still
+    # be found, whether or not the original had found them
+    fresh = bifurcation_curve(params, (F(1, 10), F(5, 2)), 5)
+    for original in (report, fresh):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert [pt.count for pt in clone.samples] == counts
+            assert [pt.roots for pt in clone.samples] == [pt.roots for pt in report.samples]

@@ -1,5 +1,7 @@
 """Sturm chains, exact root counting and isolation with rational endpoints."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,47 @@ def test_root_box_validation():
         RootBox(F(2), F(1))
     with pytest.raises(ValueError):
         RootBox(F(1), F(2), multiplicity=0)
+
+
+def test_root_box_record():
+    # a frozen record: what a frozen dataclass gave it, with the kernel
+    # left out of equality, hashing and printing
+    assert repr(RootBox(F(1, 3), F(1, 2), 2)) == \
+        "RootBox(lo=Fraction(1, 3), hi=Fraction(1, 2), multiplicity=2)"
+    assert RootBox(lo=F(1), hi=F(2), multiplicity=2) == RootBox(F(1), F(2), 2)
+    assert RootBox(F(1), F(2)) != RootBox(F(1), F(2), 2) != RootBox(F(1), F(3), 2)
+    assert (RootBox(F(1), F(2)) == (F(1), F(2), 1)) is False
+    carried = isolate_real_roots((X**2 - 2) * (X - 5))[0]
+    bare = RootBox(carried.lo, carried.hi, carried.multiplicity)
+    assert carried._cells is not None and bare._cells is None
+    assert bare == carried and hash(bare) == hash(carried) == hash((bare.lo, bare.hi, 1))
+    assert repr(bare) == repr(carried) and str(bare) == str(carried)
+    for name in ("lo", "hi", "multiplicity", "_cells", "_depth", "other"):
+        with pytest.raises(AttributeError):
+            setattr(carried, name, None)
+        with pytest.raises(AttributeError):
+            delattr(carried, name)
+
+
+def test_isolated_boxes_pickle_and_copy():
+    p = (X**2 - 2) * (X - 5) ** 2
+    boxes = isolate_real_roots(p)
+    for clone in (pickle.loads(pickle.dumps(boxes)), copy.deepcopy(boxes)):
+        assert clone == boxes and repr(clone) == repr(boxes)
+        assert [b.multiplicity for b in clone] == [1, 1, 2]
+        assert [refine_root_box(p, b, F(1, 10**9)) for b in clone] == \
+            [refine_root_box(p, b, F(1, 10**9)) for b in boxes]
+
+
+def test_copied_boxes_carry_no_kernel():
+    box = isolate_real_roots(X**2 - 2)[0]
+    for clone in (pickle.loads(pickle.dumps(box)), copy.deepcopy(box), box.replace()):
+        assert clone == box and clone._cells is None
+        with pytest.raises(ValueError, match="no oracle"):
+            narrow_until(clone, 1, lambda lo, hi, den: False)
+        # refining builds a new kernel, which certifies the same cells
+        assert refine_root_box(X**2 - 2, clone, F(1, 10**9)) == \
+            refine_root_box(X**2 - 2, box, F(1, 10**9))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +372,39 @@ def test_refine_can_discover_exactness():
     # the midpoint probe names a root that the simplest rational (0) misses
     half = refine_root_box(2 * X - 1, RootBox(F(0), F(1)), F(1))
     assert half.exact == F(1, 2)
+
+
+def test_refine_refuses_a_new_box_without_one_root():
+    # a box that carries no kernel for p starts a new one, which needs the
+    # box to hold exactly one root of p
+    for p, box, roots in [(Poly("x", [F(5)]), RootBox(F(0), F(2)), 0),
+                          (X**2 - 2, RootBox(F(3), F(4)), 0),
+                          (X**2 - 2, RootBox(F(-2), F(2)), 2)]:
+        with pytest.raises(ValueError, match=f"holds {roots} roots of the polynomial, not one"):
+            refine_root_box(p, box, F(1, 100))
+    with pytest.raises(ValueError, match="nonzero polynomial"):
+        refine_root_box(Poly("x"), RootBox(F(0), F(2)), F(1, 100))
+    # so is a box isolated for another polynomial
+    with pytest.raises(ValueError, match="holds 0 roots"):
+        refine_root_box(X**2 - 2, isolate_real_roots(X**2 - 3)[-1], F(1, 100))
+    # a root at hi is inside the half-open box, one at lo is not
+    assert refine_root_box(X - 2, RootBox(F(1), F(2)), F(1, 100)).exact == 2
+    with pytest.raises(ValueError, match="holds 0 roots"):
+        refine_root_box(X - 2, RootBox(F(2), F(3)), F(1, 100))
+
+
+@pytest.mark.parametrize("entry", [
+    squarefree_part, sturm_chain, count_real_roots, isolate_real_roots,
+    lambda p: refine_root_box(p, RootBox(F(0), F(2)), F(1, 100)),
+], ids=["squarefree_part", "sturm_chain", "count_real_roots", "isolate_real_roots",
+        "refine_root_box"])
+def test_every_entry_checks_its_polynomial(entry):
+    with pytest.raises(TypeError, match="expected a polynomial"):
+        entry((F(1), F(2)))
+    with pytest.raises(ValueError, match="rational coefficients"):
+        entry(Poly("A", [Poly.x("L"), F(1)]))
+    with pytest.raises(ValueError, match="real-root routines need a nonzero polynomial"):
+        entry(Poly("x"))
 
 
 def test_precision_floor():
@@ -629,7 +705,7 @@ def test_oracle_is_built_once_per_polynomial(monkeypatch):
     # an equal polynomial shares the oracle; another polynomial gets its own
     refine_root_box(p * 1, boxes[0], boxes[0].width / 16)
     assert len(built) == 1
-    tight = refine_root_box(X**2 - 2, boxes[0], boxes[0].width / 16)
+    tight = refine_root_box(X**2 - 3, boxes[0], boxes[0].width / 16)
     assert len(built) == 2
     assert tight == RootBox(tight.lo, tight.hi)
     # a box made by hand carries no oracle to narrow on
