@@ -217,12 +217,6 @@ class Trajectory(Frozen):
         self._init(states, cycle_start, truncated)
 
     @property
-    def transient_length(self) -> int:
-        if self.cycle_start is None:
-            raise ValueError("trajectory was truncated before a cycle appeared")
-        return self.cycle_start
-
-    @property
     def cycle(self) -> tuple[State, ...]:
         if self.cycle_start is None:
             raise ValueError("trajectory was truncated before a cycle appeared")
@@ -255,10 +249,6 @@ class StateGraph(Frozen):
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
 
-    def attractor_states(self, idx: int) -> tuple[State, ...]:
-        n = len(self.vars)
-        return tuple(decode_state(c, n) for c in self.attractors[idx])
-
     def to_dot(self) -> str:
         lines = ["digraph states {"]
         for code, nxt in enumerate(self.successors):
@@ -276,13 +266,6 @@ class StateGraph(Frozen):
             for cyc, size in zip(self.attractors, self.basin_sizes)
         ]
         return json.dumps(report, indent=2)
-
-
-def encode_state(state: Sequence[int]) -> int:
-    code = 0
-    for b in state:
-        code = (code << 1) | (b & 1)
-    return code
 
 
 def _attractors(succ):

@@ -51,6 +51,8 @@ def _parse_set(text: str, error) -> dict[str, int]:
             error(f"malformed --set entry {chunk!r}: expected name=value")
         if value not in ("0", "1"):
             error("parameter values must be 0 or 1")
+        if name in out:
+            error(f"duplicate parameter {name!r} in --set")
         out[name] = int(value)
     return out
 

@@ -5,8 +5,13 @@ Polys in *other* variables, so a polynomial in A whose coefficients live in
 Q[L] is Poly("A", [...Poly("L", ...)...]).  Coefficients are stored lowest
 degree first and trailing zeros are trimmed, which makes equality structural.
 
-Resultants go through the Sylvester matrix with a fraction-free Bareiss
-elimination; all intermediate divisions are exact in the coefficient ring.
+This module holds the public `Poly` API and the resultant/discriminant
+oracle: resultants go through the Sylvester matrix with a fraction-free
+Bareiss elimination, and all intermediate divisions are exact in the
+coefficient ring.  The commands run on integers instead: `realroots` and
+`lacmodel` pass integer coefficient tuples, lowest degree first, and take
+only `homogeneous_value` from here for them.  A `Poly` is built where the
+public API takes or returns one, and to print the eliminant.
 """
 
 from __future__ import annotations
@@ -173,9 +178,6 @@ class Poly:
             return hash(self.constant())
         return hash((self.var, self.coeffs))
 
-    def subs(self, var: str, value) -> Coeff:
-        return substitute(self, var, value)
-
     def __repr__(self):
         return f"Poly({self.var!r}, {list(self.coeffs)!r})"
 
@@ -199,17 +201,6 @@ def substitute(p, var: str, value):
     return acc
 
 
-def integer_coeffs(p: Poly) -> tuple[int, ...]:
-    """The coefficients of p as ints, lowest degree first; p must have
-    integer coefficients (a content-cleared univariate polynomial)."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Poly) or c.denominator != 1:
-            raise ValueError("expected integer coefficients")
-        out.append(c.numerator)
-    return tuple(out)
-
-
 def homogeneous_value(coeffs: Sequence[int], num: int, den: int) -> int:
     """den**deg * p(num/den) for the integer coefficients of p.
 
@@ -227,37 +218,6 @@ def homogeneous_value(coeffs: Sequence[int], num: int, den: int) -> int:
 def derivative(p: Poly) -> Poly:
     """Derivative with respect to the polynomial's own main variable."""
     return Poly(p.var, [i * c for i, c in enumerate(p.coeffs)][1:])
-
-
-def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder for univariate polynomials over the rationals."""
-    if not isinstance(g, Poly) or not isinstance(f, Poly) or f.var != g.var:
-        raise ValueError("divrem needs two polynomials in the same variable")
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    dg = g.degree
-    glc = g.lc
-    rem = list(f.coeffs)
-    quo = [Fraction(0)] * max(len(rem) - dg, 0)
-    for k in range(len(rem) - dg - 1, -1, -1):
-        top = rem[k + dg]
-        if is_zero(top):
-            continue
-        c = top / glc
-        quo[k] = c
-        for i, gc in enumerate(g.coeffs):
-            rem[k + i] = rem[k + i] - c * gc
-    return Poly(f.var, quo), Poly(f.var, rem[:dg])
-
-
-def pgcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; pgcd(0, 0) is 0."""
-    a, b = f, g
-    while b:
-        a, b = b, divrem(a, b)[1]
-    if not a:
-        return a
-    return a * (Fraction(1) / a.lc)
 
 
 def exact_div(a, b):
@@ -303,15 +263,6 @@ def _scalar_leaves(p):
         yield p
 
 
-def leading_sign(p) -> int:
-    """Sign of the innermost leading coefficient (0 for the zero polynomial)."""
-    while isinstance(p, Poly):
-        if not p.coeffs:
-            return 0
-        p = p.coeffs[-1]
-    return -1 if p < 0 else (1 if p > 0 else 0)
-
-
 def rational_content(p) -> Fraction:
     """Positive rational c such that p/c has coprime integer coefficients."""
     num = 0
@@ -324,20 +275,6 @@ def rational_content(p) -> Fraction:
     if num == 0:
         return Fraction(0)
     return Fraction(num, den)
-
-
-def content_and_primitive(p) -> tuple[Fraction, Coeff]:
-    """Signed content and the primitive part with a positive leading sign."""
-    c = rational_content(p)
-    if c == 0:
-        return Fraction(0), p
-    if leading_sign(p) < 0:
-        c = -c
-    return c, exact_div(p, c)
-
-
-def primitive_part(p) -> Coeff:
-    return content_and_primitive(p)[1]
 
 
 def clear_content(p) -> Coeff:

@@ -23,13 +23,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import IDENT, Frozen, ParseError, _set, parse_rational, source_lines
-from .exactpoly import (
-    Poly,
-    clear_content,
-    content_and_primitive,
-    format_poly,
-    homogeneous_value,
-)
+from .exactpoly import Poly, clear_content, format_poly, homogeneous_value
 from .realroots import (
     RootBox,
     _check_precision,
@@ -212,15 +206,20 @@ def eliminate_M(p: LacParams) -> Poly:
     L when the lactose level is symbolic) whose positive roots are exactly
     the steady-state A values: the primitive part of P - L*Q, the 2x2
     determinant of `build_system(p)` as a linear system in M.
+
+    With L symbolic, P - L*Q is primitive already: `_lactose_curve` has
+    divided P and Q by the gcd of all their coefficients.  Only its sign is
+    set, by the innermost leading coefficient: -Q[-1] < 0 when Q is at
+    least as long as P, else P[-1] > 0.
     """
     P, Q = _lactose_curve(p)
     if p.L is not None:
         return Poly("A", _eliminant(P, Q, p.L))
-    elim = Poly("A", [pc if not qc else Poly("L", [pc, -qc])
-                      for pc, qc in zip_longest(P, Q, fillvalue=0)])
-    if not elim:
+    if not (P or Q):
         raise ValueError("degenerate system: equations share a factor")
-    return content_and_primitive(elim)[1]
+    s = -1 if len(Q) >= len(P) else 1
+    return Poly("A", [s * pc if not qc else Poly("L", [s * pc, -s * qc])
+                      for pc, qc in zip_longest(P, Q, fillvalue=0)])
 
 
 def critical_lactose_values(p: LacParams,

@@ -15,9 +15,9 @@ and refines.  Isolation bisects integer numerators over one denominator,
 and each isolated interval goes on into one refinement kernel (`_Cells`).
 The root boxes carry that kernel, and through it the oracle, so refining
 a box later neither prepares the polynomial again nor evaluates it again
-at the box's ends.  The public entries clear a `Poly`'s content once to
-reach the oracle; Fractions are built only for the endpoints of the boxes
-returned.
+at the box's ends.  The public entries read a `Poly`'s coefficients once
+as coprime integers to reach the oracle; Fractions are built only for the
+endpoints of the boxes returned.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import Frozen
-from .exactpoly import Poly, clear_content, homogeneous_value, integer_coeffs
+from .exactpoly import Poly, homogeneous_value
 
 MIN_PRECISION = Fraction(1, 10 ** 300)
 """The narrowest interval width that isolation and refinement accept.
@@ -105,14 +105,22 @@ def _integers(p: Poly) -> tuple[int, ...]:
     """p over its positive rational content: coprime integers, sign kept.
 
     The one check of every entry that takes a `Poly`: p must be a nonzero
-    polynomial with rational coefficients."""
+    polynomial with rational coefficients.  A coefficient that is a
+    constant `Poly`, which arithmetic can leave behind, is read as its
+    value."""
     if not isinstance(p, Poly):
         raise TypeError("expected a polynomial")
-    if any(isinstance(c, Poly) and c.degree > 0 for c in p.coeffs):
-        raise ValueError("real-root routines need rational coefficients")
-    if not p:
+    coeffs = []
+    for c in p.coeffs:
+        while isinstance(c, Poly):
+            if c.degree > 0:
+                raise ValueError("real-root routines need rational coefficients")
+            c = c.constant()
+        coeffs.append(c)
+    if not coeffs:
         raise ValueError("real-root routines need a nonzero polynomial")
-    return integer_coeffs(clear_content(p))
+    d = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (d // c.denominator) for c in coeffs])
 
 
 def _primitive(c) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import pytest
 from operon import model_path
 from operon import logic
 from operon.errors import IDENT, ParseError
-from operon.exactpoly import Poly, homogeneous_value, integer_coeffs
+from operon.exactpoly import Poly, exact_div, homogeneous_value, is_zero, rational_content
 from operon.lacmodel import Region, SteadyState
 from operon.realroots import (
     RootBox,
@@ -340,6 +340,66 @@ def random_distinct_rationals(rng, count, span=6):
     while len(pool) < count:
         pool.add(random_fraction(rng, span))
     return sorted(pool)
+
+
+def integer_coeffs(p):
+    """The coefficients of p as ints, lowest degree first; p must have
+    integer coefficients (a content-cleared univariate polynomial)."""
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Poly) or c.denominator != 1:
+            raise ValueError("expected integer coefficients")
+        out.append(c.numerator)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Euclid over the rationals and the primitive part of a nested polynomial,
+# as `exactpoly` computed them before the integer remainder sequence and the
+# sign-only eliminant.  The Sturm, squarefree and Yun tests hold `realroots`
+# to the Fraction Euclid, and the eliminant tests hold `eliminate_M` to the
+# primitive part of the resultant.
+
+
+def ref_divrem(f, g):
+    """Quotient and remainder for univariate polynomials over the rationals."""
+    if not isinstance(g, Poly) or not isinstance(f, Poly) or f.var != g.var:
+        raise ValueError("divrem needs two polynomials in the same variable")
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = g.degree
+    rem = list(f.coeffs)
+    quo = [Fraction(0)] * max(len(rem) - dg, 0)
+    for k in range(len(rem) - dg - 1, -1, -1):
+        top = rem[k + dg]
+        if is_zero(top):
+            continue
+        c = quo[k] = top / g.lc
+        for i, gc in enumerate(g.coeffs):
+            rem[k + i] = rem[k + i] - c * gc
+    return Poly(f.var, quo), Poly(f.var, rem[:dg])
+
+
+def ref_pgcd(f, g):
+    """Monic gcd; ref_pgcd(0, 0) is 0."""
+    a, b = f, g
+    while b:
+        a, b = b, ref_divrem(a, b)[1]
+    if not a:
+        return a
+    return a * (Fraction(1) / a.lc)
+
+
+def ref_primitive_part(p):
+    """p over its rational content, signed so that the innermost leading
+    coefficient is positive."""
+    c = rational_content(p)
+    if c == 0:
+        return p
+    lead = p
+    while isinstance(lead, Poly):
+        lead = lead.lc
+    return exact_div(p, c if lead > 0 else -c)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +747,15 @@ def ref_buchberger(system, order):
 # Boolean network state graphs as they were read before lane-packed successor
 # codes and the stamped walk: one string join per state, and a dict of path
 # positions per walk.  The differential tests hold `state_graph` to them.
+
+
+def encode_state(state):
+    """The code of a state, its first variable the high bit: the inverse of
+    `gf2.decode_state`."""
+    code = 0
+    for b in state:
+        code = (code << 1) | (b & 1)
+    return code
 
 
 def ref_successors(net, params):

@@ -15,7 +15,6 @@ from operon import boolnet, gf2, logic
 from operon.boolnet import (
     BooleanNetwork,
     decode_state,
-    encode_state,
     fixed_points_json,
     load_network,
     parse_network,
@@ -24,7 +23,7 @@ from operon.errors import ParseError
 from operon.gf2 import VarSet
 from operon.groebner import ENUMERATE_CAP, solve_boolean_system
 
-from conftest import SEED, random_expr, ref_attractors, ref_successors
+from conftest import SEED, encode_state, random_expr, ref_attractors, ref_successors
 
 FIXED_POINTS = {
     (0, 0): ["000110000"],
@@ -141,7 +140,6 @@ def test_trajectory_golden(net):
     assert ["".join(map(str, s)) for s in t.states] == expected
     assert t.cycle_start == 6
     assert t.truncated is False
-    assert t.transient_length == 6
     assert t.cycle == (bits("111101111"),)
 
 
@@ -150,8 +148,6 @@ def test_trajectory_truncation(net):
     assert t.truncated is True
     assert t.cycle_start is None
     assert len(t.states) == 3
-    with pytest.raises(ValueError):
-        _ = t.transient_length
     with pytest.raises(ValueError):
         _ = t.cycle
     t = net.trajectory(bits("111010011"), {"a": 1, "g": 0}, max_steps=0)
@@ -271,11 +267,6 @@ def test_state_graph_outputs(net):
     assert adj["111010011"] == "011111111"
     report = json.loads(graph.attractor_report_json())
     assert report == [{"cycle": ["111101111"], "basin_size": 512}]
-
-
-def test_attractor_states(net):
-    graph = net.state_graph({"a": 0, "g": 1})
-    assert graph.attractor_states(0) == (bits("000010000"),)
 
 
 def random_network(rng, n, k=None):

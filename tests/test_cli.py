@@ -173,6 +173,9 @@ def test_fixed_points_param_validation(capsys, lac_bn):
     code, err = run_usage_error(capsys, "fixed-points", lac_bn, "--set", "a")
     assert code == 2
     assert "expected name=value" in err
+    code, err = run_usage_error(capsys, "fixed-points", lac_bn, "--set", "a=1,a=0,g=0")
+    assert code == 2
+    assert "duplicate parameter 'a'" in err
 
 
 def test_fixed_points_requires_exactly_one_mode(capsys, lac_bn):

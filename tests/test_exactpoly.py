@@ -10,18 +10,12 @@ from operon.exactpoly import (
     Poly,
     bareiss_determinant,
     clear_content,
-    content_and_primitive,
     degree,
     derivative,
     discriminant,
-    divrem,
     exact_div,
     format_poly,
     homogeneous_value,
-    integer_coeffs,
-    leading_sign,
-    pgcd,
-    primitive_part,
     rational_content,
     resultant,
     substitute,
@@ -29,7 +23,16 @@ from operon.exactpoly import (
     uses_var,
 )
 
-from conftest import poly_from_roots, random_distinct_rationals, random_fraction, random_rat_poly
+from conftest import (
+    integer_coeffs,
+    poly_from_roots,
+    random_distinct_rationals,
+    random_fraction,
+    random_rat_poly,
+    ref_divrem,
+    ref_pgcd,
+    ref_primitive_part,
+)
 
 F = Fraction
 
@@ -153,7 +156,6 @@ def test_scalar_operations():
 def test_substitution_matches_power_sum(p, v):
     direct = sum(c * v**k for k, c in enumerate(p.coeffs))
     assert substitute(p, "x", v) == direct
-    assert p.subs("x", v) == direct
 
 
 def test_substitute_in_nested_coefficients():
@@ -201,34 +203,34 @@ def test_derivative_golden():
 def test_divrem_invariant(f, g):
     if not g:
         return
-    q, r = divrem(f, g)
+    q, r = ref_divrem(f, g)
     assert q * g + r == f
     assert degree(r) < degree(g)
 
 
 def test_divrem_rejects_zero_divisor():
     with pytest.raises(ZeroDivisionError):
-        divrem(Poly.x("x"), Poly("x"))
+        ref_divrem(Poly.x("x"), Poly("x"))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st_rat_poly(max_degree=4), st_rat_poly(max_degree=4))
 def test_pgcd_divides_both(p, q):
-    g = pgcd(p, q)
+    g = ref_pgcd(p, q)
     if not g:
         assert not p and not q
         return
     assert g.lc == 1
     for h in (p, q):
         if h:
-            _, r = divrem(h, g)
+            _, r = ref_divrem(h, g)
             assert r == 0
 
 
 def test_pgcd_finds_planted_factor():
     x = Poly.x("x")
     common = x**2 + 1
-    g = pgcd(common * (x - 3), common * (x + 5))
+    g = ref_pgcd(common * (x - 3), common * (x + 5))
     assert g == common
 
 
@@ -251,16 +253,17 @@ def test_content_helpers():
     x = Poly.x("x")
     p = 6 * x**2 - 4 * x + 2
     assert rational_content(p) == 2
-    content, prim = content_and_primitive(p)
-    assert content * prim == p
+    prim = ref_primitive_part(p)
+    assert 2 * prim == p
     assert rational_content(prim) == 1
-    assert primitive_part(p) == 3 * x**2 - 2 * x + 1
+    assert prim == 3 * x**2 - 2 * x + 1
 
 
 def test_primitive_part_flips_negative_lead():
     x = Poly.x("x")
-    assert primitive_part(-2 * x + 4) == x - 2
-    assert leading_sign(-2 * x + 4) == -1
+    assert ref_primitive_part(-2 * x + 4) == x - 2
+    l = Poly.x("L")
+    assert ref_primitive_part(Poly("A", [2 * l, 4 - 6 * l])) == Poly("A", [-l, 3 * l - 2])
 
 
 def test_clear_content_keeps_sign():
@@ -275,7 +278,7 @@ def test_content_of_fractional_coefficients():
     x = Poly.x("x")
     p = F(3, 4) * x + F(9, 2)
     assert rational_content(p) == F(3, 4)
-    assert primitive_part(p) == x + 6
+    assert ref_primitive_part(p) == x + 6
 
 
 def test_content_sees_nested_leaves():

@@ -3,10 +3,12 @@ Boolean and ODE halves load apart: a command imports only the half it runs."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,3 +233,80 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         operon.nonexistent
     assert not hasattr(operon, "cli_main")
+
+
+def load_traced() -> list[tuple[str, str]]:
+    """`TRACED` of bench/tracer.py: the (module, name) pairs the benchmark wraps."""
+    path = PACKAGE.parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+# definitions that only an acceptance criterion calls
+CRITERIA_ONLY = {
+    ("lacmodel", "LacParams.defaults"),  # criteria 5-8 build the bundled model with it
+    ("lacmodel", "LacParams.with_lactose"),  # criterion 7 fixes L = 1 with it
+    ("gf2", "MonomialOrder.lex"),  # criterion 3 runs Buchberger under lex
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level def and class, and of each
+    method of a top-level class; dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("__"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")):
+                        yield f"{node.name}.{item.name}", item
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each identifier is read or written inside node, as a
+    plain name or as an attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def unreferenced() -> list[str]:
+    """The definitions in the package that nothing reaches: no other code
+    in it names them, operon does not export them, the benchmark tracer
+    does not wrap them and no acceptance criterion calls them."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    reached = {(module, name) for module, names in operon._EXPORTS.items() for name in names}
+    reached |= {("__init__", name) for name in operon.__all__}
+    reached |= set(load_traced()) | CRITERIA_ONLY
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = qualname.rpartition(".")[2]
+            # a recursive call does not reach a definition from elsewhere
+            if (module, qualname) in reached or everywhere[name] > references(node)[name]:
+                continue
+            out.append(f"{module}.{qualname}")
+    return out
+
+
+def test_every_definition_is_reached():
+    assert unreferenced() == []
+
+
+def test_realroots_takes_only_the_poly_type_and_horner_from_exactpoly():
+    # the real-root engine reads a Poly's coefficients itself, as integers
+    tree = ast.parse((PACKAGE / "realroots.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "exactpoly"
+                for alias in node.names}
+    assert imported == {"Poly", "homogeneous_value"}

@@ -14,9 +14,6 @@ from operon.exactpoly import (
     degree,
     derivative,
     discriminant,
-    integer_coeffs,
-    leading_sign,
-    primitive_part,
     resultant,
     substitute,
 )
@@ -56,10 +53,12 @@ from operon.realroots import RootBox, _integers, _Oracle, isolate_real_roots
 
 from conftest import (
     assert_handover_repeats,
+    integer_coeffs,
     on_new_kernel,
     ref_census_regions,
     ref_fold_level,
     ref_lactose_curve,
+    ref_primitive_part,
     ref_recover_state,
     ref_residual,
 )
@@ -213,7 +212,7 @@ def test_eliminant_symbolic_golden():
     elim = eliminate_M(p)
     assert elim == expected
     assert eliminant_text(p) == ELIMINANT
-    assert leading_sign(elim) == 1
+    assert ref_primitive_part(elim) == elim
 
 
 def test_eliminant_specializes_to_fixed_lactose():
@@ -245,14 +244,22 @@ def test_eliminate_rejects_degenerate_system():
         critical_lactose_values(symbolic)
 
 
-@pytest.mark.parametrize("consts", CONSTANT_SETS)
+# v = delta = 0 makes P = 0: the symbolic eliminant is L*Q, its sign
+# flipped from that of P - L*Q
+P_VANISHES = [
+    {**LAC, "v": F(0), "delta": F(0)},
+    {**LAC, "c0": F(0), "v": F(0), "delta": F(0)},
+]
+
+
+@pytest.mark.parametrize("consts", CONSTANT_SETS + P_VANISHES)
 def test_eliminant_matches_resultant(consts):
     # the 2x2 determinant P - L*Q, formed on integers as d*P - n*Q at a
     # fixed L = n/d, against the Sylvester/Bareiss resultant
     for n in (*range(1, 9), 16, 64):
         for L in (None, F(1, 3), F(2), F(12345, 678)):
             p = LacParams(n=n, L=L, **consts)
-            expected = primitive_part(resultant(*build_system(p)))
+            expected = ref_primitive_part(resultant(*build_system(p)))
             assert eliminate_M(p) == expected
             assert eliminant_text(p) == str(expected)
 
@@ -431,9 +438,8 @@ def test_steady_states_stay_on_integers(monkeypatch):
 
     monkeypatch.setattr(exactpoly.Poly, "__init__", refuse)
     for module in (exactpoly, lacmodel, realroots):
-        for name in ("clear_content", "content_and_primitive"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        if hasattr(module, "clear_content"):
+            monkeypatch.setattr(module, "clear_content", refuse)
     assert [steady_states_at(p, L) for p, L in cases] == expected
 
 
@@ -861,9 +867,8 @@ def test_bifurcation_stays_on_integers(monkeypatch):
 
     monkeypatch.setattr(exactpoly.Poly, "__init__", refuse)
     for module in (exactpoly, lacmodel, realroots):
-        for name in ("clear_content", "content_and_primitive"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        if hasattr(module, "clear_content"):
+            monkeypatch.setattr(module, "clear_content", refuse)
     assert [analyse(p) for p in models] == expected
     assert len(curves) == 2 * len(models)
 

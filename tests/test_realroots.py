@@ -6,15 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from operon.exactpoly import (
-    Poly,
-    clear_content,
-    derivative,
-    divrem,
-    integer_coeffs,
-    pgcd,
-    substitute,
-)
+from operon.exactpoly import Poly, clear_content, derivative, substitute
 from operon import realroots
 from operon.realroots import (
     MIN_PRECISION,
@@ -31,11 +23,14 @@ from operon.realroots import (
 
 from conftest import (
     assert_handover_repeats,
+    integer_coeffs,
     on_new_kernel,
     poly_from_roots,
     random_distinct_rationals,
     random_rat_poly,
+    ref_divrem,
     ref_narrow,
+    ref_pgcd,
 )
 
 F = Fraction
@@ -126,7 +121,7 @@ def test_copied_boxes_carry_no_kernel():
 def test_squarefree_part_drops_multiplicity():
     p = (X - 1) ** 3 * (X + 2)
     q = squarefree_part(p)
-    assert divrem(q, (X - 1) * (X + 2))[1] == 0
+    assert ref_divrem(q, (X - 1) * (X + 2))[1] == 0
     assert q.degree == 2
 
 
@@ -141,12 +136,12 @@ def test_yun_factors_reconstruct(rng):
             rebuilt = rebuilt * f**k
             # factors are squarefree and monic
             assert f.lc == 1
-            assert pgcd(f, derivative(f)).degree == 0
+            assert ref_pgcd(f, derivative(f)).degree == 0
         assert rebuilt * p.lc == p
         # pairwise coprime
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
-                assert pgcd(factors[i][0], factors[j][0]).degree == 0
+                assert ref_pgcd(factors[i][0], factors[j][0]).degree == 0
         # exponents match the planted multiplicities
         planted = sorted(k for _, k in pairs)
         recovered = sorted(
@@ -405,6 +400,27 @@ def test_every_entry_checks_its_polynomial(entry):
         entry(Poly("A", [Poly.x("L"), F(1)]))
     with pytest.raises(ValueError, match="real-root routines need a nonzero polynomial"):
         entry(Poly("x"))
+    # a constant polynomial in another variable is a rational coefficient
+    # too, however deep it is nested
+    with pytest.raises(ValueError, match="rational coefficients"):
+        entry(Poly("x", [Poly("y", [Poly.x("z")]), F(1)]))
+
+
+@pytest.mark.parametrize("entry", [
+    squarefree_part, sturm_chain, count_real_roots, isolate_real_roots,
+    lambda p: refine_root_box(p, RootBox(F(1), F(2)), F(1, 100)),
+    lambda p: refine_root_box(p, isolate_real_roots(X**2 - 2)[0], F(1, 10**9)),
+], ids=["squarefree_part", "sturm_chain", "count_real_roots", "isolate_real_roots",
+        "refine_root_box", "refine_isolated_box"])
+def test_every_entry_reads_a_constant_coefficient(entry):
+    # arithmetic can leave a constant Poly as a coefficient; the polynomial
+    # equals x^2 - 2 and every entry treats it so
+    y = Poly.x("y")
+    p = (X * X + y) - (y + 2)
+    assert p == X**2 - 2 and p.coeffs[0] == Poly("y", [F(-2)])
+    assert entry(p) == entry(X**2 - 2)
+    nested = Poly("x", [Poly("y", [Poly("z", [F(-2)])]), F(0), F(1)])
+    assert entry(nested) == entry(X**2 - 2)
 
 
 def test_precision_floor():
@@ -513,16 +529,16 @@ def test_isolation_matches_fraction_reference(rng):
 
 
 def ref_squarefree(p):
-    """The squarefree part by the Fraction Euclid (`pgcd`, `divrem`)."""
-    g = pgcd(p, derivative(p))
-    return clear_content(divrem(p, g)[0] if g.degree > 0 else p)
+    """The squarefree part by the Fraction Euclid (`ref_pgcd`, `ref_divrem`)."""
+    g = ref_pgcd(p, derivative(p))
+    return clear_content(ref_divrem(p, g)[0] if g.degree > 0 else p)
 
 
 def ref_chain(p):
     """The Sturm chain by Fraction division."""
     chain = [clear_content(p), clear_content(derivative(p))]
     while chain[-1].degree > 0:
-        rem = divrem(chain[-2], chain[-1])[1]
+        rem = ref_divrem(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(clear_content(-rem))
@@ -541,19 +557,19 @@ def test_integer_kernels_match_fraction_arithmetic(rng):
 
 def ref_yun(p):
     """Yun's squarefree decomposition (Yun 1976) in Fraction arithmetic."""
-    d = pgcd(p, derivative(p))
+    d = ref_pgcd(p, derivative(p))
     if d.degree == 0:
         return [(p * (F(1) / p.lc), 1)]
-    b = divrem(p, d)[0]
-    w = divrem(derivative(p), d)[0] - derivative(b)
+    b = ref_divrem(p, d)[0]
+    w = ref_divrem(derivative(p), d)[0] - derivative(b)
     out = []
     k = 1
     while b.degree > 0:
-        a = pgcd(b, w)
+        a = ref_pgcd(b, w)
         if a.degree > 0:
             out.append((a, k))
-            b = divrem(b, a)[0]
-            w = divrem(w, a)[0]
+            b = ref_divrem(b, a)[0]
+            w = ref_divrem(w, a)[0]
         w = w - derivative(b)
         k += 1
     return out
