@@ -16,10 +16,10 @@ from operator import or_, xor
 from typing import Iterator, Mapping, Sequence
 
 from . import logic
-from .errors import IDENT, Frozen, ParseError, _set, source_lines
+from .errors import IDENT, Frozen, ParseError, source_lines
 from .gf2 import (BoolPoly, VarSet, block_width, blocks, decode_state, translate_expr,
                   zero_codes)
-from .groebner import ENUMERATE_CAP, PolySystem, default_method, solve_boolean_system
+from .groebner import ENUMERATE_CAP, PolySystem, route, solve_boolean_system
 
 _RULE = re.compile(rf"({IDENT})\s*'\s*=\s*(.+)\Z")
 
@@ -35,9 +35,6 @@ class BooleanNetwork(Frozen):
     def __init__(self, name: str, vars: VarSet, params: tuple[str, ...],
                  rules: tuple[logic.Expr, ...]):
         self._init(name, vars, params, rules)  # rules aligned with vars
-
-    def rule(self, name: str) -> logic.Expr:
-        return self.rules[self.vars.index(name)]
 
     def check_params(self, params: Mapping[str, int]) -> dict[str, int]:
         setting = {}
@@ -110,16 +107,12 @@ class BooleanNetwork(Frozen):
         """States equal to their successor, sorted.
 
         "enumerate" reads them off the agreement table (`_agreement_zeros`)
-        and "groebner" solves the polynomial system.  With no method,
-        `default_method` chooses by the number of variables.
+        and "groebner" solves the polynomial system; `groebner.route` checks
+        the method, or with none chooses it by the number of variables.
         """
         n = len(self.vars)
-        if method is None:
-            method = default_method(n)
-        if method == "enumerate":
+        if route(n, method) == "enumerate":
             return [decode_state(code, n) for code in self._agreement_zeros(params)]
-        if method != "groebner":
-            raise ValueError(f"unknown method {method!r}")
         return solve_boolean_system(self.to_polynomial_system(params), "groebner")
 
     def fixed_points_by_setting(self, method: str | None = None
@@ -131,10 +124,9 @@ class BooleanNetwork(Frozen):
         answers every setting; "groebner" solves each setting alone.
         """
         n, k = len(self.vars), len(self.params)
-        if method is None:
-            method = default_method(n)
+        method = route(n, method)
         settings = [dict(zip(self.params, decode_state(c, k))) for c in range(1 << k)]
-        if method != "enumerate":
+        if method == "groebner":
             return [(s, self.fixed_points(s, method)) for s in settings]
         rows = [(s, []) for s in settings]
         for code in self._agreement_zeros(None):
@@ -192,9 +184,7 @@ class BooleanNetwork(Frozen):
         """In each block of `gf2.blocks` over names, the leading ones the high
         bits, in order of the high code: the tables of the variables and of
         their rules, with the parameters not in names bound to setting."""
-        n = len(self.vars)
-        if n > ENUMERATE_CAP:
-            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
+        route(len(self.vars), "enumerate")
         h, tables, full = blocks(len(names))
         env = {p: full * v for p, v in setting.items()}
         env.update(zip(names[h:], tables))
@@ -227,24 +217,15 @@ class StateGraph(Frozen):
     """Complete successor map on all 2^n states (out-degree one everywhere).
 
     successors holds state codes; each attractor is a tuple of state codes,
-    smallest member first; attractor_of holds, per state, the index into
-    attractors of the cycle the state flows to.  No report reads
-    attractor_of, so unless given it is computed when first read.
+    smallest member first, and basin_sizes counts the states that flow to
+    each.
     """
 
-    __slots__ = ("vars", "successors", "attractors", "basin_sizes", "_attractor_of")
-    _fields = ("vars", "successors", "attractors", "basin_sizes", "attractor_of")
+    __slots__ = _fields = ("vars", "successors", "attractors", "basin_sizes")
 
     def __init__(self, vars: VarSet, successors: array,
-                 attractors: tuple[tuple[int, ...], ...], basin_sizes: tuple[int, ...],
-                 attractor_of: array | None = None):
-        self._init(vars, successors, attractors, basin_sizes, attractor_of)
-
-    @property
-    def attractor_of(self) -> array:
-        if self._attractor_of is None:
-            _set(self, "_attractor_of", _basin_index(self.successors, self.attractors))
-        return self._attractor_of
+                 attractors: tuple[tuple[int, ...], ...], basin_sizes: tuple[int, ...]):
+        self._init(vars, successors, attractors, basin_sizes)
 
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
@@ -302,24 +283,6 @@ def _attractors(succ):
         sizes[found] += 1
     ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
     return tuple(tuple(cycles[a]) for a in ranked), tuple(sizes[a] for a in ranked)
-
-
-def _basin_index(succ, attractors) -> array:
-    """The index into attractors of the cycle each state flows to: with the
-    cycles labelled, each walk ends at a labelled state and labels its path."""
-    label = [-1] * len(succ)
-    for i, cycle in enumerate(attractors):
-        for c in cycle:
-            label[c] = i
-    for start in range(len(succ)):
-        path = []
-        cur = start
-        while label[cur] == -1:
-            path.append(cur)
-            cur = succ[cur]
-        for c in path:
-            label[c] = label[cur]
-    return array(succ.typecode, label)
 
 
 def fixed_points_json(points: Sequence[State]) -> str:

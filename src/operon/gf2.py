@@ -157,10 +157,6 @@ class BoolPoly:
         return bool(self.monomials)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    @property
     def is_one(self) -> bool:
         return self.monomials == frozenset((0,))
 
@@ -206,9 +202,6 @@ class BoolPoly:
             if m & ~sigma == 0:
                 count ^= 1
         return count
-
-    def substitute(self, name: str, value: int) -> "BoolPoly":
-        return self.substitute_index(self.vars.index(name), value)
 
     def substitute_index(self, i: int, value: int) -> "BoolPoly":
         bit = 1 << i

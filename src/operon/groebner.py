@@ -67,14 +67,14 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.polys)} polynomials)"
 
 
-def reduce(p: BoolPoly | Iterable[int], basis: Sequence, order: MonomialOrder):
-    """Full normal form of p: no remaining monomial is divisible by any lm.
+def reduce(p: Iterable[int], basis: Sequence[tuple[int, Sequence[int]]],
+           order: MonomialOrder) -> list[int]:
+    """Full normal form of p: no remaining monomial is divisible by any lead.
 
-    For a BoolPoly p, `basis` is a sequence of BoolPolys.  `buchberger_reduced`
-    calls it on plain monomials: p is any iterable of monomials, standing for
-    their sum (a repeated monomial cancels), `basis` is its reducer list of
-    (lead, tail) pairs, the tail being the other monomials of the generator,
-    and the normal form comes back as a list of monomials in descending order.
+    p is any iterable of monomials, standing for their sum (a repeated
+    monomial cancels); basis is a reducer list of (lead, tail) pairs, the
+    tail being the other monomials of the generator.  The normal form comes
+    back as a list of monomials in descending order.
 
     Divisibility of squarefree monomials is mask containment, and the
     cofactor of a reduction step is disjoint from the divisor's leading
@@ -82,19 +82,12 @@ def reduce(p: BoolPoly | Iterable[int], basis: Sequence, order: MonomialOrder):
     which leaves the work set; only the tail is multiplied out, and everything
     it introduces is strictly smaller.
     """
-    if isinstance(p, BoolPoly):
-        gens = [(lm := g.leading_monomial(order), g.monomials - {lm}) for g in basis if g]
-        if not gens or not p:
-            return p
-        vars, monomials = p.vars, p.monomials
-    else:
-        vars, gens, monomials = None, basis, p
     keys = order.keys
     remainder = []
     # the work set maps each monomial's order key to the monomial, so the
     # largest is max() over ints and each key is looked up once per insertion
     work = {}
-    for m in monomials:
+    for m in p:
         k = keys[m]
         if k in work:
             del work[k]
@@ -103,7 +96,7 @@ def reduce(p: BoolPoly | Iterable[int], basis: Sequence, order: MonomialOrder):
     while work:
         m = work.pop(max(work))
         outside = ~m
-        for lm, tail in gens:
+        for lm, tail in basis:
             if lm & outside == 0:
                 cof = m ^ lm
                 for t in tail:
@@ -116,7 +109,7 @@ def reduce(p: BoolPoly | Iterable[int], basis: Sequence, order: MonomialOrder):
                 break
         else:
             remainder.append(m)
-    return remainder if vars is None else BoolPoly(vars, remainder)
+    return remainder
 
 
 def s_polynomial(f: BoolPoly, g: BoolPoly, order: MonomialOrder) -> BoolPoly:
@@ -240,9 +233,21 @@ def buchberger_reduced(system: PolySystem, order: MonomialOrder | None = None) -
     return GroebnerBasis(vars, order, reduced)
 
 
-def default_method(n: int) -> str:
-    """"enumerate" in up to ENUMERATE_CAP variables, else "groebner"."""
-    return "enumerate" if n <= ENUMERATE_CAP else "groebner"
+def route(n: int, method: str | None = None) -> str:
+    """The method that solves a system in n variables.
+
+    With no method, "enumerate" (truth tables) in up to ENUMERATE_CAP
+    variables and "groebner" (a reduced basis) past them; a given method is
+    checked and returned.
+    """
+    if method is None:
+        return "enumerate" if n <= ENUMERATE_CAP else "groebner"
+    if method == "enumerate":
+        if n > ENUMERATE_CAP:
+            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n})")
+    elif method != "groebner":
+        raise ValueError(f"unknown method {method!r}")
+    return method
 
 
 def solve_boolean_system(system: PolySystem, method: str | None = None) -> list[tuple[int, ...]]:
@@ -250,20 +255,13 @@ def solve_boolean_system(system: PolySystem, method: str | None = None) -> list[
 
     "enumerate" reads them off the OR of the generators' truth tables,
     built in blocks of at most `gf2.BLOCK_VARS` variables, and "groebner"
-    off the reduced basis; with no method, `default_method` chooses by the
-    number of variables.
+    off the reduced basis; `route` checks the method, or with none chooses
+    it by the number of variables.
     """
     n = len(system.vars)
-    if method is None:
-        method = default_method(n)
-    if method == "enumerate":
-        if n > ENUMERATE_CAP:
-            raise ValueError(f"enumeration is capped at {ENUMERATE_CAP} variables (got {n}); "
-                             "use method='groebner'")
+    if route(n, method) == "enumerate":
         nonzero = _nonzero_tables(system.generators, n)
         return [decode_state(code, n) for code in zero_codes(n, nonzero)]
-    if method != "groebner":
-        raise ValueError(f"unknown method {method!r}")
 
     order = MonomialOrder.degrevlex(system.vars)
     base = buchberger_reduced(system, order)

@@ -75,10 +75,6 @@ class RootBox(Frozen):
     def exact(self) -> Optional[Fraction]:
         return self.lo if self.lo == self.hi else None
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x: Fraction) -> bool:
         if self.is_exact:
             return x == self.lo

@@ -499,7 +499,7 @@ def assert_handover_repeats(p, box, bits=4, stages=8):
     assert run(box) == expected
     assert run(box) == expected
     for k in (0, 3, 40):
-        width = box.width / 2 ** k
+        width = (box.hi - box.lo) / 2 ** k
         refined = refine_root_box(p, box, width)
         assert refined == refine_root_box(p, on_new_kernel(box), width) \
             == ref_narrow(p, box, width)
@@ -516,7 +516,7 @@ def ref_residual(elim, box, target):
         n, d = mid.numerator, mid.denominator
         if abs(Fraction(homogeneous_value(coeffs, n, d), d ** (len(coeffs) - 1))) < target:
             break
-        box = ref_narrow(elim, box, box.width / 16)
+        box = ref_narrow(elim, box, (box.hi - box.lo) / 16)
     return box
 
 
@@ -535,7 +535,7 @@ def ref_fold_level(P, Q, W, box, precision):
                 slack = precision / 8
                 return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
                                simplest_rational(hi, hi + slack))
-        box = ref_narrow(W, box, box.width / 2)
+        box = ref_narrow(W, box, (box.hi - box.lo) / 2)
     level = value(P, box.lo) / value(Q, box.lo)
     return RootBox(level, level)
 

@@ -68,6 +68,9 @@ def test_parse_errors_carry_line_numbers():
         ("network n\nvars: a\na' = q\n", "undeclared identifier"),
         ("network n\nvars: a\nparams: a\na' = a\n", "both"),
         ("network n\nvars: a\nq' = a\na' = a\n", "q"),
+        ("network n\nvars: a\nparams: p, p\na' = p\n", "duplicate parameter name 'p'"),
+        ("network n\n", "missing 'vars:' line"),
+        ("network n\nvars: a,,b\na' = a\n", "empty name in list"),
     ],
 )
 def test_parse_rejects_malformed(text, message):
@@ -91,9 +94,10 @@ def test_parse_names_the_first_undeclared_identifier(rule, name):
 def test_rule_lookup(net):
     from operon import logic
 
-    assert net.rule("P") == logic.Var("M")
+    # rules are aligned with vars
+    assert net.rules[net.vars.index("P")] == logic.Var("M")
     with pytest.raises(ValueError):
-        net.rule("nope")
+        net.vars.index("nope")
 
 
 def test_check_params(net):
@@ -248,12 +252,18 @@ def test_state_graph_invariants(net):
         members = set(cycle)
         for c in cycle:
             assert graph.successors[c] in members
-    # every state's attractor label matches where iteration actually lands
-    for code in (0, 17, 255, 511):
+    # following the successors from every state reaches an attractor, and
+    # each attractor is reached from as many states as its basin size
+    label = {c: i for i, cycle in enumerate(graph.attractors) for c in cycle}
+    landed = Counter()
+    for code in range(512):
         current = code
-        for _ in range(600):
+        for _ in range(512):
+            if current in label:
+                break
             current = graph.successors[current]
-        assert current in set(graph.attractors[graph.attractor_of[code]])
+        landed[label[current]] += 1
+    assert tuple(landed[i] for i in range(len(graph.attractors))) == graph.basin_sizes
 
 
 def test_state_graph_outputs(net):
@@ -360,11 +370,9 @@ def check_against_references(net, setting):
     assert list(graph.successors) == succ
     cycles, attr_id = ref_attractors(succ)
     ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
-    rank = {old: new for new, old in enumerate(ranked)}
     basins = Counter(attr_id)
     assert graph.attractors == tuple(tuple(cycles[a]) for a in ranked)
     assert graph.basin_sizes == tuple(basins[a] for a in ranked)
-    assert list(graph.attractor_of) == [rank[a] for a in attr_id]
     return graph
 
 
@@ -421,7 +429,7 @@ def test_state_graph_edge_networks(n):
     # the identity: 2^n fixed points, each its own basin
     rules = tuple(logic.Var(name) for name in names)
     graph = check_against_references(BooleanNetwork("identity", VarSet(names), (), rules), {})
-    assert tuple(graph.successors) == tuple(graph.attractor_of) == tuple(range(size))
+    assert tuple(graph.successors) == tuple(range(size))
     assert graph.attractors == tuple((c,) for c in range(size))
     assert graph.basin_sizes == (1,) * size
     # a counter: one walk along a cycle through all 2^n states
@@ -538,19 +546,19 @@ def test_state_graph_record(net):
     with pytest.raises(TypeError):
         hash(graph)
     fields = (graph.vars, graph.successors, graph.attractors, graph.basin_sizes)
-    assert boolnet.StateGraph(*fields, graph.attractor_of) == graph
+    assert boolnet.StateGraph(*fields) == graph
     assert boolnet.StateGraph(vars=graph.vars, successors=graph.successors,
-                              attractors=graph.attractors, basin_sizes=graph.basin_sizes,
-                              attractor_of=graph.attractor_of) == graph
-    assert boolnet.StateGraph(*fields, array(graph.successors.typecode, [1] * 512)) != graph
+                              attractors=graph.attractors,
+                              basin_sizes=graph.basin_sizes) == graph
+    assert boolnet.StateGraph(graph.vars, array(graph.successors.typecode, [1] * 512),
+                              graph.attractors, graph.basin_sizes) != graph
     assert repr(graph) == (f"StateGraph(vars={graph.vars!r}, successors={graph.successors!r}, "
                            f"attractors={graph.attractors!r}, "
-                           f"basin_sizes={graph.basin_sizes!r}, "
-                           f"attractor_of={graph.attractor_of!r})")
+                           f"basin_sizes={graph.basin_sizes!r})")
     for clone in (pickle.loads(pickle.dumps(again)), copy.deepcopy(again)):
         assert clone == graph and clone.attractor_report_json() == graph.attractor_report_json()
-        assert clone.attractor_of == graph.attractor_of
-    for field in ("successors", "attractor_of", "attractors"):
+        assert clone.successors == graph.successors
+    for field in ("successors", "basin_sizes", "attractors"):
         with pytest.raises(AttributeError):
             setattr(graph, field, None)
         with pytest.raises(AttributeError):

@@ -294,6 +294,15 @@ def test_enumeration_cap(capsys, tmp_path, argv):
     assert err == "operon: enumeration is capped at 24 variables (got 25)\n"
 
 
+def test_solve_enumeration_cap(capsys, tmp_path):
+    # the same message as the network commands, with no Python syntax in it
+    system = tmp_path / "wide.gf2"
+    system.write_text("vars: " + " ".join(f"x{i}" for i in range(25)) + "\nx0 + x1\n")
+    code, out, err = run(capsys, "solve", str(system), "--method", "enumerate")
+    assert code == 1 and out == ""
+    assert err == "operon: enumeration is capped at 24 variables (got 25)\n"
+
+
 def _parameter_network(path, k):
     params = [f"p{i}" for i in range(k)]
     path.write_text("network knobs\nvars: x, y\nparams: " + ", ".join(params) + "\n"
@@ -362,7 +371,7 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     # and variables together pass ENUMERATE_CAP; --method groebner solves
     # each setting
     model = _parameter_network(tmp_path / "four.bn", 4)
-    monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 6)
+    monkeypatch.setattr(groebner, "ENUMERATE_CAP", 6)
     tables, solves = [], []
     variable_tables = gf2.variable_tables
     monkeypatch.setattr(gf2, "variable_tables",
@@ -375,7 +384,7 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     assert run(capsys, "fixed-points", model, "--all-params", "--method", "groebner")[1] == table
     assert tables == [] and len(solves) == 16
     solves.clear()
-    monkeypatch.setattr(boolnet, "ENUMERATE_CAP", 5)
+    monkeypatch.setattr(groebner, "ENUMERATE_CAP", 5)
     assert run(capsys, "fixed-points", model, "--all-params", "--method", "enumerate")[1] == table
     assert tables == [6] and solves == []
 
@@ -455,6 +464,19 @@ def test_ode_steady_states(capsys, lac_ode):
         assert abs(F(s["intervals"]["A"][0]) - a) < F(1, 10**3)
         assert abs(F(s["M"]) - m) < F(1, 10**3)
         assert abs(F(s["R"]) - r) < F(1, 10**3)
+
+
+def test_ode_steady_states_at_the_models_lactose_level(capsys, tmp_path, lac_ode):
+    # with no --L, a model that fixes L is solved at its own level, and
+    # --L overrides it
+    model = tmp_path / "lac_L1.ode"
+    text = Path(lac_ode).read_text()
+    assert "\nL     = sym\n" in text
+    model.write_text(text.replace("\nL     = sym\n", "\nL     = 1\n"))
+    assert run(capsys, "ode", "steady-states", str(model)) == (
+        0, (GOLDEN / "ode_steady_states_L1.out").read_text(), "")
+    half = run(capsys, "ode", "steady-states", lac_ode, "--L", "1/2")
+    assert half[0] == 0 and run(capsys, "ode", "steady-states", str(model), "--L", "1/2") == half
 
 
 def test_ode_steady_states_requires_lactose_level(capsys, lac_ode):

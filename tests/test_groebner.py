@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from operon import gf2, groebner
+from operon.boolnet import load_network
 from operon.errors import ParseError
 from operon.gf2 import BoolPoly, MonomialOrder, VarSet, parse_poly
 from operon.groebner import (
@@ -78,20 +79,27 @@ def assert_reduced(basis, order):
                 assert not divides(lm, m)
 
 
+def normal_form(p, polys, order):
+    """The normal form of the BoolPoly p modulo the BoolPolys polys, by
+    `reduce` on the reducer list of their (lead, tail) pairs."""
+    reducers = [(lm := g.leading_monomial(order), g.monomials - {lm}) for g in polys if g]
+    return BoolPoly(p.vars, reduce(p.monomials, reducers, order))
+
+
 def assert_groebner(system, basis, order):
     polys = list(basis.polys)
     # generators of the original system lie in the ideal of the basis
     for g in system.generators:
-        assert reduce(g, polys, order).is_zero
+        assert not normal_form(g, polys, order)
     # every S-polynomial reduces to zero
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            assert reduce(s_polynomial(polys[i], polys[j], order), polys, order).is_zero
+            assert not normal_form(s_polynomial(polys[i], polys[j], order), polys, order)
     # so does every product with a field relation survivor x*g
     for g in polys:
         for name in system.vars:
             x = BoolPoly.variable(system.vars, name)
-            assert reduce(x * g, polys, order).is_zero
+            assert not normal_form(x * g, polys, order)
 
 
 def test_random_bases_are_reduced_groebner_bases(rng):
@@ -284,12 +292,12 @@ def test_reduce_leaves_normal_forms(rng):
         if polys and polys[0].is_one:
             continue
         p = random_bool_poly(rng, system.vars)
-        r = reduce(p, polys, order)
+        r = normal_form(p, polys, order)
         lms = [q.leading_monomial(order) for q in polys]
         for m in r.monomials:
             assert not any(divides(lm, m) for lm in lms)
         # p - r is in the ideal, so it must reduce to zero
-        assert reduce(p + r, polys, order).is_zero
+        assert not normal_form(p + r, polys, order)
 
 
 def test_s_polynomial_rejects_zero():
@@ -429,7 +437,7 @@ def test_solutions_are_sorted(rng):
 def test_enumerate_cap():
     vars = VarSet([f"x{i}" for i in range(1, 26)])
     system = PolySystem(vars, [BoolPoly.variable(vars, "x1")])
-    with pytest.raises(ValueError, match="groebner"):
+    with pytest.raises(ValueError, match=r"enumeration is capped at 24 variables \(got 25\)\Z"):
         solve_boolean_system(system, "enumerate")
 
 
@@ -438,6 +446,14 @@ def test_unknown_method():
     system = PolySystem(vars, [BoolPoly.variable(vars, "x1")])
     with pytest.raises(ValueError, match="unknown method"):
         solve_boolean_system(system, "newton")
+
+
+def test_fixed_points_refuse_an_unknown_method(lac_bn):
+    net = load_network(lac_bn)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        net.fixed_points({"a": 1, "g": 0}, method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        net.fixed_points_by_setting("bogus")
 
 
 # ---------------------------------------------------------------------------

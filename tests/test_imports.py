@@ -229,6 +229,20 @@ def test_star_import_and_dir_list_every_name():
     assert set(operon.__all__) <= set(dir(operon))
 
 
+def test_readme_python_api_block_runs(capsys):
+    # the README's example runs as printed, and shows the two outputs it
+    # spells out beside their calls
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["[(1, 1, 1, 1, 0, 1, 1, 1, 1)]",
+                         "({'a': 1, 'g': 0}, [(1, 1, 1, 1, 0, 1, 1, 1, 1)])"]
+    for line in lines[:2]:
+        assert f"# {line}\n" in block
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         operon.nonexistent
@@ -266,41 +280,85 @@ def definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def references(node: ast.AST) -> Counter:
-    """How often each identifier is read or written inside node, as a
-    plain name or as an attribute."""
-    found = Counter()
+def references(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each identifier is read or written inside node: as a plain
+    name, and as an attribute (`obj.name`)."""
+    names, attributes = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-    return found
+            attributes[sub.attr] += 1
+    return names, attributes
 
 
-def unreferenced() -> list[str]:
+def unreferenced(package: Path = PACKAGE) -> list[str]:
     """The definitions in the package that nothing reaches: no other code
     in it names them, operon does not export them, the benchmark tracer
-    does not wrap them and no acceptance criterion calls them."""
+    does not wrap them and no acceptance criterion calls them.
+
+    A method is reached only through an attribute (`obj.name`); a local
+    variable, parameter or function that shares its name does not reach
+    it.  A top-level definition is reached through either form."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+             for path in sorted(package.glob("*.py"))}
+    by_name, by_attribute = Counter(), Counter()
+    for tree in trees.values():
+        names, attributes = references(tree)
+        by_name += names
+        by_attribute += attributes
     reached = {(module, name) for module, names in operon._EXPORTS.items() for name in names}
     reached |= {("__init__", name) for name in operon.__all__}
     reached |= set(load_traced()) | CRITERIA_ONLY
     out = []
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
-            name = qualname.rpartition(".")[2]
-            # a recursive call does not reach a definition from elsewhere
-            if (module, qualname) in reached or everywhere[name] > references(node)[name]:
+            if (module, qualname) in reached:
                 continue
-            out.append(f"{module}.{qualname}")
+            name = qualname.rpartition(".")[2]
+            own_names, own_attributes = references(node)
+            # a recursive call does not reach a definition from elsewhere
+            outside = by_attribute[name] - own_attributes[name]
+            if "." not in qualname:
+                outside += by_name[name] - own_names[name]
+            if outside <= 0:
+                out.append(f"{module}.{qualname}")
     return out
 
 
 def test_every_definition_is_reached():
     assert unreferenced() == []
+
+
+def test_reach_guard_reads_methods_by_attribute(tmp_path):
+    # a local variable, a parameter or a function of the same name does not
+    # reach a method, nor does a call in its own body; a top-level function
+    # is reached by its name or as an attribute of its module
+    (tmp_path / "m.py").write_text(
+        "class C:\n"
+        "    def called(self):\n"
+        "        return 1\n"
+        "    def width(self):\n"
+        "        return 2\n"
+        "    def rule(self):\n"
+        "        return 3\n"
+        "    def substitute(self):\n"
+        "        return 4\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "def helper(rule):\n"
+        "    width = rule\n"
+        "    return width\n"
+        "def by_attribute():\n"
+        "    return 5\n"
+        "def main():\n"
+        "    return C().called() + helper(0) + substitute()\n", encoding="utf-8")
+    (tmp_path / "n.py").write_text(
+        "from . import m\n"
+        "def substitute():\n"
+        "    return m.by_attribute()\n", encoding="utf-8")
+    assert unreferenced(tmp_path) == [
+        "m.C.width", "m.C.rule", "m.C.substitute", "m.C.recursive", "m.main"]
 
 
 def test_realroots_takes_only_the_poly_type_and_horner_from_exactpoly():

@@ -56,11 +56,11 @@ def oracle_factors(p):
 
 def test_root_box_representation():
     box = RootBox(F(1, 3), F(1, 3))
-    assert box.is_exact and box.exact == F(1, 3) and box.width == 0
+    assert box.is_exact and box.exact == F(1, 3) and box.hi == box.lo
     assert box.representative() == F(1, 3)
     open_box = RootBox(F(1), F(2), multiplicity=2)
     assert not open_box.is_exact
-    assert open_box.width == 1
+    assert open_box.hi - open_box.lo == 1
     assert open_box.contains(F(3, 2)) and not open_box.contains(F(3))
     assert open_box.representative() == F(3, 2)
     assert open_box.multiplicity == 2
@@ -253,7 +253,7 @@ def test_isolate_sqrt2():
     assert neg.hi < 0 < pos.lo
     for box in boxes:
         assert not box.is_exact
-        assert box.width <= F(1, 10**6)
+        assert box.hi - box.lo <= F(1, 10**6)
         assert ev(X**2 - 2, box.lo) * ev(X**2 - 2, box.hi) < 0
     assert pos.contains(F(14142135, 10**7)) or pos.lo > F(14142135, 10**7)
     assert boxes == sorted(boxes, key=lambda b: b.lo)
@@ -348,7 +348,7 @@ def test_refine_root_box_narrows():
     boxes = isolate_real_roots(X**2 - 2, precision=F(1, 4))
     pos = boxes[-1]
     tight = refine_root_box(X**2 - 2, pos, F(1, 10**12))
-    assert tight.width <= F(1, 10**12)
+    assert tight.hi - tight.lo <= F(1, 10**12)
     assert pos.lo <= tight.lo and tight.hi <= pos.hi
     assert ev(X**2 - 2, tight.lo) * ev(X**2 - 2, tight.hi) < 0
     assert tight.multiplicity == pos.multiplicity
@@ -522,7 +522,7 @@ def test_isolation_matches_fraction_reference(rng):
                 for _ in range(4):
                     if box.is_exact:
                         break
-                    precision = box.width / 16
+                    precision = (box.hi - box.lo) / 16
                     expected = ref_refine(q, chain, box.lo, box.hi, precision)
                     box = refine_root_box(p, box, precision)
                     assert (box.lo, box.hi) == expected
@@ -619,7 +619,8 @@ def assert_stages_match(p, box, bits, count):
     got = narrow_until(on_new_kernel(box, oracle_of(p)), bits, done)
     expected = [box]
     while len(expected) <= count and not expected[-1].is_exact:
-        expected.append(ref_narrow(p, expected[-1], expected[-1].width / 2**bits))
+        last = expected[-1]
+        expected.append(ref_narrow(p, last, (last.hi - last.lo) / 2**bits))
     assert seen + ([got] if got.is_exact else []) == expected
     assert got == expected[-1]
     return got, len(expected) - 1
@@ -633,7 +634,7 @@ def test_long_refinements_match_the_halving_loop(rng):
             continue
         for box in isolate_real_roots(p, precision=F(1, rng.choice([4, 1000]))):
             assert_stages_match(p, box, rng.choice([1, 4]), 40)
-            width = box.width / 2 ** rng.randint(0, 300)
+            width = (box.hi - box.lo) / 2 ** rng.randint(0, 300)
             assert refine_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
@@ -675,7 +676,7 @@ def test_boxes_starting_at_a_root_match_the_sturm_path(rng):
         for bits in (1, 4):
             assert_stages_match(p, box, bits, 12)
         for k in (0, 1, 5, 60):
-            width = box.width / 2**k
+            width = (box.hi - box.lo) / 2**k
             assert refine_root_box(p, box, width) == ref_narrow(p, box, width)
 
 
@@ -716,12 +717,12 @@ def test_oracle_is_built_once_per_polynomial(monkeypatch):
     assert [b.exact for b in boxes if b._cells is None] == [5]
     for box in boxes:
         for _ in range(10):
-            box = refine_root_box(p, box, box.width / 16)
+            box = refine_root_box(p, box, (box.hi - box.lo) / 16)
     assert len(built) == 1
     # an equal polynomial shares the oracle; another polynomial gets its own
-    refine_root_box(p * 1, boxes[0], boxes[0].width / 16)
+    refine_root_box(p * 1, boxes[0], (boxes[0].hi - boxes[0].lo) / 16)
     assert len(built) == 1
-    tight = refine_root_box(X**2 - 3, boxes[0], boxes[0].width / 16)
+    tight = refine_root_box(X**2 - 3, boxes[0], (boxes[0].hi - boxes[0].lo) / 16)
     assert len(built) == 2
     assert tight == RootBox(tight.lo, tight.hi)
     # a box made by hand carries no oracle to narrow on
