@@ -77,7 +77,7 @@ class BooleanNetwork(Frozen):
             n = len(self.vars)
             if n > ENUMERATE_CAP:
                 raise ValueError(f"a full orbit is followed only up to {ENUMERATE_CAP} "
-                                 f"variables (got {n}); set a step limit with --steps")
+                                 f"variables (got {n}); set a step limit with max_steps")
             max_steps = (1 << n) + 1
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
@@ -230,23 +230,74 @@ class StateGraph(Frozen):
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
 
+    # The reports are rendered straight from the codes, in the bytes that
+    # `json.dumps(..., indent=2)` gives for their shapes, one piece per
+    # block of `gf2.block_width` states, and joined once: no dict or list
+    # holds a bit string for every state.
+
+    def _blocks(self) -> Iterator[tuple[str, list[str], array]]:
+        """(prefix, low bit strings, successors) of each block of states in
+        code order: the codes of a block share their high bits, so a state's
+        bit string is the block's prefix and one of 2^w low bit strings, made
+        once for every block."""
+        n = len(self.vars)
+        w = block_width(n)
+        size = 1 << w
+        low = [format(j, f"0{w}b") for j in range(size)]
+        for start in range(0, len(self.successors), size):
+            yield self.bitstring(start)[: n - w], low, self.successors[start : start + size]
+
     def to_dot(self) -> str:
-        lines = ["digraph states {"]
-        for code, nxt in enumerate(self.successors):
-            lines.append(f'  "{self.bitstring(code)}" -> "{self.bitstring(nxt)}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        spec = f"0{len(self.vars)}b"
+        parts = ["digraph states {\n"]
+        for prefix, low, succ in self._blocks():
+            parts.append("".join([f'  "{prefix}{key}" -> "{format(nxt, spec)}";\n'
+                                  for key, nxt in zip(low, succ)]))
+        parts.append("}\n")
+        return "".join(parts)
 
     def adjacency_json(self) -> str:
-        adj = {self.bitstring(c): self.bitstring(nxt) for c, nxt in enumerate(self.successors)}
-        return json.dumps(adj, indent=2)
+        spec = f"0{len(self.vars)}b"
+        parts = ["{\n"]
+        for prefix, low, succ in self._blocks():
+            if len(parts) > 1:
+                parts.append(",\n")
+            parts.append(",\n".join([f'  "{prefix}{key}": "{format(nxt, spec)}"'
+                                     for key, nxt in zip(low, succ)]))
+        parts.append("\n}")
+        return "".join(parts)
 
     def attractor_report_json(self) -> str:
-        report = [
-            {"cycle": [self.bitstring(c) for c in cyc], "basin_size": size}
-            for cyc, size in zip(self.attractors, self.basin_sizes)
-        ]
-        return json.dumps(report, indent=2)
+        """Each attractor's cycle, as bit strings, and its basin size.
+
+        A cycle's rows go between its head and its foot as pieces of up to
+        a block of states; the pieces are joined whenever they hold a block
+        of states, so many short cycles take one string per block too."""
+        n = len(self.vars)
+        spec, size = f"0{n}b", 1 << block_width(n)
+        report, pieces, states = [], ["["], 0
+        head = _CYCLE_HEAD
+        for cycle, basin in zip(self.attractors, self.basin_sizes):
+            pieces.append(head)
+            head = "," + _CYCLE_HEAD
+            for start in range(0, len(cycle), size):
+                if start:
+                    pieces.append(_CYCLE_ROW)
+                rows = cycle[start : start + size]
+                pieces.append(_CYCLE_ROW.join([format(c, spec) for c in rows]))
+                states += len(rows)
+                if states >= size:
+                    report.append("".join(pieces))
+                    pieces.clear()
+                    states = 0
+            pieces.append(f'"\n    ],\n    "basin_size": {basin}\n  }}')
+        pieces.append("\n]" if self.attractors else "]")
+        report.append("".join(pieces))
+        return "".join(report)
+
+
+_CYCLE_HEAD = '\n  {\n    "cycle": [\n      "'
+_CYCLE_ROW = '",\n      "'
 
 
 def _attractors(succ):

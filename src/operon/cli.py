@@ -8,13 +8,12 @@ identical invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 # each command imports the half it runs (Boolean or ODE) when it runs
 from . import __version__
-from .errors import parse_rational
+from .errors import json_text, parse_rational
 
 
 def lactose_range(text: str) -> tuple[Fraction, Fraction]:
@@ -108,7 +107,7 @@ def cmd_fixed_points(args) -> int:
                  [_bits(p) for p in points])
                 for setting, points in net.fixed_points_by_setting(args.method)]
         if args.json:
-            print(json.dumps(dict(rows), indent=2))
+            print(json_text(dict(rows)))
         else:
             for label, bits in rows:
                 print(f"{label}: " + " ".join(bits))
@@ -134,7 +133,11 @@ def cmd_simulate(args) -> int:
     state = _parse_init(args.init, len(net.vars), args.sub.error)
     if args.steps is not None and args.steps < 0:
         args.sub.error("--steps must be nonnegative")
-    traj = net.trajectory(state, values, max_steps=args.steps)
+    try:
+        traj = net.trajectory(state, values, max_steps=args.steps)
+    except ValueError as exc:
+        # past the cap a full orbit needs a step limit: the flag, not the keyword
+        raise ValueError(str(exc).replace("max_steps", "--steps")) from None
     for i, s in enumerate(traj.states):
         print(f"{i} {_bits(s)}")
     if traj.truncated:
@@ -203,7 +206,7 @@ def cmd_ode_steady_states(args) -> int:
     else:
         args.sub.error("--L is required when the model keeps L symbolic")
     states = lacmodel.steady_states_at(params, level, precision=args.precision)
-    print(json.dumps([st.as_dict(args.digits) for st in states], indent=2))
+    print(json_text([st.as_dict(args.digits) for st in states]))
     return 0
 
 

@@ -1,11 +1,13 @@
 """The input syntax shared by every file format and CLI value, its error
-type, and `Frozen`, the base of every immutable record in both halves."""
+type, `Frozen`, the base of every immutable record in both halves, and
+`json_text`, the writer of their indented JSON reports."""
 
 from __future__ import annotations
 
 import re
 import string
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -81,6 +83,37 @@ class Frozen:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for a tree of dicts with str keys, lists,
+    str and int, the shapes of the indented reports.
+
+    With an indent, `json` encodes in pure Python; here each string goes
+    through `json`'s own C string encoder, and each container is one join.
+    Any other type, bool, float and None included, and any key that is not
+    a str raise TypeError, so the text never differs from `json`'s.
+    indent is the line break and indentation a nested value starts from.
+    """
+    kind = obj.__class__
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return repr(obj)
+    inner = indent + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # the string encoder refuses a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + json_text(value, inner)
+                 for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"json_text cannot render {kind.__name__}")
 
 
 class ParseError(ValueError):

@@ -313,6 +313,13 @@ class _Oracle:
         self.degree = len(self.coeffs) - 1
         self.lead = abs(self.coeffs[-1])
         self.bound = _root_bound(self.coeffs)  # at least 1
+        # No root of q lies in [B, oo) or (-oo, -B], so the variations at
+        # +-B are those at +-oo, the signs of the chain's leading terms
+        # (times (-1)^degree at -oo); at 0 they are the constant terms' signs.
+        self.above = _variations([_sign(c[-1]) for c in self.chain])
+        self.below = _variations([_sign(c[-1]) if len(c) % 2 else -_sign(c[-1])
+                                  for c in self.chain])
+        self.at_zero = _variations([_sign(c[0]) for c in self.chain])
 
     def value(self, num: int, den: int) -> int:
         """den**deg * q(num/den): for den > 0, the sign of q(num/den)."""
@@ -328,8 +335,9 @@ class _Oracle:
         b = self.bound if hi is None else Fraction(hi)
         if a >= b:
             return 0
-        return (self.variations(a.numerator, a.denominator)
-                - self.variations(b.numerator, b.denominator))
+        v_a = self.below if lo is None else self.variations(a.numerator, a.denominator)
+        v_b = self.above if hi is None else self.variations(b.numerator, b.denominator)
+        return v_a - v_b
 
     def isolate(self, precision: Fraction, positive: bool = False) -> list[RootBox]:
         """Boxes no wider than precision around the distinct real roots of f,
@@ -339,16 +347,17 @@ class _Oracle:
         the denominator of the root bound B: (a, b] starts as (-B, B], or
         (0, B], and halves at (a + b)/2.  Each interval on the stack carries
         the Sturm variations at its ends, so every grid point is evaluated
-        once.  An interval with one root goes on into a refinement kernel,
+        once, and the variations at the starting ends are read off the
+        chain.  An interval with one root goes on into a refinement kernel,
         which the box it ends in carries along.
         """
         precision = _check_precision(precision)
         pn, pd = precision.numerator, precision.denominator
         b, den = self.bound.numerator, self.bound.denominator
-        a = 0 if positive else -b
+        a, v_a = (0, self.at_zero) if positive else (-b, self.below)
         out = []
         # (lo, hi, depth, variations at lo, variations at hi), left half on top
-        stack = [(a, b, 0, self.variations(a, den), self.variations(b, den))]
+        stack = [(a, b, 0, v_a, self.above)]
         while stack:
             lo, hi, depth, v_lo, v_hi = stack.pop()
             n = v_lo - v_hi

@@ -160,6 +160,18 @@ def test_trajectory_truncation(net):
         net.trajectory(bits("111010011"), {"a": 1, "g": 0}, max_steps=-1)
 
 
+def test_full_orbit_past_the_cap_names_the_keyword():
+    # the API names its own keyword; `operon simulate` names its flag
+    names = [f"x{i}" for i in range(ENUMERATE_CAP + 1)]
+    net = BooleanNetwork("copy", VarSet(names), (), tuple(logic.Var(x) for x in names))
+    with pytest.raises(ValueError) as excinfo:
+        net.trajectory((0,) * len(names), {})
+    assert str(excinfo.value) == (
+        f"a full orbit is followed only up to {ENUMERATE_CAP} variables "
+        f"(got {len(names)}); set a step limit with max_steps")
+    assert net.trajectory((0,) * len(names), {}, max_steps=1).cycle_start == 0
+
+
 def test_trajectory_from_fixed_point(net):
     t = net.trajectory(bits("111101111"), {"a": 1, "g": 0})
     assert t.cycle_start == 0
@@ -461,6 +473,87 @@ def test_state_graph_memory():
     assert sum(graph.basin_sizes) == len(graph.successors) == 1 << 18
     for code in (0, 1, 12345, (1 << 18) - 1):
         assert graph.successors[code] == encode_state(net.step(decode_state(code, 18), {}))
+
+
+def identity_network(n):
+    names = [f"x{i}" for i in range(n)]
+    return BooleanNetwork("identity", VarSet(names), (), tuple(logic.Var(x) for x in names))
+
+
+def ref_reports(graph):
+    """The DOT, adjacency and attractor reports built as whole lists and
+    dicts of bit strings and encoded by `json.dumps`, as they were before
+    the reports were rendered by blocks."""
+    bs = graph.bitstring
+    edges = list(enumerate(graph.successors))
+    dot = "\n".join(["digraph states {", *[f'  "{bs(c)}" -> "{bs(s)}";' for c, s in edges],
+                     "}"]) + "\n"
+    adjacency = json.dumps({bs(c): bs(s) for c, s in edges}, indent=2)
+    attractors = json.dumps([{"cycle": [bs(c) for c in cycle], "basin_size": size}
+                             for cycle, size in zip(graph.attractors, graph.basin_sizes)],
+                            indent=2)
+    return dot, adjacency, attractors
+
+
+def check_reports(graph):
+    assert (graph.to_dot(), graph.adjacency_json(), graph.attractor_report_json()) == (
+        ref_reports(graph))
+
+
+def test_reports_on_lac(net):
+    for setting in settings_of(net):
+        check_reports(net.state_graph(setting))
+
+
+@pytest.mark.parametrize("width", [2, 3, 16])
+def test_reports_match_json_dumps(monkeypatch, width):
+    # blocks of 4 or 8 states: counters whose one cycle spans many blocks,
+    # identity networks whose many one-state cycles fill a block, and
+    # random networks, on whole blocks and on fewer states than one block
+    monkeypatch.setattr(gf2, "BLOCK_VARS", width)
+    rng = random.Random(SEED + 700 + width)
+    nets = [counter_network(n) for n in (1, 2, 3, 5, 7)] + [xor_ring(n) for n in (3, 5, 6)]
+    nets += [identity_network(n) for n in (1, 3, 6)]
+    for n in range(1, 9):
+        nets += [random_network(rng, n), half_identity_network(rng, n, 1)]
+    long_cycles = 0
+    for net in nets:
+        for setting in settings_of(net):
+            graph = net.state_graph(setting)
+            check_reports(graph)
+            long_cycles += len(graph.attractors[-1]) > 1 << width
+    assert long_cycles or width == 16
+
+
+def test_reports_of_a_graph_made_by_hand():
+    # the record takes any successor array, attractors and basin sizes
+    graph = boolnet.StateGraph(VarSet(["x", "y"]), array("B", [1, 0, 3, 2]),
+                               ((0, 1), (2, 3)), (2, 2))
+    check_reports(graph)
+    check_reports(graph.replace(attractors=(), basin_sizes=()))
+
+
+@pytest.mark.parametrize("net,report,width", [
+    (xor_ring(18), "attractor_report_json", 16),
+    (counter_network(18), "attractor_report_json", 16),
+    (identity_network(14), "attractor_report_json", 10),
+    (counter_network(18), "adjacency_json", 16),
+    (counter_network(18), "to_dot", 16),
+], ids=["attractors-ring", "attractors-counter", "attractors-identity", "adjacency", "dot"])
+def test_report_memory(monkeypatch, net, report, width):
+    # rendered by blocks of 2^16 states and joined once, a report peaks at
+    # about twice its own size under tracemalloc, one long cycle or a
+    # fixed point per state alike (2^14 of them, in 16 blocks); a dict or
+    # list holding a bit string for every state took 4.2 to 13 times
+    monkeypatch.setattr(gf2, "BLOCK_VARS", width)
+    graph = net.state_graph({})
+    tracemalloc.start()
+    try:
+        text = getattr(graph, report)()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)
 
 
 @pytest.mark.parametrize("k", range(5))

@@ -368,3 +368,34 @@ def test_realroots_takes_only_the_poly_type_and_horner_from_exactpoly():
                 if isinstance(node, ast.ImportFrom) and node.module == "exactpoly"
                 for alias in node.names}
     assert imported == {"Poly", "homogeneous_value"}
+
+
+def indented_dumps(package: Path = PACKAGE) -> list[str]:
+    """The calls in the package that pass indent= to `json.dumps` or
+    `json.dump`, which then encodes in pure Python."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dumps", "dump") and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_report_is_indented_by_json():
+    # indented reports are rendered by errors.json_text
+    assert indented_dumps() == []
+
+
+def test_indent_guard_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import json\n"
+        "from json import dumps\n"
+        "json.dumps([], indent=2)\n"
+        "json.dump([], fh, indent=None)\n"
+        "dumps({}, sort_keys=True, indent=4)\n"
+        "json.dumps([])\n", encoding="utf-8")
+    assert indented_dumps(tmp_path) == ["m:3", "m:4", "m:5"]

@@ -22,6 +22,8 @@ from operon.realroots import (
 )
 
 from conftest import (
+    _ref_count,
+    _ref_oracle,
     assert_handover_repeats,
     integer_coeffs,
     on_new_kernel,
@@ -696,6 +698,37 @@ def test_isolation_keeps_no_memo():
     oracle = realroots._Oracle(integer_coeffs((X**2 - 2) * (X - 5) * (3 * X + 1)))
     assert len(oracle.isolate(F(1, 10**6))) == 4
     assert not any(isinstance(v, dict) for v in vars(oracle).values())
+
+
+def test_variations_at_the_ends_read_off_the_chain(rng):
+    # no root lies outside (-B, B), so the variations at +-B are those at
+    # +-infinity, read off the leading terms, and at 0 they are the constant
+    # terms' signs: each equals the chain evaluated there, on squarefree and
+    # repeated factors and on polynomials vanishing at 0
+    vanishing = 0
+    for trial in range(400):
+        p = random_rat_poly(rng, max_degree=6)
+        if trial % 3 == 0:
+            p = p * random_rat_poly(rng, max_degree=3) ** 2
+        if trial % 4 == 1:
+            p = p * X ** rng.randint(1, 2)
+        oracle = oracle_of(p)
+        b = oracle.bound
+        vanishing += oracle.coeffs[0] == 0
+        assert oracle.above == oracle.variations(b.numerator, b.denominator)
+        assert oracle.below == oracle.variations(-b.numerator, b.denominator)
+        assert oracle.at_zero == oracle.variations(0, 1)
+        _, chain = _ref_oracle(p)
+        assert oracle.count() == _ref_count(chain, -b, b)
+        assert oracle.count(0) == _ref_count(chain, F(0), b)
+        assert oracle.count(None, 0) == _ref_count(chain, -b, F(0))
+        # isolation from the ends read off the chain, over both regions
+        for positive, lo in ((False, -b), (True, F(0))):
+            boxes = oracle.isolate(F(1, 64), positive)
+            assert len(boxes) == _ref_count(chain, lo, b)
+            for box in boxes:
+                assert box.is_exact or _ref_count(chain, box.lo, box.hi) == 1
+    assert vanishing > 50
 
 
 def test_simplest_rational_matches_recursive(rng):
