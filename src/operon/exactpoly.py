@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Sequence, Union
 
+from .errors import Frozen
+
 Coeff = Union[Fraction, "Poly"]
 
 
@@ -43,8 +45,8 @@ def uses_var(c, var: str) -> bool:
     return c.var == var or any(uses_var(ci, var) for ci in c.coeffs)
 
 
-class Poly:
-    __slots__ = ("var", "coeffs")
+class Poly(Frozen):
+    __slots__ = _fields = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Sequence = ()):
         cs = [_as_coeff(c) for c in coeffs]
@@ -53,8 +55,7 @@ class Poly:
         for c in cs:
             if uses_var(c, var):
                 raise ValueError(f"coefficient reuses the variable {var!r}")
-        self.var = var
-        self.coeffs = tuple(cs)
+        self._init(var, tuple(cs))
 
     @classmethod
     def x(cls, var: str) -> "Poly":
@@ -177,9 +178,6 @@ class Poly:
         if self.degree <= 0:
             return hash(self.constant())
         return hash((self.var, self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({self.var!r}, {list(self.coeffs)!r})"
 
     def __str__(self):
         return format_poly(self)

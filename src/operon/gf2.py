@@ -13,17 +13,19 @@ import re
 from typing import Iterable, Iterator, Mapping
 
 from . import logic
-from .errors import IDENT, ParseError, TOKEN, scan_error
+from .errors import IDENT, Frozen, ParseError, TOKEN, _set, scan_error
 
 MAX_VARS = 64  # one machine word per monomial
 
 _NAME = re.compile(IDENT)
 
 
-class VarSet:
+class VarSet(Frozen):
     """Immutable ordered collection of distinct variable names."""
 
+    # besides the field, the position of each name
     __slots__ = ("names", "_index")
+    _fields = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -38,8 +40,7 @@ class VarSet:
             if name in index:
                 raise ValueError(f"duplicate variable name {name!r}")
             index[name] = i
-        self.names = names
-        self._index = index
+        self._init(names, index)
 
     def __len__(self):
         return len(self.names)
@@ -55,12 +56,6 @@ class VarSet:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown identifier '{name}'") from None
-
-    def __eq__(self, other):
-        return isinstance(other, VarSet) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
 
     def __repr__(self):
         return f"VarSet({', '.join(self.names)})"
@@ -101,7 +96,7 @@ class _KeyTable(dict):
         return key
 
 
-class MonomialOrder:
+class MonomialOrder(Frozen):
     """lex or degrevlex on n variables, in declaration order.
 
     `keys[mask]` is a nonnegative int, monotone for the order: bigger key =
@@ -109,16 +104,16 @@ class MonomialOrder:
     kinds.
     """
 
+    # besides the fields, the key table, filled as it is read
     __slots__ = ("kind", "n", "keys")
+    _fields = ("kind", "n")
 
     KINDS = ("lex", "degrevlex")
 
     def __init__(self, kind: str, n: int):
         if kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.n = n
-        self.keys = _KeyTable(n, kind == "degrevlex")
+        self._init(kind, n, _KeyTable(n, kind == "degrevlex"))
 
     @classmethod
     def lex(cls, vars: VarSet) -> "MonomialOrder":
@@ -128,18 +123,15 @@ class MonomialOrder:
     def degrevlex(cls, vars: VarSet) -> "MonomialOrder":
         return cls("degrevlex", len(vars))
 
-    def __repr__(self):
-        return f"MonomialOrder({self.kind}, n={self.n})"
 
-
-class BoolPoly:
+class BoolPoly(Frozen):
     """Canonical polynomial in the squarefree quotient ring over GF(2)."""
 
-    __slots__ = ("vars", "monomials")
+    __slots__ = _fields = ("vars", "monomials")
 
     def __init__(self, vars: VarSet, monomials: Iterable[int] = ()):
-        self.vars = vars
-        self.monomials = frozenset(monomials)
+        _set(self, "vars", vars)
+        _set(self, "monomials", frozenset(monomials))
 
     @classmethod
     def zero(cls, vars: VarSet) -> "BoolPoly":
@@ -184,17 +176,6 @@ class BoolPoly:
             s |= m
         return s
 
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        """Value at a 0/1 point; every variable occurring in self must be set."""
-        sigma = 0
-        for i in _bit_indices(self.support_mask()):
-            name = self.vars.names[i]
-            if name not in values:
-                raise ValueError(f"no value for identifier '{name}'")
-            if values[name] & 1:
-                sigma |= 1 << i
-        return self.evaluate_mask(sigma)
-
     def evaluate_mask(self, sigma: int) -> int:
         # a squarefree monomial evaluates to 1 exactly when all its variables do
         count = 0
@@ -215,16 +196,6 @@ class BoolPoly:
         if not self.monomials:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.monomials, key=order.keys.__getitem__)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoolPoly)
-            and self.vars == other.vars
-            and self.monomials == other.monomials
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.monomials))
 
     def __str__(self):
         return format_poly(self)

@@ -16,17 +16,17 @@ import heapq
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import ParseError, source_lines
+from .errors import Frozen, ParseError, source_lines
 from .gf2 import (BoolPoly, MonomialOrder, VarSet, _bit_indices, blocks, decode_state,
                   parse_poly, zero_codes)
 
 ENUMERATE_CAP = 24
 
 
-class PolySystem:
+class PolySystem(Frozen):
     """A finite generating set over one variable set; zero generators are dropped."""
 
-    __slots__ = ("vars", "generators")
+    __slots__ = _fields = ("vars", "generators")
 
     def __init__(self, vars: VarSet, generators: Iterable[BoolPoly]):
         gens = []
@@ -37,34 +37,22 @@ class PolySystem:
                 raise ValueError("generator uses a different variable set")
             if g:
                 gens.append(g)
-        self.vars = vars
-        self.generators = tuple(gens)
-
-    def __repr__(self):
-        return f"PolySystem({len(self.generators)} generators over {self.vars!r})"
+        self._init(vars, tuple(gens))
 
 
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
     """Reduced basis, sorted by leading monomial in descending order."""
 
-    __slots__ = ("vars", "order", "polys")
+    __slots__ = _fields = ("vars", "order", "polys")
 
     def __init__(self, vars: VarSet, order: MonomialOrder, polys: Sequence[BoolPoly]):
-        self.vars = vars
-        self.order = order
-        self.polys = tuple(polys)
+        self._init(vars, order, tuple(polys))
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
         return len(self.polys)
-
-    def __eq__(self, other):
-        return isinstance(other, GroebnerBasis) and self.polys == other.polys
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.polys)} polynomials)"
 
 
 def reduce(p: Iterable[int], basis: Sequence[tuple[int, Sequence[int]]],

@@ -316,23 +316,13 @@ def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> Root
     top = max(len(P), len(Q))
     pc, qc = (f + (0,) * (top - len(f)) for f in (P, Q))
     pn, pd = precision.numerator, precision.denominator
-    # the values of P and Q at the two ends x/den of the last stage, by x
-    ends: dict[int, tuple[int, int]] = {}
-    den = 1
+    ends = ()  # the values of P and Q at the two ends of the last stage
 
-    def narrow(lo: int, hi: int, new_den: int) -> bool:
-        nonlocal ends, den
-        # a stage is a cell of the one before, over den * 2^k, and shares
-        # an end with it: the values at x*2^k over den*2^k are those at x
-        # over den times 2^(k*deg)
-        k = (new_den // den).bit_length() - 1
-        shift = k * (top - 1)
-        before = {x << k: (p << shift, q << shift) for x, (p, q) in ends.items()}
-        ends, den = {}, new_den
-        for x in (lo, hi):
-            ends[x] = before.get(x) or (homogeneous_value(pc, x, den),
-                                        homogeneous_value(qc, x, den))
-        (p_a, q_a), (p_b, q_b) = ends.values()
+    def narrow(lo: int, hi: int, den: int) -> bool:
+        nonlocal ends
+        ends = [(homogeneous_value(pc, x, den), homogeneous_value(qc, x, den))
+                for x in (lo, hi)]
+        (p_a, q_a), (p_b, q_b) = ends
         if not q_a:
             return False
         # P(b)/Q(a) - P(a)/Q(b) <= precision/4, over the positive Q(a)*Q(b)
@@ -344,7 +334,7 @@ def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> Root
         level = Fraction(homogeneous_value(pc, n, d), homogeneous_value(qc, n, d))
         return RootBox(level, level)
     # box is the last stage that narrow saw, (a, b] = (lo/den, hi/den]
-    (p_a, q_a), (p_b, q_b) = ends.values()
+    (p_a, q_a), (p_b, q_b) = ends
     lo, hi = Fraction(p_a, q_b), Fraction(p_b, q_a)
     slack = precision / 8
     return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),

@@ -296,6 +296,15 @@ def fix_leading(system, prefix):
     return PolySystem(vars, gens)
 
 
+def ref_evaluate(p, values):
+    """The value of a BoolPoly at a 0/1 point given by name: the parity of
+    its monomials whose variables are all 1.  Every variable occurring in p
+    must be set."""
+    names = p.vars.names
+    return sum(all(values[names[i]] & 1 for i in range(len(names)) if m >> i & 1)
+               for m in p.monomials) % 2
+
+
 def ref_enumerate(system):
     """`solve_boolean_system(system, method)` for every method, as the
     per-point loop before the truth tables did it: each generator evaluated

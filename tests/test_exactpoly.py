@@ -1,6 +1,8 @@
 """Exact multivariate polynomial arithmetic, resultants and discriminants."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,20 @@ def test_equality_treats_degree_zero_as_scalar():
     assert Poly("x", [F(3)]) == Poly("y", [F(3)])
     assert hash(Poly("x", [F(3)])) == hash(F(3))
     assert Poly("x", []) == 0
+
+
+def test_poly_is_a_frozen_record():
+    p, twin = (Poly("A", [1, Poly("L", [0, F(1, 2)])]) for _ in range(2))
+    assert p is not twin and p == twin and hash(p) == hash(twin)
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p) and str(clone) == str(p)
+    for field in ("var", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(twin, field))
+        with pytest.raises(AttributeError):
+            delattr(p, field)
+    with pytest.raises(ValueError, match="reuses the variable 'L'"):
+        p.replace(var="L")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Buchberger-based bases and the Boolean system solver."""
 
+import copy
+import pickle
 import random
 import time
 from collections import Counter
@@ -298,6 +300,47 @@ def test_reduce_leaves_normal_forms(rng):
             assert not any(divides(lm, m) for lm in lms)
         # p - r is in the ideal, so it must reduce to zero
         assert not normal_form(p + r, polys, order)
+
+
+def boolean_value(kind):
+    """A value of one of the Boolean value types, built afresh."""
+    vars = VarSet(["x", "y", "z"])
+    order = MonomialOrder.lex(vars)
+    poly = parse_poly("x*y + z + 1", vars)
+    system = PolySystem(vars, [poly, parse_poly("x + y", vars)])
+    return {"VarSet": vars, "MonomialOrder": order, "BoolPoly": poly, "PolySystem": system,
+            "GroebnerBasis": buchberger_reduced(system, order)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["VarSet", "MonomialOrder", "BoolPoly", "PolySystem",
+                                  "GroebnerBasis"])
+def test_boolean_values_are_frozen_records(kind):
+    value, twin = boolean_value(kind), boolean_value(kind)
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert clone == value and hash(clone) == hash(value)
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(twin, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+
+def test_boolean_values_compare_every_field():
+    vars = VarSet(["x", "y"])
+    assert MonomialOrder.lex(vars) != MonomialOrder.degrevlex(vars)
+    assert MonomialOrder.lex(vars) != MonomialOrder.lex(VarSet(["x", "y", "z"]))
+    system = PolySystem(vars, [parse_poly("x", vars), parse_poly("y + 1", vars)])
+    assert system != PolySystem(VarSet(["x", "y"]), [parse_poly("x", vars)])
+    lex = buchberger_reduced(system, MonomialOrder.lex(vars))
+    degrevlex = buchberger_reduced(system, MonomialOrder.degrevlex(vars))
+    # the same polynomials, reduced under different orders
+    assert lex.polys == degrevlex.polys and lex != degrevlex
+    assert len({lex, degrevlex, buchberger_reduced(system, MonomialOrder.lex(vars))}) == 2
+    with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+        VarSet(["x"]).replace(names=("x", "x"))
+    # the name index is built with the names and cannot go stale
+    assert vars.replace(names=("y", "x")).index("x") == 1
 
 
 def test_s_polynomial_rejects_zero():

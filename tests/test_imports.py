@@ -177,22 +177,41 @@ def test_boolean_commands_load_neither_dataclasses_nor_inspect(argv):
     assert loaded_after(*argv) & {"dataclasses", "inspect"} == set()
 
 
-RECORDS = {
-    "logic": ["Var", "Const", "Not", "And", "Or", "Xor"],
-    "boolnet": ["BooleanNetwork", "Trajectory", "StateGraph"],
-    "realroots": ["RootBox"],
-    "lacmodel": ["LacParams", "SteadyState", "Region", "SamplePoint", "BifurcationReport"],
+# the refinement kernels change as they are used, so read-only fields and
+# equality by value would be wrong for them
+MUTABLE_KERNELS = {
+    # fills in the Yun factors of its polynomial when first asked, a
+    # cached_property, which needs an instance dict
+    ("realroots", "_Oracle"),
+    # each refinement moves its deepest certified cell further down; the
+    # boxes that share the kernel keep their own depths
+    ("realroots", "_Cells"),
 }
 
 
-def test_every_record_sits_on_one_base():
+def unfrozen_classes() -> list[str]:
+    """The top-level classes in the package that do not subclass
+    `errors.Frozen`, leaving out Frozen itself, exceptions, the dict
+    subclasses that fill in as they are read, and `MUTABLE_KERNELS`."""
     from operon.errors import Frozen
 
-    for module, names in RECORDS.items():
-        home = importlib.import_module(f"operon.{module}")
-        assert "Frozen" not in vars(home) or home.Frozen is Frozen
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        # importing __main__ would run the CLI; it defines no class
+        home = importlib.import_module(f"operon.{path.stem}") if names else None
         for name in names:
-            assert issubclass(getattr(home, name), Frozen), name
+            cls = getattr(home, name)
+            if not (issubclass(cls, (Frozen, BaseException))
+                    or issubclass(cls, dict) and "__missing__" in vars(cls)
+                    or (path.stem, name) in MUTABLE_KERNELS):
+                out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_record_sits_on_one_base():
+    assert unfrozen_classes() == []
 
 
 def test_bare_import_loads_no_submodule():
@@ -263,6 +282,7 @@ CRITERIA_ONLY = {
     ("lacmodel", "LacParams.defaults"),  # criteria 5-8 build the bundled model with it
     ("lacmodel", "LacParams.with_lactose"),  # criterion 7 fixes L = 1 with it
     ("gf2", "MonomialOrder.lex"),  # criterion 3 runs Buchberger under lex
+    ("gf2", "BoolPoly.evaluate_mask"),  # criterion 10 checks step against the system with it
 }
 
 

@@ -658,10 +658,10 @@ def test_evaluation_budget(monkeypatch):
         monkeypatch.setattr(module, "homogeneous_value", counted)
     report = bifurcation_curve(LacParams(n=64, **LAC), (F(1, 10), F(5, 2)), 25)
     # the critical levels and the census; the branches wait for a caller
-    assert len(calls) <= 320  # 306 when written
+    assert len(calls) <= 320  # 288 when written
     for pt in report.samples:
         pt.roots
-    assert len(calls) <= 4_000  # 3,817 when written
+    assert len(calls) <= 4_000  # 3,349 when written
     calls.clear()
     steady_states_at(LacParams(n=5, **{**LAC, "c0": F(1, 10**300)}), F(1))
     assert len(calls) <= 900  # 867 when written

@@ -11,7 +11,7 @@ from operon.errors import ParseError
 from operon.gf2 import VarSet, translate_expr
 from operon.logic import And, Const, Not, Or, Var, Xor, evaluate, parse_expr
 
-from conftest import all_assignments, parse_outcome, random_expr, ref_parse_expr
+from conftest import all_assignments, parse_outcome, random_expr, ref_evaluate, ref_parse_expr
 
 
 def test_precedence_not_and_xor_or():
@@ -126,7 +126,7 @@ def test_substitute_matches_evaluation(rng):
         mask = partial.support_mask()
         assert not any(mask >> i & 1 for i, n in enumerate(names) if n in bound)
         for env in all_assignments(names):
-            assert partial.evaluate(env) == evaluate(expr, env | bound)
+            assert ref_evaluate(partial, env) == evaluate(expr, env | bound)
 
 
 def test_substitute_full_binding_leaves_constants(rng):
@@ -135,7 +135,7 @@ def test_substitute_full_binding_leaves_constants(rng):
     for env in all_assignments(names):
         reduced = translate_expr(expr, VarSet(names), env)
         assert reduced.support_mask() == 0
-        assert reduced.evaluate({}) == evaluate(expr, env)
+        assert ref_evaluate(reduced, {}) == evaluate(expr, env)
 
 
 def test_depth_cap_boundaries():
@@ -152,7 +152,7 @@ def test_depth_cap_boundaries():
         assert evaluate(expr, {"a": 1}) in (0, 1)
         assert variables(expr) == {"a"}
         bound = translate_expr(expr, VarSet(["a"]), {"a": 0})
-        assert bound.evaluate({}) == evaluate(expr, {"a": 0})
+        assert ref_evaluate(bound, {}) == evaluate(expr, {"a": 0})
         translate_expr(expr, VarSet(["a"]))
     outside = [
         "(" * (cap + 1) + "a" + ")" * (cap + 1),
