@@ -231,9 +231,10 @@ class StateGraph(Frozen):
         return format(code, f"0{len(self.vars)}b")
 
     # The reports are rendered straight from the codes, in the bytes that
-    # `json.dumps(..., indent=2)` gives for their shapes, one piece per
-    # block of `gf2.block_width` states, and joined once: no dict or list
-    # holds a bit string for every state.
+    # `json.dumps(..., indent=2)` gives for their shapes, and yielded one
+    # piece per block of `gf2.block_width` states: no dict, list or string
+    # holds a bit string for every state.  The JSON reports end with a line
+    # break, so the joined pieces are the bytes the command writes.
 
     def _blocks(self) -> Iterator[tuple[str, list[str], array]]:
         """(prefix, low bit strings, successors) of each block of states in
@@ -247,53 +248,37 @@ class StateGraph(Frozen):
         for start in range(0, len(self.successors), size):
             yield self.bitstring(start)[: n - w], low, self.successors[start : start + size]
 
-    def to_dot(self) -> str:
+    def dot_pieces(self) -> Iterator[str]:
         spec = f"0{len(self.vars)}b"
-        parts = ["digraph states {\n"]
+        yield "digraph states {\n"
         for prefix, low, succ in self._blocks():
-            parts.append("".join([f'  "{prefix}{key}" -> "{format(nxt, spec)}";\n'
-                                  for key, nxt in zip(low, succ)]))
-        parts.append("}\n")
-        return "".join(parts)
+            yield "".join([f'  "{prefix}{key}" -> "{format(nxt, spec)}";\n'
+                           for key, nxt in zip(low, succ)])
+        yield "}\n"
 
-    def adjacency_json(self) -> str:
+    def adjacency_pieces(self) -> Iterator[str]:
         spec = f"0{len(self.vars)}b"
-        parts = ["{\n"]
+        yield "{\n"
+        sep = ""
         for prefix, low, succ in self._blocks():
-            if len(parts) > 1:
-                parts.append(",\n")
-            parts.append(",\n".join([f'  "{prefix}{key}": "{format(nxt, spec)}"'
-                                     for key, nxt in zip(low, succ)]))
-        parts.append("\n}")
-        return "".join(parts)
+            yield sep + ",\n".join([f'  "{prefix}{key}": "{format(nxt, spec)}"'
+                                    for key, nxt in zip(low, succ)])
+            sep = ",\n"
+        yield "\n}\n"
 
-    def attractor_report_json(self) -> str:
-        """Each attractor's cycle, as bit strings, and its basin size.
-
-        A cycle's rows go between its head and its foot as pieces of up to
-        a block of states; the pieces are joined whenever they hold a block
-        of states, so many short cycles take one string per block too."""
+    def attractor_pieces(self) -> Iterator[str]:
+        """Each attractor's cycle, as bit strings, and its basin size: a
+        cycle's rows in pieces of up to a block of states, then its foot."""
         n = len(self.vars)
         spec, size = f"0{n}b", 1 << block_width(n)
-        report, pieces, states = [], ["["], 0
-        head = _CYCLE_HEAD
+        head = "[" + _CYCLE_HEAD
         for cycle, basin in zip(self.attractors, self.basin_sizes):
-            pieces.append(head)
-            head = "," + _CYCLE_HEAD
             for start in range(0, len(cycle), size):
-                if start:
-                    pieces.append(_CYCLE_ROW)
-                rows = cycle[start : start + size]
-                pieces.append(_CYCLE_ROW.join([format(c, spec) for c in rows]))
-                states += len(rows)
-                if states >= size:
-                    report.append("".join(pieces))
-                    pieces.clear()
-                    states = 0
-            pieces.append(f'"\n    ],\n    "basin_size": {basin}\n  }}')
-        pieces.append("\n]" if self.attractors else "]")
-        report.append("".join(pieces))
-        return "".join(report)
+                yield (_CYCLE_ROW if start else head) + _CYCLE_ROW.join(
+                    [format(c, spec) for c in cycle[start : start + size]])
+            head = "," + _CYCLE_HEAD
+            yield f'"\n    ],\n    "basin_size": {basin}\n  }}'
+        yield "\n]\n" if self.attractors else "[]\n"
 
 
 _CYCLE_HEAD = '\n  {\n    "cycle": [\n      "'

@@ -156,11 +156,11 @@ def cmd_state_graph(args) -> int:
     graph = net.state_graph(values)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_dot())
+            fh.writelines(graph.dot_pieces())
     if args.attractors:
-        print(graph.attractor_report_json())
+        sys.stdout.writelines(graph.attractor_pieces())
     if not (args.dot or args.attractors):
-        print(graph.adjacency_json())
+        sys.stdout.writelines(graph.adjacency_pieces())
     return 0
 
 
@@ -174,13 +174,12 @@ def cmd_ode_eliminate(args) -> int:
 
 def cmd_ode_bifurcation(args) -> int:
     from . import lacmodel
-    from .realroots import decimal_str
 
     params = lacmodel.load_ode(args.model)
     lo, hi = args.range
     report = lacmodel.bifurcation_curve(params, (lo, hi), args.samples,
                                         precision=args.precision)
-    lines = [f"critical L{i} = {decimal_str(box.representative(), args.digits)}"
+    lines = [f"critical L{i} = {box.decimal(args.digits)}"
              for i, box in enumerate(report.critical, start=1)]
     lines.append("region counts: " + ", ".join(str(r.count) for r in report.regions))
     boundary = sum(1 for s in report.samples if s.boundary)

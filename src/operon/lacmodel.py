@@ -88,7 +88,6 @@ class LacParams(Frozen):
         return self.replace(L=Fraction(L))
 
 
-_KEYS = ("c0", "c", "gamma", "v", "delta", "h", "n", "L")
 _ASSIGN = re.compile(rf"({IDENT})\s*=\s*(\S+)\Z")
 
 
@@ -100,7 +99,7 @@ def parse_ode_text(text: str) -> LacParams:
         if not m:
             raise ParseError("expected 'key = value'", lineno)
         key, value = m.group(1), m.group(2)
-        if key not in _KEYS:
+        if key not in LacParams._fields:
             raise ParseError(f"unknown parameter {key!r}", lineno)
         if key in seen:
             raise ParseError(f"duplicate parameter {key!r}", lineno)
@@ -119,7 +118,7 @@ def parse_ode_text(text: str) -> LacParams:
                 seen[key] = parse_rational(value)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-    missing = [k for k in _KEYS if k not in seen]
+    missing = [k for k in LacParams._fields if k not in seen]
     if missing:
         raise ParseError("missing parameters: " + ", ".join(missing))
     try:
@@ -562,7 +561,7 @@ def bifurcation_csv(report: BifurcationReport) -> str:
         for branch, box in enumerate(pt.roots):
             lines.append(",".join([
                 decimal_str(pt.L, CSV_DIGITS),
-                decimal_str(box.representative(), CSV_DIGITS),
+                box.decimal(CSV_DIGITS),
                 str(branch),
                 str(pt.count),
             ]))

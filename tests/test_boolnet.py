@@ -1,6 +1,7 @@
 """Synchronous Boolean network dynamics and the network file format."""
 
 import copy
+import io
 import json
 import pickle
 import random
@@ -280,14 +281,14 @@ def test_state_graph_invariants(net):
 
 def test_state_graph_outputs(net):
     graph = net.state_graph({"a": 1, "g": 0})
-    dot = graph.to_dot()
+    dot = "".join(graph.dot_pieces())
     assert dot.startswith("digraph states {\n")
     assert dot.endswith("}\n")
     assert '"111010011" -> "011111111";' in dot
-    adj = json.loads(graph.adjacency_json())
+    adj = json.loads("".join(graph.adjacency_pieces()))
     assert len(adj) == 512
     assert adj["111010011"] == "011111111"
-    report = json.loads(graph.attractor_report_json())
+    report = json.loads("".join(graph.attractor_pieces()))
     assert report == [{"cycle": ["111101111"], "basin_size": 512}]
 
 
@@ -483,7 +484,7 @@ def identity_network(n):
 def ref_reports(graph):
     """The DOT, adjacency and attractor reports built as whole lists and
     dicts of bit strings and encoded by `json.dumps`, as they were before
-    the reports were rendered by blocks."""
+    the reports were rendered by blocks, each ending with a line break."""
     bs = graph.bitstring
     edges = list(enumerate(graph.successors))
     dot = "\n".join(["digraph states {", *[f'  "{bs(c)}" -> "{bs(s)}";' for c, s in edges],
@@ -492,12 +493,12 @@ def ref_reports(graph):
     attractors = json.dumps([{"cycle": [bs(c) for c in cycle], "basin_size": size}
                              for cycle, size in zip(graph.attractors, graph.basin_sizes)],
                             indent=2)
-    return dot, adjacency, attractors
+    return dot, adjacency + "\n", attractors + "\n"
 
 
 def check_reports(graph):
-    assert (graph.to_dot(), graph.adjacency_json(), graph.attractor_report_json()) == (
-        ref_reports(graph))
+    assert ("".join(graph.dot_pieces()), "".join(graph.adjacency_pieces()),
+            "".join(graph.attractor_pieces())) == ref_reports(graph)
 
 
 def test_reports_on_lac(net):
@@ -533,27 +534,40 @@ def test_reports_of_a_graph_made_by_hand():
     check_reports(graph.replace(attractors=(), basin_sizes=()))
 
 
-@pytest.mark.parametrize("net,report,width", [
-    (xor_ring(18), "attractor_report_json", 16),
-    (counter_network(18), "attractor_report_json", 16),
-    (identity_network(14), "attractor_report_json", 10),
-    (counter_network(18), "adjacency_json", 16),
-    (counter_network(18), "to_dot", 16),
+class CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("net,report", [
+    (xor_ring(18), "attractor_pieces"),
+    (counter_network(18), "attractor_pieces"),
+    (identity_network(14), "attractor_pieces"),
+    (counter_network(18), "adjacency_pieces"),
+    (counter_network(18), "dot_pieces"),
 ], ids=["attractors-ring", "attractors-counter", "attractors-identity", "adjacency", "dot"])
-def test_report_memory(monkeypatch, net, report, width):
-    # rendered by blocks of 2^16 states and joined once, a report peaks at
-    # about twice its own size under tracemalloc, one long cycle or a
-    # fixed point per state alike (2^14 of them, in 16 blocks); a dict or
-    # list holding a bit string for every state took 4.2 to 13 times
-    monkeypatch.setattr(gf2, "BLOCK_VARS", width)
+def test_report_memory(monkeypatch, net, report):
+    # written piece by piece, a report holds at most a block of 2^10 states
+    # at once, one long cycle or a fixed point per state alike (2^14 of
+    # them); held whole, these reports of 0.6 to 12.6 MB peaked at 1.3 to
+    # 24 MB
+    monkeypatch.setattr(gf2, "BLOCK_VARS", 10)
     graph = net.state_graph({})
+    sink = CountingSink()
     tracemalloc.start()
     try:
-        text = getattr(graph, report)()
+        sink.writelines(getattr(graph, report)())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * len(text)
+    assert sink.chars > len(graph.successors) * 4
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -649,7 +663,7 @@ def test_state_graph_record(net):
                            f"attractors={graph.attractors!r}, "
                            f"basin_sizes={graph.basin_sizes!r})")
     for clone in (pickle.loads(pickle.dumps(again)), copy.deepcopy(again)):
-        assert clone == graph and clone.attractor_report_json() == graph.attractor_report_json()
+        assert clone == graph and list(clone.attractor_pieces()) == list(graph.attractor_pieces())
         assert clone.successors == graph.successors
     for field in ("successors", "basin_sizes", "attractors"):
         with pytest.raises(AttributeError):

@@ -279,6 +279,23 @@ def test_state_graph_dot(capsys, lac_bn, tmp_path):
     assert text.count("->") == 512
 
 
+def test_state_graph_golden_bytes(capsys, lac_bn, tmp_path):
+    # each report is written piece by piece, in the bytes it had when it
+    # was printed whole, to stdout in process and as a child process
+    code, out, _ = run(capsys, "state-graph", lac_bn, "--set", "a=1,g=0", "--attractors")
+    assert code == 0 and out == (GOLDEN / "state_graph_attractors.out").read_text()
+    code, out, _ = run(capsys, "state-graph", lac_bn, "--set", "a=0,g=1")
+    assert code == 0 and out == (GOLDEN / "state_graph_adjacency.out").read_text()
+    child = subprocess.run([sys.executable, "-m", "operon", "state-graph", lac_bn,
+                            "--set", "a=0,g=1"], capture_output=True, env=CHILD_ENV)
+    assert child.returncode == 0
+    assert child.stdout == (GOLDEN / "state_graph_adjacency.out").read_bytes()
+    target = tmp_path / "graph.dot"
+    code, out, _ = run(capsys, "state-graph", lac_bn, "--set", "a=1,g=0", "--dot", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == (GOLDEN / "state_graph.dot").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["state-graph", "--set", ""],
     ["fixed-points", "--set", "", "--method", "enumerate"],

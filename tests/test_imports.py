@@ -199,8 +199,7 @@ def unfrozen_classes() -> list[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
-        # importing __main__ would run the CLI; it defines no class
-        home = importlib.import_module(f"operon.{path.stem}") if names else None
+        home = importlib.import_module(f"operon.{path.stem}")
         for name in names:
             cls = getattr(home, name)
             if not (issubclass(cls, (Frozen, BaseException))
@@ -212,6 +211,15 @@ def unfrozen_classes() -> list[str]:
 
 def test_every_record_sits_on_one_base():
     assert unfrozen_classes() == []
+
+
+def test_importing_main_runs_nothing(capsys):
+    # `python -m operon` runs the CLI; an import, as a module walker makes,
+    # neither parses this process's argv nor exits
+    sys.modules.pop("operon.__main__", None)
+    module = importlib.import_module("operon.__main__")
+    assert module.main.__module__ == "operon.cli"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_bare_import_loads_no_submodule():
@@ -300,15 +308,18 @@ def definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def references(node: ast.AST) -> tuple[Counter, Counter]:
+def references(node: ast.AST, modules) -> tuple[Counter, Counter]:
     """How often each identifier is read or written inside node: as a plain
-    name, and as an attribute (`obj.name`)."""
+    name, and as an attribute (`obj.name`).  An attribute of one of modules
+    (`logic.evaluate`) counts as a plain name: it reaches that module's
+    top-level definition, never a method."""
     names, attributes = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            attributes[sub.attr] += 1
+            of_module = isinstance(sub.value, ast.Name) and sub.value.id in modules
+            (names if of_module else attributes)[sub.attr] += 1
     return names, attributes
 
 
@@ -324,7 +335,7 @@ def unreferenced(package: Path = PACKAGE) -> list[str]:
              for path in sorted(package.glob("*.py"))}
     by_name, by_attribute = Counter(), Counter()
     for tree in trees.values():
-        names, attributes = references(tree)
+        names, attributes = references(tree, trees.keys())
         by_name += names
         by_attribute += attributes
     reached = {(module, name) for module, names in operon._EXPORTS.items() for name in names}
@@ -336,7 +347,7 @@ def unreferenced(package: Path = PACKAGE) -> list[str]:
             if (module, qualname) in reached:
                 continue
             name = qualname.rpartition(".")[2]
-            own_names, own_attributes = references(node)
+            own_names, own_attributes = references(node, trees.keys())
             # a recursive call does not reach a definition from elsewhere
             outside = by_attribute[name] - own_attributes[name]
             if "." not in qualname:
@@ -353,8 +364,10 @@ def test_every_definition_is_reached():
 def test_reach_guard_reads_methods_by_attribute(tmp_path):
     # a local variable, a parameter or a function of the same name does not
     # reach a method, nor does a call in its own body; a top-level function
-    # is reached by its name or as an attribute of its module
+    # is reached by its name or as an attribute of its module, and such an
+    # attribute does not reach a method of the same name
     (tmp_path / "m.py").write_text(
+        "from . import n\n"
         "class C:\n"
         "    def called(self):\n"
         "        return 1\n"
@@ -366,19 +379,24 @@ def test_reach_guard_reads_methods_by_attribute(tmp_path):
         "        return 4\n"
         "    def recursive(self):\n"
         "        return self.recursive()\n"
+        "    def evaluate(self):\n"
+        "        return 6\n"
         "def helper(rule):\n"
         "    width = rule\n"
         "    return width\n"
         "def by_attribute():\n"
         "    return 5\n"
         "def main():\n"
-        "    return C().called() + helper(0) + substitute()\n", encoding="utf-8")
+        "    return C().called() + helper(0) + substitute() + n.evaluate()\n", encoding="utf-8")
     (tmp_path / "n.py").write_text(
         "from . import m\n"
         "def substitute():\n"
-        "    return m.by_attribute()\n", encoding="utf-8")
+        "    return m.by_attribute()\n"
+        "def evaluate():\n"
+        "    return 7\n", encoding="utf-8")
     assert unreferenced(tmp_path) == [
-        "m.C.width", "m.C.rule", "m.C.substitute", "m.C.recursive", "m.main"]
+        "m.C.width", "m.C.rule", "m.C.substitute", "m.C.recursive", "m.C.evaluate",
+        "m.main"]
 
 
 def test_realroots_takes_only_the_poly_type_and_horner_from_exactpoly():
