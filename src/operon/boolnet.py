@@ -7,7 +7,6 @@ so sorting codes sorts the printed bit-strings lexicographically.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from array import array
@@ -30,11 +29,9 @@ State = tuple[int, ...]
 
 
 class BooleanNetwork(Frozen):
-    __slots__ = _fields = ("name", "vars", "params", "rules")
+    """name a str, vars a VarSet, params a tuple of str, rules one logic.Expr per var."""
 
-    def __init__(self, name: str, vars: VarSet, params: tuple[str, ...],
-                 rules: tuple[logic.Expr, ...]):
-        self._init(name, vars, params, rules)  # rules aligned with vars
+    __slots__ = _fields = ("name", "vars", "params", "rules")
 
     def check_params(self, params: Mapping[str, int]) -> dict[str, int]:
         setting = {}
@@ -81,15 +78,13 @@ class BooleanNetwork(Frozen):
             max_steps = (1 << n) + 1
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        states = [state]
-        seen = {state: 0}
+        seen = {state: 0}  # each visited state and its step, in order
         for _ in range(max_steps):
-            nxt = self.step(states[-1], setting)
-            if nxt in seen:
-                return Trajectory(tuple(states), seen[nxt], False)
-            seen[nxt] = len(states)
-            states.append(nxt)
-        return Trajectory(tuple(states), None, True)
+            state = self.step(state, setting)
+            if state in seen:
+                return Trajectory(tuple(seen), seen[state], False)
+            seen[state] = len(seen)
+        return Trajectory(tuple(seen), None, True)
 
     def to_polynomial_system(self, params: Mapping[str, int]) -> PolySystem:
         """Fixed-point system: one generator per variable, update rule plus x.
@@ -203,9 +198,6 @@ class Trajectory(Frozen):
 
     __slots__ = _fields = ("states", "cycle_start", "truncated")
 
-    def __init__(self, states: tuple[State, ...], cycle_start: int | None, truncated: bool):
-        self._init(states, cycle_start, truncated)
-
     @property
     def cycle(self) -> tuple[State, ...]:
         if self.cycle_start is None:
@@ -222,10 +214,6 @@ class StateGraph(Frozen):
     """
 
     __slots__ = _fields = ("vars", "successors", "attractors", "basin_sizes")
-
-    def __init__(self, vars: VarSet, successors: array,
-                 attractors: tuple[tuple[int, ...], ...], basin_sizes: tuple[int, ...]):
-        self._init(vars, successors, attractors, basin_sizes)
 
     def bitstring(self, code: int) -> str:
         return format(code, f"0{len(self.vars)}b")
@@ -319,10 +307,6 @@ def _attractors(succ):
         sizes[found] += 1
     ranked = sorted(range(len(cycles)), key=lambda a: (len(cycles[a]), cycles[a][0]))
     return tuple(tuple(cycles[a]) for a in ranked), tuple(sizes[a] for a in ranked)
-
-
-def fixed_points_json(points: Sequence[State]) -> str:
-    return json.dumps(["".join(map(str, s)) for s in sorted(points)])
 
 
 def parse_network(text: str) -> BooleanNetwork:

@@ -1,13 +1,15 @@
 """Command-line front end tying the engines to files and reports.
 
 Exit codes: 0 success, 1 domain errors (bad model files, degenerate
-systems, I/O failures), 2 usage errors.  All output is deterministic for
-identical invocations.
+systems, I/O failures) or a closed stdout, which prints nothing, 2 usage
+errors.  All output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from fractions import Fraction
 
@@ -115,7 +117,7 @@ def cmd_fixed_points(args) -> int:
         net, values = _load_network_params(args)
         points = net.fixed_points(values, method=args.method)
         if args.json:
-            print(boolnet.fixed_points_json(points))
+            print(json.dumps([_bits(p) for p in points]))
         else:
             for p in points:
                 print(_bits(p))
@@ -385,7 +387,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stdout goes to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"operon: {exc}", file=sys.stderr)
         return 1

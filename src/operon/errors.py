@@ -33,11 +33,11 @@ MAX_EXPONENT = 10 ** 6
 class Frozen:
     """Base of the immutable records of both halves.
 
-    A subclass lists its fields in ``_fields`` and stores them in slots,
-    set with `object.__setattr__` or `_init` by its own ``__init__``; state
-    it keeps apart from its fields, such as a cache, lives in slots that
-    ``_fields`` does not name.  Records compare equal when class and fields
-    are equal, hash as the tuple of their fields, print as
+    A subclass lists its fields in ``_fields``, stored in slots and taken by
+    the constructor in order or by name, unless its own ``__init__`` checks,
+    converts or defaults them; state kept apart, such as a cache, lives in
+    slots that ``_fields`` does not name.  Records compare equal when class
+    and fields are equal, hash as the tuple of their fields, print as
     ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
     and copy through their constructor, given their fields (a record whose
     constructor needs more overrides ``__reduce__``): what a frozen
@@ -46,6 +46,16 @@ class Frozen:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **named):
+        fields = self._fields
+        if named:  # the fields after those given in order, by name
+            args += tuple([named.pop(name) for name in fields[len(args):] if name in named])
+        if len(args) != len(fields) or named:
+            raise TypeError(f"{self.__class__.__qualname__}() takes {', '.join(fields)}, each once;"
+                            f" got {len(args)} of them" + "".join(f" and {n!r}" for n in named))
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def _init(self, *values) -> None:
         """Store values in the slots the class declares, in their order."""

@@ -183,8 +183,8 @@ class Poly(Frozen):
         return format_poly(self)
 
 
-def degree(p, default: int = -1) -> int:
-    return p.degree if isinstance(p, Poly) else (default if is_zero(p) else 0)
+def degree(p) -> int:
+    return p.degree if isinstance(p, Poly) else (-1 if is_zero(p) else 0)
 
 
 def substitute(p, var: str, value):

@@ -58,6 +58,21 @@ def _fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _check_constant(key: str, value) -> None:
+    """ValueError unless n is an int from 1 to MAX_HILL, gamma and h are
+    positive and the other constants but L nonnegative."""
+    if key == "n":
+        if not isinstance(value, int) or value < 1:
+            raise ValueError("n must be a positive integer")
+        if value > MAX_HILL:
+            raise ValueError(f"n must be at most {MAX_HILL}")
+    elif key in ("gamma", "h"):
+        if value <= 0:
+            raise ValueError(f"{key} must be positive")
+    elif key != "L" and value < 0:
+        raise ValueError(f"{key} must be nonnegative")
+
+
 class LacParams(Frozen):
     """Exact model constants; L is None while the lactose level is symbolic."""
 
@@ -67,17 +82,8 @@ class LacParams(Frozen):
                  delta: Fraction, h: Fraction, n: int, L: Optional[Fraction] = None):
         self._init(*map(_fraction, (c0, c, gamma, v, delta, h)), n,
                    None if L is None else _fraction(L))
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.n > MAX_HILL:
-            raise ValueError(f"n must be at most {MAX_HILL}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        for name in ("c0", "c", "v", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for key in ("n", "gamma", "h", "c0", "c", "v", "delta"):
+            _check_constant(key, getattr(self, key))
 
     @classmethod
     def defaults(cls) -> "LacParams":
@@ -103,28 +109,21 @@ def parse_ode_text(text: str) -> LacParams:
             raise ParseError(f"unknown parameter {key!r}", lineno)
         if key in seen:
             raise ParseError(f"duplicate parameter {key!r}", lineno)
-        if key == "n":
-            digits = value.lstrip("0")
-            if not (value.isascii() and value.isdigit()) or not digits:
-                raise ParseError("n must be a positive integer", lineno)
-            # the length test keeps int() off digit strings of any size
-            if len(digits) > len(str(MAX_HILL)) or int(digits) > MAX_HILL:
-                raise ParseError(f"n must be at most {MAX_HILL}", lineno)
-            seen[key] = int(digits)
-        elif key == "L" and value == "sym":
-            seen[key] = None
-        else:
-            try:
-                seen[key] = parse_rational(value)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+        try:
+            if key == "n":
+                # n is 0 unless all digits; cut to one digit more than MAX_HILL
+                # has, a longer one still reads above it, so int() reads no more
+                digits = value.lstrip("0") if value.isascii() and value.isdigit() else ""
+                seen[key] = int(digits[: len(str(MAX_HILL)) + 1] or 0)
+            else:
+                seen[key] = None if key == "L" and value == "sym" else parse_rational(value)
+            _check_constant(key, seen[key])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     missing = [k for k in LacParams._fields if k not in seen]
     if missing:
         raise ParseError("missing parameters: " + ", ".join(missing))
-    try:
-        return LacParams(**seen)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return LacParams(**seen)  # type: ignore[arg-type]
 
 
 def load_ode(path) -> LacParams:
@@ -451,9 +450,6 @@ class Region(Frozen):
 
     __slots__ = _fields = ("lo", "hi", "count")
 
-    def __init__(self, lo: Fraction, hi: Optional[Fraction], count: int):
-        self._init(lo, hi, count)
-
 
 class SamplePoint(Frozen):
     """One sampled lactose level; its steady-state branches are isolated
@@ -484,10 +480,6 @@ class SamplePoint(Frozen):
 
 class BifurcationReport(Frozen):
     __slots__ = _fields = ("critical", "regions", "samples")
-
-    def __init__(self, critical: tuple[RootBox, ...], regions: tuple[Region, ...],
-                 samples: tuple[SamplePoint, ...]):
-        self._init(critical, regions, samples)
 
 
 def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,

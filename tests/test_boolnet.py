@@ -16,7 +16,6 @@ from operon import boolnet, gf2, logic
 from operon.boolnet import (
     BooleanNetwork,
     decode_state,
-    fixed_points_json,
     load_network,
     parse_network,
 )
@@ -188,11 +187,6 @@ def test_fixed_points_golden(net, a, g):
     expected = [bits(s) for s in FIXED_POINTS[a, g]]
     assert net.fixed_points({"a": a, "g": g}, method="groebner") == expected
     assert net.fixed_points({"a": a, "g": g}, method="enumerate") == expected
-
-
-def test_fixed_points_json_format(net):
-    points = net.fixed_points({"a": 1, "g": 0})
-    assert fixed_points_json(points) == '["111101111"]'
 
 
 def test_step_agrees_with_polynomial_system(net):

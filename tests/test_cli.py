@@ -311,6 +311,32 @@ def test_enumeration_cap(capsys, tmp_path, argv):
     assert err == "operon: enumeration is capped at 24 variables (got 25)\n"
 
 
+def test_gf2_header_with_a_repeated_name(capsys, tmp_path):
+    system = tmp_path / "dup.gf2"
+    system.write_text("vars: x x\nx + 1\n")
+    for command in ("solve", "groebner"):
+        assert run(capsys, command, str(system)) == (
+            1, "", "operon: line 1: duplicate variable name 'x'\n")
+
+
+def test_closed_stdout_prints_nothing(tmp_path):
+    # a 14-variable XOR ring's adjacency report is 622,595 bytes, more than a
+    # pipe holds, so the child is still writing when its reader goes away
+    names = [f"x{i}" for i in range(14)]
+    model = tmp_path / "ring.bn"
+    model.write_text(f"network ring\nvars: {', '.join(names)}\n" + "".join(
+        f"{x}' = {names[(i + 1) % 14]} ^ {names[(i + 2) % 14]}\n" for i, x in enumerate(names)))
+    child = subprocess.Popen([sys.executable, "-m", "operon", "state-graph", str(model),
+                              "--set", ""], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=CHILD_ENV)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1 and err == b""
+    assert first == b"{\n"
+
+
 def test_solve_enumeration_cap(capsys, tmp_path):
     # the same message as the network commands, with no Python syntax in it
     system = tmp_path / "wide.gf2"
@@ -602,6 +628,23 @@ def test_ode_bifurcation_levels(capsys, tmp_path, values, expected):
 def test_ode_bifurcation_exit_codes(capsys, tmp_path, values, precision, expected):
     model = _ode_variant(tmp_path, **values)
     assert run(capsys, "ode", "bifurcation", model, "--precision", precision) == expected
+
+
+def test_ode_bifurcation_exact_fold(capsys, tmp_path):
+    # L(A) = A + 1/A folds at A = 1, where the level is found exactly: L = 2
+    model = _ode_variant(tmp_path, c0="0", c="1", gamma="1", v="0", delta="1", h="1", n="2")
+    assert run(capsys, "ode", "bifurcation", model, "--range", "1:3", "--samples", "3") == (
+        0, "critical L1 = 2.00000\nregion counts: 0, 2\nsamples: 3, boundary: 1\n", "")
+
+
+@pytest.mark.parametrize("values,message", [
+    (dict(gamma="0"), "line 11: gamma must be positive"),
+    (dict(v="-1", n="65"), "line 12: v must be nonnegative"),
+])
+def test_ode_constant_out_of_range_names_its_line(capsys, tmp_path, values, message):
+    model = _ode_variant(tmp_path, **values)
+    for command in (["eliminate"], ["steady-states", "--L", "1"], ["bifurcation"]):
+        assert run(capsys, "ode", *command, model) == (1, "", f"operon: {message}\n")
 
 
 def test_ode_bifurcation_builds_branches_only_for_csv(capsys, lac_ode, tmp_path, monkeypatch):

@@ -66,6 +66,9 @@ def test_varset_rejects_bad_input():
         VarSet([])
     with pytest.raises(ValueError, match="invalid variable name"):
         VarSet(["2x"])
+    assert len(VarSet(f"x{i}" for i in range(64))) == 64
+    with pytest.raises(ValueError, match="at most 64 variables are supported, got 65"):
+        VarSet(f"x{i}" for i in range(65))
     with pytest.raises(ValueError, match="unknown identifier 'z'"):
         V4.index("z")
 

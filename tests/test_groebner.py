@@ -516,6 +516,16 @@ def test_parse_system_requires_header():
         parse_system("# only a comment\n")
     with pytest.raises(ParseError, match="no variables"):
         parse_system("vars:\nx1\n")
+    with pytest.raises(ParseError, match="line 1: duplicate variable name 'x'"):
+        parse_system("vars: x x\nx + 1\n")
+
+
+def test_poly_system_refuses_foreign_generators():
+    vars = VarSet(["x", "y"])
+    with pytest.raises(TypeError, match="generators must be BoolPoly instances"):
+        PolySystem(vars, [parse_poly("x", vars), "y"])
+    with pytest.raises(ValueError, match="generator uses a different variable set"):
+        PolySystem(vars, [parse_poly("x", VarSet(["x", "y", "z"]))])
 
 
 def test_parse_system_reports_line_numbers():

@@ -213,6 +213,43 @@ def test_every_record_sits_on_one_base():
     assert unfrozen_classes() == []
 
 
+def test_plain_records_take_the_generic_constructor(lac_bn):
+    import copy
+    import pickle
+    from fractions import Fraction
+
+    from operon import boolnet, lacmodel, logic
+    from operon.errors import Frozen
+
+    net = boolnet.load_network(lac_bn)
+    report = lacmodel.bifurcation_curve(lacmodel.LacParams.defaults(),
+                                        (Fraction(1, 10), Fraction(5, 2)), 3)
+    records = [net, net.trajectory((0,) * 9, {"a": 1, "g": 0}), net.state_graph({"a": 1, "g": 0}),
+               report.regions[0], report]
+    for record in records:
+        cls, names, values = type(record), type(record)._fields, record._values()
+        assert "__init__" not in vars(cls) and cls.__init__ is Frozen.__init__
+        named = dict(zip(names, values))
+        assert cls(*values) == record == cls(**named) == cls(values[0], **{
+            name: named[name] for name in reversed(names[1:])})
+        assert record.replace() == record and record.replace(**named) == record
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        other = record.replace(**{names[-1]: None})
+        assert other != record and getattr(other, names[-1]) is None
+        # a missing, extra, repeated or unknown field
+        for args, kwargs in [(values[:-1], {}), ((*values, None), {}),
+                             ((), {name: named[name] for name in names[1:]}),
+                             (values[:1], {names[-1]: values[-1]}), (values, {names[0]: values[0]}),
+                             (values, {"other": 1})]:
+            with pytest.raises(TypeError, match="takes " + ", ".join(names) + ", each once"):
+                cls(*args, **kwargs)
+        with pytest.raises(TypeError, match="'other'"):
+            record.replace(other=1)
+    # the expression nodes keep their own constructors
+    for cls in (logic.Var, logic.Const, logic.Not, logic.And, logic.Or, logic.Xor):
+        assert cls.__init__ is not Frozen.__init__
+
+
 def test_importing_main_runs_nothing(capsys):
     # `python -m operon` runs the CLI; an import, as a module walker makes,
     # neither parses this process's argv nor exits

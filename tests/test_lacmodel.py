@@ -163,11 +163,30 @@ def test_parse_ode_text_golden():
         ("n = 000\n", "n must be a positive integer"),
         ("c0 = 1\nn = 65\n", "line 2: n must be at most 64"),
         ("n = 1" + "0" * 5000 + "\n", "n must be at most 64"),
+        # a constant out of its range names its line, and the first bad line wins
+        ("c0 = 1\nc = 1\ngamma = 0\n", "line 3: gamma must be positive"),
+        ("h = -1/2\n", "line 1: h must be positive"),
+        ("h = 0\nn = 0\n", "line 1: h must be positive"),
+        ("n = 0\nh = 0\n", "line 1: n must be a positive integer"),
+        ("c = 1\nc0 = -1\n", "line 2: c0 must be nonnegative"),
+        ("c = -0.5\n", "line 1: c must be nonnegative"),
+        ("v = -1e-3\n", "line 1: v must be nonnegative"),
+        ("c0 = 1\ndelta = -1/5\n", "line 2: delta must be nonnegative"),
+        ("c0 = 1\nn = 1" + "0" * 5000 + "\n", "line 2: n must be at most 64"),
     ],
 )
 def test_parse_ode_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_ode_text(text)
+
+
+def test_exact_fold_level():
+    # L(A) = A + 1/A folds at A = 1 exactly, so its level is the exact box 2
+    p = LacParams(c0=0, c=1, gamma=1, v=0, delta=1, h=1, n=2)
+    assert critical_lactose_values(p) == [RootBox(F(2), F(2))]
+    report = bifurcation_curve(p, (F(1), F(3)), 3)
+    assert [r.count for r in report.regions] == [0, 2]
+    assert [s.boundary for s in report.samples] == [False, True, False]
 
 
 def test_hill_exponent_cap():
