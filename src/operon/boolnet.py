@@ -322,6 +322,7 @@ def parse_network(text: str) -> BooleanNetwork:
     seen_params_line = False
     rules: dict[str, logic.Expr] = {}
     rule_lines: dict[str, int] = {}
+    leaves: dict[str, logic.Var] | None = None
 
     for lineno, line in source_lines(text):
         if name is None:
@@ -364,11 +365,12 @@ def parse_network(text: str) -> BooleanNetwork:
                 f"duplicate update rule for '{target}' (first on line {rule_lines[target]})",
                 lineno,
             )
-        names: dict[str, logic.Var] = {}
-        expr = logic.parse_expr(body, line=lineno, names=names)
-        undeclared = [ident for ident in names if ident not in vars and ident not in params]
-        if undeclared:
-            raise ParseError(f"undeclared identifier '{min(undeclared)}'", lineno)
+        if leaves is None:  # one Var per declared name, shared by every rule
+            leaves = {ident: logic.Var(ident) for ident in (*vars.names, *params)}
+            declared = len(leaves)
+        expr = logic.parse_expr(body, line=lineno, names=leaves)
+        if len(leaves) > declared:
+            raise ParseError(f"undeclared identifier '{min(list(leaves)[declared:])}'", lineno)
         rules[target] = expr
         rule_lines[target] = lineno
 

@@ -59,17 +59,17 @@ def _fraction(x) -> Fraction:
 
 
 def _check_constant(key: str, value) -> None:
-    """ValueError unless n is an int from 1 to MAX_HILL, gamma and h are
-    positive and the other constants but L nonnegative."""
+    """ValueError unless n is an int from 1 to MAX_HILL, gamma, h and L
+    (unless None, symbolic) are positive and the other constants nonnegative."""
     if key == "n":
         if not isinstance(value, int) or value < 1:
             raise ValueError("n must be a positive integer")
         if value > MAX_HILL:
             raise ValueError(f"n must be at most {MAX_HILL}")
-    elif key in ("gamma", "h"):
-        if value <= 0:
+    elif key in ("gamma", "h", "L"):
+        if value is not None and value <= 0:
             raise ValueError(f"{key} must be positive")
-    elif key != "L" and value < 0:
+    elif value < 0:
         raise ValueError(f"{key} must be nonnegative")
 
 

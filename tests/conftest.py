@@ -72,6 +72,34 @@ def random_expr(rng, names, depth=4):
     return cls(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
 
 
+SPACES = ["", " ", "  ", "\t", "\xa0", "\u2003"]
+
+
+def render(expr, rng):
+    """expr as text, every binary node in parentheses, random whitespace."""
+    space = lambda: rng.choice(SPACES)  # noqa: E731
+    if isinstance(expr, logic.Var):
+        return expr.name
+    if isinstance(expr, logic.Const):
+        return str(expr.value)
+    if isinstance(expr, logic.Not):
+        return "!" + space() + render(expr.arg, rng)
+    op = {logic.And: "&", logic.Or: "|", logic.Xor: "^"}[type(expr)]
+    left, right = render(expr.left, rng), render(expr.right, rng)
+    return f"({space()}{left}{space()}{op}{space()}{right}{space()})"
+
+
+def leaves(expr):
+    """The Var nodes of expr, by a walk over its tree."""
+    if isinstance(expr, logic.Var):
+        yield expr
+    elif isinstance(expr, logic.Not):
+        yield from leaves(expr.arg)
+    elif not isinstance(expr, logic.Const):
+        yield from leaves(expr.left)
+        yield from leaves(expr.right)
+
+
 def all_assignments(names):
     """Every 0/1 environment over the given names, in binary-count order."""
     n = len(names)

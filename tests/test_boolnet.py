@@ -23,7 +23,8 @@ from operon.errors import ParseError
 from operon.gf2 import VarSet
 from operon.groebner import ENUMERATE_CAP, solve_boolean_system
 
-from conftest import SEED, encode_state, random_expr, ref_attractors, ref_successors
+from conftest import (SEED, encode_state, leaves, parse_outcome, random_expr, ref_attractors,
+                      ref_parse_expr, ref_successors, render)
 
 FIXED_POINTS = {
     (0, 0): ["000110000"],
@@ -89,6 +90,50 @@ def test_parse_names_the_first_undeclared_identifier(rule, name):
         parse_network(f"network n\nvars: a\n{rule}\n")
     assert str(err.value) == f"line 3: undeclared identifier '{name}'"
     assert err.value.line == 3
+
+
+def ref_rules(first_line, declared, bodies):
+    """The rules parse_network reads from bodies, one a line from first_line
+    on, each by ref_parse_expr with its undeclared names found by a walk."""
+    rules = []
+    for lineno, body in enumerate(bodies, first_line):
+        expr = ref_parse_expr(body, lineno)
+        undeclared = {leaf.name for leaf in leaves(expr)} - set(declared)
+        if undeclared:
+            raise ParseError(f"undeclared identifier '{min(undeclared)}'", lineno)
+        rules.append(expr)
+    return tuple(rules)
+
+
+RULE_SOUP = ["x0", "x1", "p0", "zz", "0", "!", "&", "|", "^", "(", ")", "$"]
+
+
+def test_parse_network_matches_reference_rule_by_rule(rng):
+    for _ in range(1500):
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        params = [f"p{i}" for i in range(rng.randint(0, 3))]
+        declared = names + params
+        bodies = []
+        for _ in names:
+            roll = rng.random()
+            if roll < 0.1:
+                bodies.append("".join(rng.choice(RULE_SOUP) for _ in range(rng.randint(1, 6))))
+            else:
+                # the same few names in every rule, now and then undeclared ones
+                pool = declared + ["zz", "q"] if roll < 0.25 else declared
+                bodies.append(render(random_expr(rng, pool, depth=rng.randint(0, 4)), rng))
+        header = ["network n", "vars: " + ", ".join(names)]
+        header += ["params: " + ", ".join(params)] if params else []
+        text = "\n".join(header + [f"{v}' = {b}" for v, b in zip(names, bodies)]) + "\n"
+        expected = parse_outcome(ref_rules, len(header) + 1, declared, bodies)
+        outcome = parse_outcome(parse_network, text)
+        if outcome[0] == "ok":
+            outcome = ("ok", outcome[1].rules)
+            # every occurrence of a name, across all the rules, is one Var
+            shared = {}
+            for leaf in (leaf for rule in outcome[1] for leaf in leaves(rule)):
+                assert shared.setdefault(leaf.name, leaf) is leaf, text
+        assert outcome == expected, text
 
 
 def test_rule_lookup(net):

@@ -640,6 +640,10 @@ def test_ode_bifurcation_exact_fold(capsys, tmp_path):
 @pytest.mark.parametrize("values,message", [
     (dict(gamma="0"), "line 11: gamma must be positive"),
     (dict(v="-1", n="65"), "line 12: v must be nonnegative"),
+    # a fixed lactose level in the file is checked as the file is read, so
+    # --L does not get past it
+    (dict(L="-1"), "line 16: L must be positive"),
+    (dict(L="0"), "line 16: L must be positive"),
 ])
 def test_ode_constant_out_of_range_names_its_line(capsys, tmp_path, values, message):
     model = _ode_variant(tmp_path, **values)

@@ -172,6 +172,9 @@ def test_parse_ode_text_golden():
         ("c = -0.5\n", "line 1: c must be nonnegative"),
         ("v = -1e-3\n", "line 1: v must be nonnegative"),
         ("c0 = 1\ndelta = -1/5\n", "line 2: delta must be nonnegative"),
+        ("L = -1\n", "line 1: L must be positive"),
+        ("c = 1\nL = 0\n", "line 2: L must be positive"),
+        ("L = 0.0\nc0 = -1\n", "line 1: L must be positive"),
         ("c0 = 1\nn = 1" + "0" * 5000 + "\n", "line 2: n must be at most 64"),
     ],
 )

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operon import logic
-from operon.errors import ParseError
+from operon.errors import TOKEN, ParseError
 from operon.gf2 import VarSet, translate_expr
 from operon.logic import And, Const, Not, Or, Var, Xor, evaluate, parse_expr
 
-from conftest import all_assignments, parse_outcome, random_expr, ref_evaluate, ref_parse_expr
+from conftest import (all_assignments, leaves, parse_outcome, random_expr, ref_evaluate,
+                      ref_parse_expr, render)
 
 
 def test_precedence_not_and_xor_or():
@@ -97,13 +98,7 @@ def test_evaluate_missing_identifier():
 
 def variables(expr):
     """The identifiers of an expression, by a walk over its tree."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Not):
-        return variables(expr.arg)
-    return variables(expr.left) | variables(expr.right)
+    return {leaf.name for leaf in leaves(expr)}
 
 
 def test_variables():
@@ -166,11 +161,44 @@ def test_depth_cap_boundaries():
         assert info.value.line == 4
 
 
+def height(expr):
+    """Operators on the longest path down expr."""
+    if isinstance(expr, (Var, Const)):
+        return 0
+    if isinstance(expr, Not):
+        return 1 + height(expr.arg)
+    return 1 + max(height(expr.left), height(expr.right))
+
+
+PER_LEVEL = {"!": 1, "|": 2, "^": 4}  # tokens each shape spends on a level
+
+
+def tallest(shape, length):
+    """The tallest tree of one shape written in exactly length tokens, and
+    its height: a NOT chain, a left-leaning | chain or a right-nested
+    parenthesised ^ chain, with NOT signs in front of the tokens left over."""
+    levels, spare = divmod(length - 1, PER_LEVEL[shape])
+    core = {"!": "!" * levels + "a", "|": " | ".join(["a"] * (levels + 1)),
+            "^": "(a ^ " * levels + "a" + ")" * levels}[shape]
+    return "!" * spare + core, levels + spare
+
+
+@pytest.mark.parametrize("length", [logic.MAX_DEPTH, logic.MAX_DEPTH + 1])
+@pytest.mark.parametrize("shape", list(PER_LEVEL))
+def test_heights_kept_only_past_max_depth_tokens(shape, length):
+    # parse_expr keeps no heights for a text of at most MAX_DEPTH tokens; at
+    # that length and one past it the tallest trees parse as the reference
+    # reads them, the NOT chain one past it at exactly MAX_DEPTH
+    text, tree_height = tallest(shape, length)
+    assert len(TOKEN.findall(text)) == length
+    assert assert_parses_as_reference(text, 2)[0] == "ok"
+    assert height(parse_expr(text)) == tree_height
+
+
 # the format's tokens, whitespace of several kinds, and characters outside
 # the syntax; "x12", "1x" and "102" probe where an identifier ends
 EXPR_TOKENS = ["a", "b", "x12", "1x", "102", "_q", "0", "1", "!", "&", "|", "^", "(", ")",
                " ", "\t", "\xa0", "\u2003", "$", "2", "\xe9", "'"]
-SPACES = ["", " ", "  ", "\t", "\xa0", "\u2003"]
 
 
 def assert_parses_as_reference(text, line=None):
@@ -190,20 +218,6 @@ def test_parse_expr_matches_reference_on_random_strings(rng):
        st.sampled_from([None, 5]))
 def test_parse_expr_matches_reference_hypothesis(text, line):
     assert_parses_as_reference(text, line)
-
-
-def render(expr, rng):
-    """expr as text, every binary node in parentheses, random whitespace."""
-    space = lambda: rng.choice(SPACES)  # noqa: E731
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Not):
-        return "!" + space() + render(expr.arg, rng)
-    op = {And: "&", Or: "|", Xor: "^"}[type(expr)]
-    left, right = render(expr.left, rng), render(expr.right, rng)
-    return f"({space()}{left}{space()}{op}{space()}{right}{space()})"
 
 
 def test_parse_expr_reads_rendered_trees(rng):
@@ -232,6 +246,11 @@ FIXED_EXPRS = {
     "(" * 101 + "$": "unexpected character '$' in expression",
     # the depth error comes at the 101st operator, before the stray name
     " | ".join(["a"] * 102) + " x": DEPTH,
+    # a NOT chain too deep at its operand wins over the syntax error after it
+    "!" * 101 + "a )": DEPTH,
+    "!" * 101 + "a b": DEPTH,
+    # inside a parenthesis the syntax error comes before the NOT signs apply
+    "!" * 101 + "(a b)": "expected ')' at column 105",
     # 60 outer NOT signs over a parenthesis of height 41
     "!" * 60 + "(" + "!" * 41 + "a)": DEPTH,
     "(" * 100 + "a" + ")" * 99: "unexpected end of expression",
