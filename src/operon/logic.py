@@ -92,6 +92,8 @@ def parse_expr(text: str, line: int | None = None,
         raise ParseError("empty expression", line)
     if names is None:
         names = {}
+    # Keeping heights for every text cost 6% of parse_network's time and 3% of
+    # bn-dynamics ops/s, whose rules have at most 10 tokens (2-core Xeon VM).
     deep = len(tokens) > MAX_DEPTH
     tokens.append(None)
     operands, heights, ops, frames, nots = [], [], [], [], 0

@@ -185,10 +185,10 @@ def tallest(shape, length):
 
 @pytest.mark.parametrize("length", [logic.MAX_DEPTH, logic.MAX_DEPTH + 1])
 @pytest.mark.parametrize("shape", list(PER_LEVEL))
-def test_heights_kept_only_past_max_depth_tokens(shape, length):
-    # parse_expr keeps no heights for a text of at most MAX_DEPTH tokens; at
-    # that length and one past it the tallest trees parse as the reference
-    # reads them, the NOT chain one past it at exactly MAX_DEPTH
+def test_tallest_trees_at_the_height_threshold_match_reference(shape, length):
+    # parse_expr keeps heights only for a text of more than MAX_DEPTH tokens;
+    # on both sides of that threshold the tallest trees parse as the
+    # reference reads them, the NOT chain one past it at exactly MAX_DEPTH
     text, tree_height = tallest(shape, length)
     assert len(TOKEN.findall(text)) == length
     assert assert_parses_as_reference(text, 2)[0] == "ok"
