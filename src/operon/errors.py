@@ -19,7 +19,9 @@ NAME_START = frozenset(string.ascii_letters + "_")
 TOKEN = re.compile(rf"{IDENT}|\S")
 """A token of the expression and polynomial formats: an identifier or one
 other visible character.  `TOKEN.findall(line)` splits a line into its
-tokens and drops the whitespace between them."""
+tokens and drops the whitespace between them; it tokenizes every rule, and
+the polynomial lines that `gf2.parse_poly`'s splits reject, to find their
+first error."""
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 

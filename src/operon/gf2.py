@@ -314,39 +314,60 @@ _POLY_SYMBOLS = "01+*"
 
 
 def parse_poly(text: str, vars: VarSet, line: int | None = None) -> BoolPoly:
-    """Parse ``x1*x5 + x4 + 1`` syntax; whitespace is insignificant."""
-    tokens = TOKEN.findall(text)
-    if not tokens:
-        raise ParseError("empty polynomial", line)
+    """Parse ``x1*x5 + x4 + 1`` syntax; whitespace is insignificant.
+
+    The line is split on '+' into terms and each term on '*' into factors;
+    a factor stripped of whitespace is a declared name, 0 (the term drops
+    out) or 1.  Any other factor sends the line to `_poly_error`.  The
+    splits accept exactly the lines the token grammar accepts: such a line
+    alternates single factor tokens with single operators, so each piece
+    strips down to one factor token and the monomials are the same; and a
+    line whose pieces all strip down to one factor is such a line, since
+    `str.strip` removes exactly the whitespace `TOKEN` skips.
+    """
     index = vars._index
     monomials: set[int] = set()
-    # one pass: '*' folds factors into mask; '+', and the end, close a term
-    mask, annihilated, want_factor = 0, False, True
-    try:
-        for tok in tokens:
-            if tok == "+" or tok == "*":
-                if want_factor:
-                    raise ParseError("dangling operator in polynomial")
-                want_factor = True
-                if tok == "+":
-                    if not annihilated:
-                        monomials ^= {mask}
-                    mask, annihilated = 0, False
-            elif not want_factor:
-                raise ParseError("missing '+' or '*' between terms")
-            else:
-                want_factor = False
-                i = index.get(tok)
-                if i is not None:
-                    mask |= 1 << i
-                elif tok == "0":
-                    annihilated = True
-                elif tok != "1":
-                    raise ParseError(f"unknown identifier '{tok}'")
-        if want_factor:
-            raise ParseError("dangling operator in polynomial")
-    except ParseError as exc:
-        raise scan_error(tokens, _POLY_SYMBOLS, "polynomial", str(exc), line) from None
-    if not annihilated:
-        monomials ^= {mask}
+    for term in text.split("+"):
+        mask = 0
+        for factor in term.split("*"):
+            factor = factor.strip()
+            i = index.get(factor)
+            if i is not None:
+                mask |= 1 << i
+            elif factor == "0":
+                mask = -1  # every bit set, so later factors keep it and the term drops out
+            elif factor != "1":
+                raise _poly_error(text, index, line)
+        if mask in monomials:  # a pair of equal terms cancels
+            monomials.remove(mask)
+        elif mask >= 0:
+            monomials.add(mask)
     return BoolPoly(vars, monomials)
+
+
+def _poly_error(text: str, index: Mapping[str, int], line: int | None) -> ParseError:
+    """The first error of a line `parse_poly` rejects, found by a `TOKEN`
+    scan: an unexpected character first, then the first grammar error."""
+    tokens = TOKEN.findall(text)
+    if not tokens:
+        return ParseError("empty polynomial", line)
+    want_factor = True
+    for tok in tokens:
+        if tok == "+" or tok == "*":
+            if want_factor:
+                message = "dangling operator in polynomial"
+                break
+            want_factor = True
+        elif not want_factor:
+            message = "missing '+' or '*' between terms"
+            break
+        elif tok in index or tok == "0" or tok == "1":
+            want_factor = False
+        else:
+            message = f"unknown identifier '{tok}'"
+            break
+    else:
+        # no token broke the grammar, so the line ends on an operator: one
+        # that ended on a factor would have passed the splits
+        message = "dangling operator in polynomial"
+    return scan_error(tokens, _POLY_SYMBOLS, "polynomial", message, line)

@@ -82,7 +82,7 @@ class LacParams(Frozen):
                  delta: Fraction, h: Fraction, n: int, L: Optional[Fraction] = None):
         self._init(*map(_fraction, (c0, c, gamma, v, delta, h)), n,
                    None if L is None else _fraction(L))
-        for key in ("n", "gamma", "h", "c0", "c", "v", "delta"):
+        for key in ("n", "gamma", "h", "c0", "c", "v", "delta", "L"):
             _check_constant(key, getattr(self, key))
 
     @classmethod

@@ -651,6 +651,12 @@ def test_ode_constant_out_of_range_names_its_line(capsys, tmp_path, values, mess
         assert run(capsys, "ode", *command, model) == (1, "", f"operon: {message}\n")
 
 
+@pytest.mark.parametrize("level", ["0", "-1/2"])
+def test_steady_states_level_not_positive(capsys, lac_ode, level):
+    assert run(capsys, "ode", "steady-states", lac_ode, f"--L={level}") == (
+        1, "", "operon: lactose level must be positive\n")
+
+
 def test_ode_bifurcation_builds_branches_only_for_csv(capsys, lac_ode, tmp_path, monkeypatch):
     from operon import lacmodel
 

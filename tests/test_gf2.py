@@ -1,11 +1,13 @@
 """Polynomial arithmetic over GF(2) with the idempotency relations built in."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operon.errors import ParseError
+from operon import gf2
+from operon.errors import TOKEN, ParseError
 from operon.gf2 import (
     BoolPoly,
     MonomialOrder,
@@ -16,10 +18,12 @@ from operon.gf2 import (
     translate_expr,
 )
 from operon import logic
+from operon.groebner import load_system, parse_system
 
 from conftest import (
     all_assignments,
     parse_outcome,
+    planted_system,
     random_bool_poly,
     random_expr,
     ref_evaluate,
@@ -295,10 +299,12 @@ def test_parse_format_round_trip(rng):
 
 
 V_PARSE = VarSet(["x1", "x2", "x3", "x12"])
-# the format's tokens, names outside V_PARSE, whitespace of several kinds
-# and characters outside the syntax
+# the format's tokens, names outside V_PARSE, whitespace of several kinds,
+# characters just outside it (\u200b is no whitespace) and characters
+# outside the syntax
 POLY_TOKENS = ["x1", "x2", "x12", "y", "1x", "102", "0", "1", "+", "*", "+", "*",
-               " ", "\t", "\xa0", "\u2003", "$", "2", "\xe9", "!"]
+               " ", "\t", "\xa0", "\u2003", "\x1c", "\x85", "\u2028", "\r", "\u200b",
+               "$", "2", "\xe9", "!"]
 
 
 def assert_parses_poly_as_reference(text, line=None):
@@ -320,10 +326,16 @@ def test_parse_poly_matches_reference_hypothesis(text, line):
     assert_parses_poly_as_reference(text, line)
 
 
-def test_parse_poly_reads_formatted_polys(rng):
+def formatted_polys(rng):
+    """500 random polynomials on V_PARSE, each with its text, the spaces
+    of `format_poly` replaced by one kind of whitespace or none."""
     for _ in range(500):
         p = random_bool_poly(rng, V_PARSE)
-        spaced = format_poly(p).replace(" ", rng.choice(["", " ", "\t", "\xa0", "\u2003"]))
+        yield format_poly(p).replace(" ", rng.choice(["", " ", "\t", "\xa0", "\u2003"])), p
+
+
+def test_parse_poly_reads_formatted_polys(rng):
+    for spaced, p in formatted_polys(rng):
         assert assert_parses_poly_as_reference(spaced) == ("ok", p)
 
 
@@ -363,3 +375,31 @@ def test_parse_poly_rejects_malformed(text):
     with pytest.raises(ParseError) as excinfo:
         parse_poly(text, V4)
     assert str(excinfo.value) == MALFORMED_POLYS[text]
+
+
+def test_strip_removes_exactly_the_whitespace_token_skips():
+    # parse_poly strips its factors with str.strip and reports the errors
+    # of the lines it rejects by TOKEN, so both must agree on whitespace
+    for c in range(sys.maxunicode + 1):
+        text = "x" + chr(c)
+        assert (text.strip() == "x") == (TOKEN.findall(text) == ["x"]), hex(c)
+
+
+def test_valid_lines_never_reach_the_token_scan(rng, lac_gf2, monkeypatch):
+    def refuse(text, index, line):
+        raise AssertionError(f"scanned the valid line {text!r}")
+
+    monkeypatch.setattr(gf2, "_poly_error", refuse)
+    assert len(load_system(lac_gf2).generators) == 9
+    for spaced, p in formatted_polys(rng):
+        assert parse_poly(spaced, V_PARSE) == p
+    assert parse_poly("x12*x1\t+\xa0x2\u2003+ 1", V_PARSE).monomials == {0b1001, 0b0010, 0}
+    # a planted system as the benchmark writes it: terms in descending mask
+    # order, each with its names in declaration order
+    system, _ = planted_system(rng, 8)
+    text = "vars: " + " ".join(system.vars) + "\n" + "".join(
+        " + ".join(monomial_str(m, system.vars) for m in sorted(g.monomials, reverse=True)) + "\n"
+        for g in system.generators)
+    assert parse_system(text) == system
+    with pytest.raises(AssertionError, match="scanned"):
+        parse_poly("x1 + x9", V_PARSE)

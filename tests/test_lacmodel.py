@@ -130,12 +130,19 @@ def test_param_coercion_and_with_lactose():
         (dict(h=0), "h must be positive"),
         (dict(c0=-1), "c0 must be nonnegative"),
         (dict(delta="-1/5"), "delta"),
+        (dict(L="-1/2", c="-1"), "c must be nonnegative"),  # L is checked last
     ],
 )
 def test_param_validation(kwargs, message):
     base = dict(c0=F(1, 20), c=1, gamma=1, v=1, delta=F(1, 5), h=2, n=5)
     with pytest.raises(ValueError, match=message):
         LacParams(**{**base, **kwargs})
+
+
+@pytest.mark.parametrize("level", [-1, 0, "-1/3"])
+def test_with_lactose_refuses_a_level_that_is_not_positive(level):
+    with pytest.raises(ValueError, match="^L must be positive$"):
+        LacParams.defaults().with_lactose(level)
 
 
 def test_load_shipped_model(lac_ode):
