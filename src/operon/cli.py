@@ -354,8 +354,81 @@ def _command_words(argv: list[str]) -> tuple[str, ...] | None:
     return None
 
 
+# the actions the table models, by class and nargs: store of one value, store_true
+_PLAIN_ACTIONS = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))
+
+
+def _table(leaf: argparse.ArgumentParser):
+    """The leaf's grammar as `_plain_args` reads it, taken from its actions;
+    None, so that argparse reads every argv, when it holds an action the table
+    does not model or a typed action with a string default."""
+    options, positionals, defaults = {}, [], {}
+    for action in leaf._actions:
+        if type(action) is argparse._HelpAction:
+            continue
+        if (type(action), action.nargs) not in _PLAIN_ACTIONS \
+                or getattr(action, "deprecated", False) \
+                or action.type is not None and isinstance(action.default, str):
+            return None
+        entry = action, leaf._registry_get("type", action.type, action.type)
+        options.update(dict.fromkeys(action.option_strings, entry))
+        if not action.option_strings:
+            positionals.append(entry)
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in leaf._defaults.items():
+        defaults.setdefault(dest, value)
+    required = [a for a in leaf._actions if a.required and a.option_strings]
+    return (tuple(leaf.prefix_chars), options, positionals, required,
+            [(g.required, g._group_actions) for g in leaf._mutually_exclusive_groups],
+            defaults)
+
+
+def _plain_args(table, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that the leaf's parse_known_args returns for argv with
+    nothing left over, when argv is plain: each option spelled in full at
+    most once, no value or positional starting with a prefix character, and
+    all required, exclusive, type and choice rules kept.  Otherwise None:
+    argparse reads argv, and alone prints help and usage errors."""
+    prefix, options, positionals, required, groups, defaults = table
+    given, places, tokens = {}, iter(positionals), iter(argv)
+    for token in tokens:
+        if not token.startswith(prefix):
+            (action, convert), text = next(places, (None, None)), token
+        else:
+            action, convert = options.get(token, (None, None))
+            # a missing value reads as a prefix character, and defers
+            text = None if action is None or action.nargs == 0 else next(tokens, prefix[0])
+        if action is None or action in given or text is not None and text.startswith(prefix):
+            return None
+        try:
+            value = action.const if text is None else convert(text)
+        except Exception:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if next(places, None) is not None or any(a not in given for a in required):
+        return None
+    for needed, members in groups:
+        present = [a for a in members if a in given]
+        # a member given its default counts as absent in argparse before 3.13
+        if len(present) > 1 or needed and not any(given[a] is not a.default for a in present):
+            return None
+    return argparse.Namespace(**{**defaults, **{a.dest: v for a, v in given.items()}})
+
+
 _PARSER = None
-_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+_LEAVES: dict[tuple[str, ...], tuple] = {}
+
+
+def _leaf(words: tuple[str, ...]) -> tuple:
+    """The parser of the command words, built at first use, with its table."""
+    entry = _LEAVES.get(words)
+    if entry is None:
+        leaf = _command(argparse.ArgumentParser(prog=" ".join(("operon", *words))), words)
+        entry = _LEAVES[words] = leaf, _table(leaf)
+    return entry
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -364,18 +437,19 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     The top-level parser hands everything after the command words to a
     parser with prog "operon <words>" and that command's arguments, so when
     argv names a command, that parser alone gives the same arguments, help
-    and usage errors.  The whole tree parses argv only when it names no
-    command or that parser leaves arguments over, since only the top-level
-    parser reports unrecognized arguments.
+    and usage errors; a plain argv is read against that parser's table, and
+    only the rest by argparse.  The whole tree parses argv only when it names
+    no command or that parser leaves arguments over, since only the
+    top-level parser reports unrecognized arguments.
     """
     # parsers hold no state between calls, so one of each per process serves
     global _PARSER
     words = _command_words(argv)
     if words is not None:
-        leaf = _LEAVES.get(words)
-        if leaf is None:
-            leaf = _LEAVES[words] = _command(
-                argparse.ArgumentParser(prog=" ".join(("operon", *words))), words)
+        leaf, table = _leaf(words)
+        args = table and _plain_args(table, argv[len(words):])
+        if args is not None:
+            return args
         args, rest = leaf.parse_known_args(argv[len(words):])
         if not rest:
             return args

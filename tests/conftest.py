@@ -6,11 +6,14 @@ from acceptance tests as well) with thin fixture wrappers.
 """
 
 import heapq
+import importlib.util
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,29 @@ def lac_ode():
 @pytest.fixture
 def lac_gf2():
     return model_path("lac_on.gf2")
+
+
+@pytest.fixture
+def bench_runner(monkeypatch):
+    """bench/run.py loaded as a module, run from the repo root, where its
+    golden commands name the bundled models."""
+    root = Path(__file__).resolve().parents[1]
+    # bench/run.py puts bench/ on sys.path and imports its siblings from
+    # there; keep both changes, and any bytecode, out of the rest of the run
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    siblings = ("checks", "timing", "tracer", "workloads")
+    for name in siblings:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("bench_run", root / "bench" / "run.py")
+    runner = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(runner)
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
+    monkeypatch.chdir(root)
+    return runner
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """End-to-end behavior of the `operon` command-line interface."""
 
+import argparse
+import io
 import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operon import __version__, boolnet, cli, gf2, groebner, model_path
 from operon.cli import lactose_range, main, parse_rational
@@ -949,6 +954,12 @@ LEAF_ARGV = [
     # errors the command reports
     "solve no_such_file.gf2", "fixed-points BN --set a=2", "state-graph BN --set q=1",
     "simulate BN --set a=1,g=0 --init 01", "ode steady-states ODE --L -1",
+    # forms where a table read off a parser could part from argparse: an
+    # option before the positional, a repeat, an abbreviation, a negative
+    # value, an option string as a value, an empty value
+    "ode steady-states --L 1 ODE", "solve GF2 --method groebner --method enumerate",
+    "solve GF2 --meth enumerate", "simulate BN --set a=1,g=0 --init 000000000 --steps -1",
+    "fixed-points BN --set --json", "state-graph BN --set ''",
 ]
 
 
@@ -956,7 +967,7 @@ LEAF_ARGV = [
 def test_leaf_parser_matches_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
                                             line):
     paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
-    argv = [paths.get(word, word) for word in line.split()]
+    argv = [paths.get(word, word) for word in shlex.split(line)]
 
     def outcome():
         try:
@@ -977,7 +988,142 @@ def test_valid_commands_skip_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn
     paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the whole tree"))
-    assert main([paths.get(word, word) for word in line.split()]) == 0
+    assert main([paths.get(word, word) for word in shlex.split(line)]) == 0
+
+
+LEAVES = [words for words, (_, func, _) in cli.COMMANDS.items() if func]
+
+# values drawn for any option or positional, beside each option's choices:
+# plain ones, negative numbers, an empty string, option strings, bad types
+VALUES = ["F", "G", "1", "3/2", "0", "25", "0.5:2", "1e-8", "a=1,g=0", "000000000", "",
+          "-1", "-3", "-", "- 1", "x", "2.5", "inf", "1:", "--json", "--set", "-h", "--"]
+PLAIN = VALUES[:10]
+
+
+def takes(action, value) -> bool:
+    try:
+        action.type is None or action.type(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return True
+
+
+@st.composite
+def leaf_argvs(draw, words):
+    """An argv after the command words: each argument of the command, most
+    often given, with a value drawn from its choices and VALUES, in any
+    order; then a few pieces of the command's vocabulary inserted (an
+    option with or without a value, an abbreviation, an `=` form, `--`,
+    `-h`, a stray value) or a token left out."""
+    leaf, _ = cli._leaf(words)
+    chunks, noise = [], [[token] for token in ["--", "-h", "--help", "--bogus", *VALUES]]
+    for action in leaf._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        values = [] if action.nargs == 0 else list(action.choices or ()) + VALUES
+        for option in action.option_strings:
+            noise += [[option]] + [[option, value] for value in values]
+            noise += [[option[:k]] for k in range(3, len(option))]
+            noise += [[f"{option}={value}"] for value in values[:3] or ["1"]]
+        if draw(st.sampled_from((True, True, True, False))):
+            # half the time a value argparse takes: a choice, or a plain
+            # value of the action's type
+            plain = list(action.choices or (v for v in PLAIN if takes(action, v)))
+            value = [draw(st.sampled_from(plain) | st.sampled_from(values))] if values else []
+            chunks.append(action.option_strings[:1] + value)
+    argv = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.sampled_from(noise))
+    if argv and draw(st.sampled_from((True, False, False, False))):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+def fast_path_agrees(words, argv) -> bool:
+    """Whether the table read argv; when it did, its Namespace is the one
+    the command's parser returns, with nothing left over."""
+    leaf, table = cli._leaf(words)
+    fast = cli._plain_args(table, list(argv))
+    if fast is None:
+        return False
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            args, rest = leaf.parse_known_args(list(argv))
+        except SystemExit:
+            pytest.fail(f"the table read {argv}, argparse refused it: {err.getvalue()}")
+    assert rest == [] and vars(fast) == vars(args), argv
+    return True
+
+
+@pytest.mark.parametrize("words", LEAVES)
+def test_the_table_defers_or_gives_the_parsers_namespace(words):
+    # each interpreter's argparse is the oracle; one hypothesis run per
+    # command, so both outcomes can be counted
+    read = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(leaf_argvs(words))
+    def check(argv):
+        read.append(fast_path_agrees(words, argv))
+
+    check()
+    assert 0 < sum(read) < len(read)
+
+
+def test_valid_argv_never_reaches_argparse(capsys, monkeypatch, tmp_path, bench_runner,
+                                           lac_gf2, lac_bn, lac_ode):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse read {args}")
+
+    net = tmp_path / "u.bn"
+    net.write_text("network u\nvars: x, y\nparams: u1, u2\nx' = u1 & y\ny' = !x | u2\n")
+    paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode, "NET": str(net)}
+    lines = [line for line in LEAF_ARGV[:12] if line not in (
+        "ode steady-states ODE --L=1 --precision 1e-8", "solve -- GF2")]
+    assert len(lines) == 10
+    # the options-first form, and one argv of each shape of the benchmark pools
+    lines += ["ode steady-states --L 1 ODE", "fixed-points --all-params BN",
+              "solve GF2", "solve GF2 --method enumerate",
+              "state-graph NET --set u1=0,u2=1 --attractors", "fixed-points NET --all-params",
+              "ode steady-states ODE --L 3/2", "ode bifurcation ODE --samples 2"]
+    argvs = [argv for _, argv in bench_runner.GOLDEN] + [
+        [paths.get(word, word) for word in shlex.split(line)] for line in lines]
+    assert len(argvs) == 23
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="argparse read"):
+        main(["solve", lac_gf2, "--meth", "enumerate"])
+
+
+def test_every_command_is_read_by_its_table():
+    # a leaf whose table is None sends every argv to argparse; an action the
+    # table does not model must fail here, not lose the fast path unseen
+    assert [words for words in LEAVES if cli._leaf(words)[1] is None] == []
+
+
+@pytest.mark.parametrize("add", [
+    lambda p: p.add_argument("--x", nargs="+"),
+    lambda p: p.add_argument("--x", nargs="?"),
+    lambda p: p.add_argument("--x", action="append"),
+    lambda p: p.add_argument("--x", action="count"),
+    lambda p: p.add_argument("--x", action="store_false"),
+    lambda p: p.add_argument("--x", action="store_const", const=1),
+    lambda p: p.add_argument("--version", action="version", version="1"),
+    lambda p: p.add_argument("rest", nargs="*"),
+    lambda p: p.add_argument("--x", type=int, default="3"),
+    lambda p: p.add_subparsers(),
+    # argparse warns on stderr when a deprecated option is used (3.13 on)
+] + [lambda p: p.add_argument("--x", deprecated=True)] * (sys.version_info >= (3, 13)))
+def test_an_action_the_table_does_not_model_defers_every_argv(add):
+    parser = argparse.ArgumentParser(prog="p")
+    parser.add_argument("model")
+    parser.add_argument("--y", type=int, default=3, choices=(3, 4))
+    assert cli._table(parser) is not None
+    add(parser)
+    assert cli._table(parser) is None
 
 
 def test_cli_output_is_byte_deterministic(lac_ode):
