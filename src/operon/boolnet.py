@@ -316,72 +316,64 @@ def parse_network(text: str) -> BooleanNetwork:
     ``params:`` line, then one ``X' = <expr>`` rule per variable.  ``#``
     starts a comment; blank lines are ignored.
     """
-    name = None
-    vars: VarSet | None = None
+    lines = list(source_lines(text))
+    if not lines:
+        raise ParseError("empty network file")
+    lineno, line = lines[0]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "network":
+        raise ParseError("expected 'network <name>'", lineno)
+    if len(lines) == 1:
+        raise ParseError("missing 'vars:' line")
+    lineno, line = lines[1]
+    if not line.startswith("vars:"):
+        raise ParseError("expected a 'vars:' line", lineno)
+    names = _split_names(line[len("vars:") :], lineno)
+    try:
+        vars = VarSet(names)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
     params: tuple[str, ...] = ()
-    seen_params_line = False
+    rest = lines[2:]
+    if rest and rest[0][1].startswith("params:"):
+        lineno, line = rest.pop(0)
+        names = _split_names(line[len("params:") :], lineno)
+        dup = _first_duplicate(names)
+        if dup is not None:
+            raise ParseError(f"duplicate parameter name {dup!r}", lineno)
+        for p in names:
+            if not re.fullmatch(IDENT, p):
+                raise ParseError(f"invalid parameter name {p!r}", lineno)
+            if p in vars:
+                raise ParseError(f"'{p}' is declared both as variable and parameter", lineno)
+        params = tuple(names)
+    # one Var per declared name, shared by every rule
+    leaves = {ident: logic.Var(ident) for ident in (*vars.names, *params)}
+    declared = len(leaves)
     rules: dict[str, logic.Expr] = {}
     rule_lines: dict[str, int] = {}
-    leaves: dict[str, logic.Var] | None = None
-
-    for lineno, line in source_lines(text):
-        if name is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "network":
-                raise ParseError("expected 'network <name>'", lineno)
-            name = parts[1]
-            continue
-        if vars is None:
-            if not line.startswith("vars:"):
-                raise ParseError("expected a 'vars:' line", lineno)
-            names = _split_names(line[len("vars:") :], lineno)
-            try:
-                vars = VarSet(names)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            continue
-        if not seen_params_line and line.startswith("params:"):
-            seen_params_line = True
-            names = _split_names(line[len("params:") :], lineno)
-            dup = _first_duplicate(names)
-            if dup is not None:
-                raise ParseError(f"duplicate parameter name {dup!r}", lineno)
-            for p in names:
-                if not re.fullmatch(IDENT, p):
-                    raise ParseError(f"invalid parameter name {p!r}", lineno)
-                if p in vars:
-                    raise ParseError(f"'{p}' is declared both as variable and parameter", lineno)
-            params = tuple(names)
-            continue
-        seen_params_line = True
+    for lineno, line in rest:
         m = _RULE.match(line)
         if m is None:
             raise ParseError("expected an update rule of the form \"X' = <expr>\"", lineno)
         target, body = m.groups()
-        if vars is None or target not in vars:
+        if target not in vars:
             raise ParseError(f"update rule for undeclared variable '{target}'", lineno)
         if target in rules:
             raise ParseError(
                 f"duplicate update rule for '{target}' (first on line {rule_lines[target]})",
                 lineno,
             )
-        if leaves is None:  # one Var per declared name, shared by every rule
-            leaves = {ident: logic.Var(ident) for ident in (*vars.names, *params)}
-            declared = len(leaves)
         expr = logic.parse_expr(body, line=lineno, names=leaves)
         if len(leaves) > declared:
             raise ParseError(f"undeclared identifier '{min(list(leaves)[declared:])}'", lineno)
         rules[target] = expr
         rule_lines[target] = lineno
 
-    if name is None:
-        raise ParseError("empty network file")
-    if vars is None:
-        raise ParseError("missing 'vars:' line")
     missing = [v for v in vars.names if v not in rules]
     if missing:
         raise ParseError(f"missing update rule for: {', '.join(missing)}")
-    return BooleanNetwork(name, vars, params, tuple(rules[v] for v in vars.names))
+    return BooleanNetwork(parts[1], vars, params, tuple(rules[v] for v in vars.names))
 
 
 def _split_names(rest: str, lineno: int) -> list[str]:

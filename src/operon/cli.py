@@ -435,23 +435,18 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """argv parsed as `build_parser().parse_args` parses it.
 
     The top-level parser hands everything after the command words to a
-    parser with prog "operon <words>" and that command's arguments, so when
-    argv names a command, that parser alone gives the same arguments, help
-    and usage errors; a plain argv is read against that parser's table, and
-    only the rest by argparse.  The whole tree parses argv only when it names
-    no command or that parser leaves arguments over, since only the
-    top-level parser reports unrecognized arguments.
+    parser with prog "operon <words>" and that command's arguments, so a
+    plain argv that names a command is read against that parser's table.
+    The whole tree parses every other argv, and so prints all help and
+    usage errors.
     """
     # parsers hold no state between calls, so one of each per process serves
     global _PARSER
     words = _command_words(argv)
     if words is not None:
-        leaf, table = _leaf(words)
+        table = _leaf(words)[1]
         args = table and _plain_args(table, argv[len(words):])
         if args is not None:
-            return args
-        args, rest = leaf.parse_known_args(argv[len(words):])
-        if not rest:
             return args
     if _PARSER is None:
         _PARSER = build_parser()

@@ -338,24 +338,20 @@ def parse_system(text: str) -> PolySystem:
     First meaningful line is ``vars: x1 x2 ... xn``; every following line is
     one polynomial in ``*``/``+`` syntax.  ``#`` starts a comment.
     """
-    vars = None
-    polys = []
-    for lineno, line in source_lines(text):
-        if vars is None:
-            if not line.startswith("vars:"):
-                raise ParseError("expected a 'vars:' header", lineno)
-            names = line[len("vars:") :].split()
-            if not names:
-                raise ParseError("no variables declared", lineno)
-            try:
-                vars = VarSet(names)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            continue
-        polys.append(parse_poly(line, vars, line=lineno))
-    if vars is None:
+    lines = source_lines(text)
+    lineno, line = next(lines, (None, ""))
+    if lineno is None:
         raise ParseError("missing 'vars:' header")
-    return PolySystem(vars, polys)
+    if not line.startswith("vars:"):
+        raise ParseError("expected a 'vars:' header", lineno)
+    names = line[len("vars:") :].split()
+    if not names:
+        raise ParseError("no variables declared", lineno)
+    try:
+        vars = VarSet(names)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    return PolySystem(vars, [parse_poly(line, vars, line=lineno) for lineno, line in lines])
 
 
 def load_system(path) -> PolySystem:

@@ -72,6 +72,18 @@ def test_parse_errors_carry_line_numbers():
         ("network n\nvars: a\nparams: p, p\na' = p\n", "duplicate parameter name 'p'"),
         ("network n\n", "missing 'vars:' line"),
         ("network n\nvars: a,,b\na' = a\n", "empty name in list"),
+        # the header, in order: network, vars:, then at most one params: line
+        ("", "empty network file"),
+        ("# c\n", "empty network file"),
+        ("network n\n\n# only\n", "missing 'vars:' line"),
+        ("network n\nparams: p\nvars: a\n", "line 2: expected a 'vars:' line"),
+        ("network n\nvars: a\na' = a\nparams: p\n",
+         "line 4: expected an update rule of the form \"X' = <expr>\""),
+        ("network n\nvars: a\nparams: p\nparams: q\na' = a\n",
+         "line 4: expected an update rule of the form \"X' = <expr>\""),
+        ("network n\nvars: a\nparams:\na' = a\n", "line 3: empty name list"),
+        ("network n\nvars: a\nparams: p\n", "missing update rule for: a"),
+        ("network n\n# c\n\nvars: a\n", "missing update rule for: a"),
     ],
 )
 def test_parse_rejects_malformed(text, message):

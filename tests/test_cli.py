@@ -963,6 +963,11 @@ LEAF_ARGV = [
 ]
 
 
+# the valid lines that are plain; the `=` form and the `--` line go to the whole tree
+PLAIN_VALID = [line for line in LEAF_ARGV[:12] if line not in (
+    "ode steady-states ODE --L=1 --precision 1e-8", "solve -- GF2")]
+
+
 @pytest.mark.parametrize("line", LEAF_ARGV)
 def test_leaf_parser_matches_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
                                             line):
@@ -982,7 +987,7 @@ def test_leaf_parser_matches_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn
     assert leaf == outcome()
 
 
-@pytest.mark.parametrize("line", LEAF_ARGV[:12])
+@pytest.mark.parametrize("line", PLAIN_VALID)
 def test_valid_commands_skip_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
                                             line):
     paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
@@ -1076,11 +1081,13 @@ def test_valid_argv_never_reaches_argparse(capsys, monkeypatch, tmp_path, bench_
     def refuse(self, args=None, namespace=None):
         raise AssertionError(f"argparse read {args}")
 
+    def no_tree():
+        raise AssertionError("built the whole tree")
+
     net = tmp_path / "u.bn"
     net.write_text("network u\nvars: x, y\nparams: u1, u2\nx' = u1 & y\ny' = !x | u2\n")
     paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode, "NET": str(net)}
-    lines = [line for line in LEAF_ARGV[:12] if line not in (
-        "ode steady-states ODE --L=1 --precision 1e-8", "solve -- GF2")]
+    lines = list(PLAIN_VALID)
     assert len(lines) == 10
     # the options-first form, and one argv of each shape of the benchmark pools
     lines += ["ode steady-states --L 1 ODE", "fixed-points --all-params BN",
@@ -1090,12 +1097,20 @@ def test_valid_argv_never_reaches_argparse(capsys, monkeypatch, tmp_path, bench_
     argvs = [argv for _, argv in bench_runner.GOLDEN] + [
         [paths.get(word, word) for word in shlex.split(line)] for line in lines]
     assert len(argvs) == 23
+    build = cli.build_parser
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    monkeypatch.setattr(cli, "_PARSER", None)
     for argv in argvs:
         assert main(argv) == 0, argv
     capsys.readouterr()
+    # an abbreviation is not plain: the whole tree is built, and argparse reads it
+    abbreviated = ["solve", lac_gf2, "--meth", "enumerate"]
+    with pytest.raises(AssertionError, match="built the whole tree"):
+        main(abbreviated)
+    monkeypatch.setattr(cli, "build_parser", build)
     with pytest.raises(AssertionError, match="argparse read"):
-        main(["solve", lac_gf2, "--meth", "enumerate"])
+        main(abbreviated)
 
 
 def test_every_command_is_read_by_its_table():

@@ -520,6 +520,19 @@ def test_parse_system_requires_header():
         parse_system("vars: x x\nx + 1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "missing 'vars:' header"),
+    ("# c\n\n", "missing 'vars:' header"),
+    ("x + 1\n", "line 1: expected a 'vars:' header"),
+    ("vars:\n", "line 1: no variables declared"),
+    ("vars: x\nvars: y\n", "line 2: unexpected character ':' in polynomial"),
+])
+def test_parse_system_reads_one_header_first(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == message
+
+
 def test_poly_system_refuses_foreign_generators():
     vars = VarSet(["x", "y"])
     with pytest.raises(TypeError, match="generators must be BoolPoly instances"):
@@ -537,3 +550,4 @@ def test_parse_system_reports_line_numbers():
 def test_parse_system_ignores_comments_and_blanks():
     system = parse_system("\n# c\nvars: a b  # trailing\n\na + b # sum\n")
     assert len(system.generators) == 1
+    assert len(parse_system("\n# c\nvars: x\nx\n").generators) == 1
