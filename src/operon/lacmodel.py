@@ -29,11 +29,11 @@ from .realroots import (
     _check_precision,
     _Oracle,
     _primitive,
+    _simplest,
     _trim,
     _variations,
     decimal_str,
     narrow_until,
-    simplest_rational,
 )
 
 Coeffs = tuple[int, ...]  # integer coefficients, lowest degree first
@@ -333,10 +333,22 @@ def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> Root
         return RootBox(level, level)
     # box is the last stage that narrow saw, (a, b] = (lo/den, hi/den]
     (p_a, q_a), (p_b, q_b) = ends
-    lo, hi = Fraction(p_a, q_b), Fraction(p_b, q_a)
-    slack = precision / 8
-    return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
-                   simplest_rational(hi, hi + slack))
+    return _level_box(p_a, q_a, p_b, q_b, precision)
+
+
+def _level_box(p_a: int, q_a: int, p_b: int, q_b: int, precision: Fraction) -> RootBox:
+    """The L box (lo, hi] = (p_a/q_b, p_b/q_a] widened to the simplest
+    rationals in [lo - min(slack, lo/2), lo] and [hi, hi + slack], with
+    slack = precision/8, for p_a >= 0 and positive q_a, q_b.  Each bound
+    is one integer quotient, which `_simplest` takes unreduced."""
+    pn, pd8 = precision.numerator, 8 * precision.denominator
+    # slack <= lo/2 exactly when 2*pn*q_b <= 8*pd*p_a
+    if 2 * pn * q_b <= pd8 * p_a:
+        left = _simplest(pd8 * p_a - pn * q_b, pd8 * q_b, p_a, q_b)
+    else:
+        left = _simplest(p_a, 2 * q_b, p_a, q_b)
+    right = _simplest(p_b, q_a, pd8 * p_b + pn * q_a, pd8 * q_a)
+    return RootBox(Fraction(*left), Fraction(*right))
 
 
 def _eliminant_at(p: LacParams, L) -> Coeffs:
@@ -508,12 +520,27 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     # the samples isolate their branches at this precision when asked, so
     # a precision below the floor is refused now, after the census
     curve = (P, Q, _check_precision(precision))
+    ends = _box_ends(critical)
+    # sample i is (lo*(s - 1 - i) + hi*i)/(s - 1), as num over den; it is a
+    # boundary sample when some box has c.lo <= L <= c.hi: L in the box or
+    # at its lo, for exact and open boxes alike
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    last = samples - 1
+    at_lo, at_hi, den = ln * hd, hn * ld, ld * hd * last
     pts = []
     for i in range(samples):
-        L = lo + (hi - lo) * i / (samples - 1)
-        boundary = any(c.contains(L) or c.lo == L for c in critical)
-        pts.append(SamplePoint(L, boundary, curve))
+        num = at_lo * (last - i) + at_hi * i
+        boundary = any(cn * den <= num * cd and num * ed <= en * den
+                       for cn, cd, en, ed in ends)
+        pts.append(SamplePoint(Fraction(num, den), boundary, curve))
     return BifurcationReport(critical, regions, tuple(pts))
+
+
+def _box_ends(boxes) -> list[tuple[int, int, int, int]]:
+    """The ends of each box as integers: lo's numerator and denominator,
+    then hi's."""
+    return [(c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
+            for c in boxes]
 
 
 def _level_count(sequence: list, level: Fraction) -> int:
@@ -527,22 +554,30 @@ def _level_count(sequence: list, level: Fraction) -> int:
 
 def _census_regions(sequence: list, critical: tuple) -> list[Region]:
     reps = [c.representative() for c in critical]
+    ends = _box_ends(critical)
     regions = []
     for i in range(len(critical) + 1):
-        left = critical[i - 1] if i > 0 else None
-        right = critical[i] if i < len(critical) else None
-        # the simplest rational in the middle half of the gap between the
-        # certified boxes, with (0, right.lo) and (left.hi, left.hi + 2) at
-        # the open ends: any level in the gap will do
-        a = Fraction(0) if left is None else left.hi
-        b = a + 2 if right is None else right.lo
-        probe = simplest_rational(a + (b - a) / 4, b - (b - a) / 4) if a < b else a
-        if probe <= 0 or any(c.contains(probe) for c in critical):
+        # the simplest rational in the middle half of the gap (a, b) between
+        # the certified boxes, with (0, right.lo) and (left.hi, left.hi + 2)
+        # at the open ends: any level in the gap will do
+        an, ad = (0, 1) if i == 0 else ends[i - 1][2:]
+        bn, bd = (an + 2 * ad, ad) if i == len(critical) else ends[i][:2]
+        if an * bd < bn * ad:
+            # (3a + b)/4 and (a + 3b)/4 over 4*ad*bd
+            an, bn = an * bd, bn * ad
+            xn, xd = _simplest(3 * an + bn, 4 * ad * bd, an + 3 * bn, 4 * ad * bd)
+        else:
+            xn, xd = an, ad
+        # a box holds the probe when lo < probe <= hi, or probe == lo == hi;
+        # every pair here is in lowest terms, so equal values are equal pairs
+        if xn <= 0 or any((ln * xd < xn * ld and xn * hd <= hn * xd)
+                          or (xn, xd) == (ln, ld) == (hn, hd)
+                          for ln, ld, hn, hd in ends):
             raise ValueError("critical values are closer than the working "
                              "precision; retry with a smaller precision")
-        regions.append(Region(Fraction(0) if left is None else reps[i - 1],
-                              None if right is None else reps[i],
-                              _level_count(sequence, probe)))
+        regions.append(Region(Fraction(0) if i == 0 else reps[i - 1],
+                              None if i == len(critical) else reps[i],
+                              _level_count(sequence, Fraction(xn, xd))))
     return regions
 
 

@@ -75,11 +75,6 @@ class RootBox(Frozen):
     def exact(self) -> Optional[Fraction]:
         return self.lo if self.lo == self.hi else None
 
-    def contains(self, x: Fraction) -> bool:
-        if self.is_exact:
-            return x == self.lo
-        return self.lo < x <= self.hi
-
     def representative(self) -> Fraction:
         if self.is_exact:
             return self.lo
@@ -248,17 +243,9 @@ def count_real_roots(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fracti
     return _Oracle(_integers(p)).count(lo, hi)
 
 
-def simplest_rational(a: Fraction, b: Fraction) -> Fraction:
-    """The smallest-denominator rational in the closed interval [a, b]."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a > b:
-        raise ValueError("need a <= b")
-    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
-
-
 def _simplest(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """simplest_rational of [an/ad, bn/bd] as (numerator, denominator), for
+    """The smallest-denominator rational in the closed interval
+    [an/ad, bn/bd], in lowest terms as (numerator, denominator), for
     positive ad and bd and a <= b; the fractions need not be in lowest terms."""
     if an <= 0 <= bn:
         return 0, 1

@@ -25,10 +25,10 @@ from operon.lacmodel import Region, SteadyState
 from operon.realroots import (
     RootBox,
     _Cells,
+    _simplest,
     count_real_roots,
     narrow_until,
     refine_root_box,
-    simplest_rational,
     squarefree_part,
     sturm_chain,
 )
@@ -466,6 +466,27 @@ def ref_primitive_part(p):
 
 
 # ---------------------------------------------------------------------------
+# The Fraction forms of two root-box readings that the package does on
+# integers: the references below and the tests use them.
+
+
+def simplest_rational(a, b):
+    """The smallest-denominator rational in the closed interval [a, b], by
+    `realroots._simplest` on the numerators and denominators of its ends."""
+    a, b = Fraction(a), Fraction(b)
+    if a > b:
+        raise ValueError("need a <= b")
+    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
+
+
+def box_contains(box, x):
+    """Whether a root box holds x: x == lo for an exact box, else lo < x <= hi."""
+    if box.is_exact:
+        return x == box.lo
+    return box.lo < x <= box.hi
+
+
+# ---------------------------------------------------------------------------
 # Root refinement by the stage loop the refinement kernel replaced: one
 # halving per sign, then three exact-root probes.  The differential tests
 # hold the kernel to these boxes.
@@ -595,12 +616,19 @@ def ref_fold_level(P, Q, W, box, precision):
         if value(Q, a):
             lo, hi = value(P, a) / value(Q, b), value(P, b) / value(Q, a)
             if hi - lo <= precision / 4:
-                slack = precision / 8
-                return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
-                               simplest_rational(hi, hi + slack))
+                return ref_level_box(lo, hi, precision)
         box = ref_narrow(W, box, (box.hi - box.lo) / 2)
     level = value(P, box.lo) / value(Q, box.lo)
     return RootBox(level, level)
+
+
+def ref_level_box(lo, hi, precision):
+    """`lacmodel._level_box` in Fraction arithmetic: the L box (lo, hi]
+    widened to the simplest rationals within precision/8 of its ends, and
+    at most lo/2 below lo."""
+    slack = precision / 8
+    return RootBox(simplest_rational(lo - min(slack, lo / 2), lo),
+                   simplest_rational(hi, hi + slack))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +693,7 @@ def ref_census_regions(P, Q, critical):
         a = Fraction(0) if left is None else left.hi
         b = a + 2 if right is None else right.lo
         probe = simplest_rational(a + (b - a) / 4, b - (b - a) / 4) if a < b else a
-        if probe <= 0 or any(c.contains(probe) for c in critical):
+        if probe <= 0 or any(box_contains(c, probe) for c in critical):
             raise ValueError("critical values are closer than the working "
                              "precision; retry with a smaller precision")
         regions.append(Region(Fraction(0) if left is None else left.representative(),

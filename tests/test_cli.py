@@ -588,6 +588,17 @@ def test_ode_bifurcation_csv_golden_bytes(capsys, lac_ode, tmp_path):
     assert target.read_bytes() == (GOLDEN / "ode_bifurcation.csv").read_bytes()
 
 
+def test_ode_bifurcation_boundary_golden_bytes(capsys, lac_ode):
+    # the range runs from the lo of the first critical box to the hi of the
+    # second, so the two end samples are boundary samples and the middle one
+    # is not
+    code, out, _ = run(capsys, "ode", "bifurcation", lac_ode,
+                       "--range", "4060/5931:5231/3463", "--samples", "3")
+    assert code == 0
+    assert out == (GOLDEN / "ode_bifurcation_boundary.out").read_text()
+    assert out.endswith("samples: 3, boundary: 2\n")
+
+
 def _ode_variant(tmp_path, **values) -> str:
     """The bundled lac.ode with some constants replaced."""
     lines = []

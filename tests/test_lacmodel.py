@@ -7,6 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from operon.errors import ParseError
 from operon.exactpoly import (
@@ -44,6 +45,7 @@ from operon.lacmodel import (
     _fold_level,
     _fold_sequence,
     _lactose_curve,
+    _level_box,
     _level_count,
     _recover_state,
     _refine_residual,
@@ -53,11 +55,13 @@ from operon.realroots import RootBox, _integers, _Oracle, isolate_real_roots
 
 from conftest import (
     assert_handover_repeats,
+    box_contains,
     integer_coeffs,
     on_new_kernel,
     ref_census_regions,
     ref_fold_level,
     ref_lactose_curve,
+    ref_level_box,
     ref_primitive_part,
     ref_recover_state,
     ref_residual,
@@ -562,6 +566,29 @@ def test_refinement_matches_halving_loop_on_the_bundled_model(n):
     assert_refinements_match(LacParams(n=n, **LAC), [F(7, 10), F(1), F(13, 10)])
 
 
+# the integers P(a), Q(a), P(b), Q(b) at the ends of the last A stage run
+# to hundreds of bits; precisions from the floor of isolation to wide
+LEVEL_ENDS = st.integers(0, 2 ** 300)
+PRECISIONS = st.builds(F, st.integers(1, 10 ** 6), st.sampled_from([1, 7, 10 ** 6, 10 ** 300]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(LEVEL_ENDS, LEVEL_ENDS.map(lambda x: x + 1), LEVEL_ENDS, LEVEL_ENDS.map(lambda x: x + 1),
+       PRECISIONS)
+# p_a = 0, where the lower bound is lo/2 = 0
+@example(0, 5, 3, 7, F(1, 10 ** 6))
+# the tie 2*pn*q_b == 8*pd*p_a, where slack = lo/2: at 1/4 with precision 1,
+# and at 3/(4*10^6) with precision 3/10^6
+@example(1, 3, 5, 4, F(1))
+@example(3, 3 * 10 ** 6 - 1, 10 ** 12, 4 * 10 ** 6, F(3, 10 ** 6))
+def test_level_box_matches_fraction_expression(p_a, q_a, extra, q_b, precision):
+    # hi = p_b/q_a is at least lo = p_a/q_b, as P(b) >= P(a) and Q(b) >= Q(a)
+    p_b = -(-p_a * q_a // q_b) + extra
+    box = _level_box(p_a, q_a, p_b, q_b, precision)
+    assert box == ref_level_box(F(p_a, q_b), F(p_b, q_a), precision)
+    assert box.lo <= F(p_a, q_b) and box.hi >= F(p_b, q_a)
+
+
 def test_residual_refinement_with_repeated_factors():
     # the residual is taken on the eliminant itself, the cells on its
     # squarefree part
@@ -821,9 +848,39 @@ def test_census_matches_sturm_chains(rng):
             levels = [F(rng.randint(1, 400), rng.randint(1, 100)) for _ in range(6)]
             levels += [c.lo for c in critical if not c.is_exact and c.lo > 0]
             for L in levels:
-                if not any(c.contains(L) for c in critical):
+                if not any(box_contains(c, L) for c in critical):
                     assert _level_count(sequence, L) == steady_state_count(p, L)
     assert closer
+
+
+@pytest.mark.parametrize("p", [
+    LacParams.defaults(),
+    # L(A) = A + 1/A: the exact fold level 2
+    LacParams(c0=0, c=1, gamma=1, v=0, delta=1, h=1, n=2),
+    # the exact end levels L(0+) = 3/2 and L(infinity) = 1
+    LacParams(n=1, **LEVEL_AT_ZERO),
+    LacParams(n=3, **{**LAC, "delta": F(0)}),
+])
+def test_sample_flags_match_fraction_loop(p):
+    # ranges whose ends are a box's lo, a box's hi or an exact level, and
+    # two levels outside every box
+    critical = critical_lactose_values(p)
+    ends = sorted({x for c in critical for x in (c.lo, c.hi)} | {F(1, 10), F(5, 2)})
+    flagged = 0
+    for lo, hi in ((lo, hi) for lo in ends for hi in ends if lo < hi):
+        for samples in (2, 3, 4, 5, 7, 12, 25, 60):
+            report = bifurcation_curve(p, (lo, hi), samples)
+            assert report.critical == tuple(critical)
+            expected = []
+            for i in range(samples):
+                L = lo + (hi - lo) * i / (samples - 1)
+                expected.append((L, any(box_contains(c, L) or c.lo == L for c in critical)))
+            assert [(pt.L, pt.boundary) for pt in report.samples] == expected
+            # the end samples are flagged exactly when the range ends on a box
+            assert report.samples[0].boundary == any(c.lo <= lo <= c.hi for c in critical)
+            assert report.samples[-1].boundary == any(c.lo <= hi <= c.hi for c in critical)
+            flagged += sum(pt.boundary for pt in report.samples)
+    assert flagged
 
 
 def test_wronskian_on_integers(rng):
