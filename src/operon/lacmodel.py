@@ -306,7 +306,7 @@ def _fold_level(P: Coeffs, Q: Coeffs, box: RootBox, precision: Fraction) -> Root
     oracle of W that the box carries, until that L box is no wider than
     precision/4.  The L box is then widened to the simplest
     rationals within precision/8 of its ends: its exact ends have digits
-    in the hundreds, and every later use (printing, census probes, sample
+    in the hundreds, and every later use (printing, the census, sample
     flags) is cheaper with short ones.
     """
     # P and Q homogenised to one degree, so that their ratio at n/d is the
@@ -520,7 +520,8 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     # the samples isolate their branches at this precision when asked, so
     # a precision below the floor is refused now, after the census
     curve = (P, Q, _check_precision(precision))
-    ends = _box_ends(critical)
+    ends = [(c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
+            for c in critical]
     # sample i is (lo*(s - 1 - i) + hi*i)/(s - 1), as num over den; it is a
     # boundary sample when some box has c.lo <= L <= c.hi: L in the box or
     # at its lo, for exact and open boxes alike
@@ -536,49 +537,30 @@ def bifurcation_curve(p: LacParams, l_range: tuple, samples: int,
     return BifurcationReport(critical, regions, tuple(pts))
 
 
-def _box_ends(boxes) -> list[tuple[int, int, int, int]]:
-    """The ends of each box as integers: lo's numerator and denominator,
-    then hi's."""
-    return [(c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
-            for c in boxes]
-
-
-def _level_count(sequence: list, level: Fraction) -> int:
+def _level_count(sequence: list, level: Optional[Fraction]) -> int:
     """The steady states at a level outside every box of a fold sequence:
     the sign changes of l - level over its levels l.  L(A) is strictly
     monotone between folds, so each change is one A with L(A) = level.  A
     level l lies in its box and above the box's lo unless the box is exact,
-    so a level outside the box is below l exactly when it is at most lo."""
-    return _variations(1 if end is None or level <= end.lo else -1 for end in sequence)
+    so a level outside the box is below l exactly when it is at most lo.
+    None is a level above every box: only an infinite end is above it."""
+    return _variations(1 if end is None or level is not None and level <= end.lo else -1
+                       for end in sequence)
 
 
 def _census_regions(sequence: list, critical: tuple) -> list[Region]:
-    reps = [c.representative() for c in critical]
-    ends = _box_ends(critical)
-    regions = []
-    for i in range(len(critical) + 1):
-        # the simplest rational in the middle half of the gap (a, b) between
-        # the certified boxes, with (0, right.lo) and (left.hi, left.hi + 2)
-        # at the open ends: any level in the gap will do
-        an, ad = (0, 1) if i == 0 else ends[i - 1][2:]
-        bn, bd = (an + 2 * ad, ad) if i == len(critical) else ends[i][:2]
-        if an * bd < bn * ad:
-            # (3a + b)/4 and (a + 3b)/4 over 4*ad*bd
-            an, bn = an * bd, bn * ad
-            xn, xd = _simplest(3 * an + bn, 4 * ad * bd, an + 3 * bn, 4 * ad * bd)
-        else:
-            xn, xd = an, ad
-        # a box holds the probe when lo < probe <= hi, or probe == lo == hi;
-        # every pair here is in lowest terms, so equal values are equal pairs
-        if xn <= 0 or any((ln * xd < xn * ld and xn * hd <= hn * xd)
-                          or (xn, xd) == (ln, ld) == (hn, hd)
-                          for ln, ld, hn, hd in ends):
-            raise ValueError("critical values are closer than the working "
-                             "precision; retry with a smaller precision")
-        regions.append(Region(Fraction(0) if i == 0 else reps[i - 1],
-                              None if i == len(critical) else reps[i],
-                              _level_count(sequence, Fraction(xn, xd))))
-    return regions
+    """The count in each gap between the critical boxes, sorted by (lo, hi).
+    When the boxes are positive and no neighbours touch, the gaps are open
+    and hold no lo of the sequence, so a level in a gap compares with each
+    such lo as the lo of the box above the gap does: a gap counts as that
+    lo, and the last gap as a level above every box."""
+    if critical and critical[0].lo <= 0 or any(
+            left.hi >= right.lo for left, right in zip(critical, critical[1:])):
+        raise ValueError("critical values are closer than the working "
+                         "precision; retry with a smaller precision")
+    edges = [Fraction(0)] + [c.representative() for c in critical] + [None]
+    return [Region(edges[i], edges[i + 1], _level_count(sequence, level))
+            for i, level in enumerate([c.lo for c in critical] + [None])]
 
 
 def bifurcation_csv(report: BifurcationReport) -> str:

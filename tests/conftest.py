@@ -21,7 +21,7 @@ from operon import model_path
 from operon import logic
 from operon.errors import IDENT, ParseError
 from operon.exactpoly import Poly, exact_div, homogeneous_value, is_zero, rational_content
-from operon.lacmodel import Region, SteadyState
+from operon.lacmodel import Region, SteadyState, _level_count
 from operon.realroots import (
     RootBox,
     _Cells,
@@ -678,7 +678,8 @@ def ref_recover_state(p, box):
 
 # ---------------------------------------------------------------------------
 # The region census by a Sturm chain at each probe level, which the sign
-# changes along the fold sequence replaced.
+# changes along the fold sequence replaced, and by the sign changes at each
+# probe level, which the order of the critical boxes replaced.
 
 
 def ref_census_regions(P, Q, critical):
@@ -699,6 +700,36 @@ def ref_census_regions(P, Q, critical):
         regions.append(Region(Fraction(0) if left is None else left.representative(),
                               None if right is None else right.representative(),
                               count_real_roots(p - probe * q, Fraction(0))))
+    return regions
+
+
+def ref_census_probe(sequence, critical):
+    """`lacmodel._census_regions` by a probe level in each gap: the simplest
+    rational in the middle half of the gap (a, b) between the certified
+    boxes, with (0, right.lo) and (left.hi, left.hi + 2) at the open ends,
+    over 4*ad*bd, or a itself where the gap is empty.  A probe that is not
+    positive or that some box holds is refused."""
+    ends = [(c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator)
+            for c in critical]
+    regions = []
+    for i in range(len(critical) + 1):
+        an, ad = (0, 1) if i == 0 else ends[i - 1][2:]
+        bn, bd = (an + 2 * ad, ad) if i == len(critical) else ends[i][:2]
+        if an * bd < bn * ad:
+            an, bn = an * bd, bn * ad
+            xn, xd = _simplest(3 * an + bn, 4 * ad * bd, an + 3 * bn, 4 * ad * bd)
+        else:
+            xn, xd = an, ad
+        # a box holds the probe when lo < probe <= hi, or probe == lo == hi;
+        # every pair here is in lowest terms, so equal values are equal pairs
+        if xn <= 0 or any((ln * xd < xn * ld and xn * hd <= hn * xd)
+                          or (xn, xd) == (ln, ld) == (hn, hd)
+                          for ln, ld, hn, hd in ends):
+            raise ValueError("critical values are closer than the working "
+                             "precision; retry with a smaller precision")
+        regions.append(Region(Fraction(0) if i == 0 else critical[i - 1].representative(),
+                              None if i == len(critical) else critical[i].representative(),
+                              _level_count(sequence, Fraction(xn, xd))))
     return regions
 
 

@@ -52,6 +52,8 @@ GB_LINES = [
 ELIMINANT = "4*A^7 + (29 - 21*L)*A^6 - 42*L*A^5 + 4*A^2 + (9 - L)*A - 2*L"
 
 GOLDEN = Path(__file__).parent / "golden"
+# the goldens that bench/run.py also checks
+BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden"
 
 
 def run(capsys, *argv):
@@ -522,7 +524,7 @@ def test_ode_steady_states_at_the_models_lactose_level(capsys, tmp_path, lac_ode
     assert "\nL     = sym\n" in text
     model.write_text(text.replace("\nL     = sym\n", "\nL     = 1\n"))
     assert run(capsys, "ode", "steady-states", str(model)) == (
-        0, (GOLDEN / "ode_steady_states_L1.out").read_text(), "")
+        0, (BENCH_GOLDEN / "ode_steady_states_L1.out").read_text(), "")
     half = run(capsys, "ode", "steady-states", lac_ode, "--L", "1/2")
     assert half[0] == 0 and run(capsys, "ode", "steady-states", str(model), "--L", "1/2") == half
 
@@ -549,6 +551,19 @@ def test_ode_bifurcation_default_report(capsys, lac_ode):
         "region counts: 1, 3, 1",
         "samples: 25, boundary: 0",
     ]
+
+
+def test_ode_bifurcation_near_cusp_refused(capsys, lac_ode, tmp_path):
+    # near the cusp c0 = 0.30299 the two fold levels are closer than the
+    # default precision: the run is refused, with nothing on stdout
+    model = tmp_path / "cusp.ode"
+    text, found = re.subn(r"^c0 *=.*$", "c0 = 0.30299", Path(lac_ode).read_text(),
+                          flags=re.MULTILINE)
+    assert found == 1
+    model.write_text(text)
+    assert run(capsys, "ode", "bifurcation", str(model)) == (
+        1, "", "operon: critical values are closer than the working precision; "
+               "retry with a smaller precision\n")
 
 
 def test_ode_bifurcation_csv(capsys, lac_ode, tmp_path):
@@ -578,7 +593,7 @@ def test_ode_steady_states_golden_bytes(capsys, lac_ode):
     # every interval endpoint, not only the rounded values
     code, out, _ = run(capsys, "ode", "steady-states", lac_ode, "--L", "1")
     assert code == 0
-    assert out == (GOLDEN / "ode_steady_states_L1.out").read_text()
+    assert out == (BENCH_GOLDEN / "ode_steady_states_L1.out").read_text()
 
 
 def test_ode_bifurcation_csv_golden_bytes(capsys, lac_ode, tmp_path):

@@ -58,6 +58,7 @@ from conftest import (
     box_contains,
     integer_coeffs,
     on_new_kernel,
+    ref_census_probe,
     ref_census_regions,
     ref_fold_level,
     ref_lactose_curve,
@@ -850,7 +851,46 @@ def test_census_matches_sturm_chains(rng):
             for L in levels:
                 if not any(box_contains(c, L) for c in critical):
                     assert _level_count(sequence, L) == steady_state_count(p, L)
+            # None is a level above every box
+            above = critical[-1].hi + 1 if critical else F(1)
+            assert _level_count(sequence, None) == steady_state_count(p, above)
     assert closer
+
+
+# levels on a grid of quarters, so that boxes touch, overlap, nest and
+# repeat, and some lo is 0
+QUARTERS = st.integers(0, 12).map(lambda k: F(k, 4))
+FOLD_BOXES = st.one_of(
+    QUARTERS.map(lambda x: RootBox(x, x)),
+    st.tuples(QUARTERS, QUARTERS).filter(lambda t: t[0] < t[1]).map(lambda t: RootBox(*t)),
+)
+# an end limit: infinite, zero or a positive exact level
+END_LIMITS = st.one_of(st.none(), QUARTERS.map(lambda x: RootBox(x, x)))
+
+
+def census_outcome(census, sequence, critical):
+    try:
+        return census(sequence, critical)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(END_LIMITS, st.lists(FOLD_BOXES, max_size=5), END_LIMITS)
+# a box whose hi is the next box's lo; overlapping and nested boxes; a fold
+# box at lo = 0; one exact level at both ends and as a fold; no folds
+@example(None, [RootBox(F(1), F(2)), RootBox(F(2), F(3))], RootBox(F(0), F(0)))
+@example(RootBox(F(0), F(0)), [RootBox(F(1), F(3)), RootBox(F(2), F(4))], None)
+@example(None, [RootBox(F(1), F(4)), RootBox(F(2), F(3))], None)
+@example(None, [RootBox(F(0), F(1)), RootBox(F(2), F(3))], None)
+@example(RootBox(F(2), F(2)), [RootBox(F(2), F(2))], RootBox(F(2), F(2)))
+@example(None, [], None)
+@example(RootBox(F(0), F(0)), [RootBox(F(1), F(2))], RootBox(F(3), F(3)))
+def test_census_matches_probe_census(first, folds, last):
+    sequence = [first, *folds, last]
+    critical = tuple(_by_level(sequence))
+    assert census_outcome(_census_regions, sequence, critical) == \
+        census_outcome(ref_census_probe, sequence, critical)
 
 
 @pytest.mark.parametrize("p", [
