@@ -94,17 +94,23 @@ def cmd_solve(args) -> int:
 # variables, or by Groebner bases solves each setting; at the cap (in process,
 # 2-core Xeon VM) a three-variable network takes 0.03 s, a twelve-variable 0.08 s
 MAX_ALL_PARAMS = 12
+# the agreement table spans k + n variables, and each 2 more cost it about 3.5
+# times as much: in a subprocess on that VM 30 took 4.3-4.6 s, 32 (20 + 12) 14 s
+MAX_ALL_PARAMS_TABLE = 30
 
 
 def cmd_fixed_points(args) -> int:
-    from . import boolnet
+    from . import boolnet, groebner
 
     if args.all_params:
         net = boolnet.load_network(args.model)
-        k = len(net.params)
+        k, n = len(net.params), len(net.vars)
         if k > MAX_ALL_PARAMS:
             raise ValueError(f"--all-params is capped at {MAX_ALL_PARAMS} parameters "
                              f"(got {k}); use --set")
+        if groebner.route(n, args.method) == "enumerate" and k + n > MAX_ALL_PARAMS_TABLE:
+            raise ValueError(f"--all-params is capped at {MAX_ALL_PARAMS_TABLE} parameters "
+                             f"and variables together on the tables (got {k + n}); use --set")
         rows = [(",".join(f"{name}={value}" for name, value in setting.items()),
                  [_bits(p) for p in points])
                 for setting, points in net.fixed_points_by_setting(args.method)]
@@ -354,32 +360,18 @@ def _command_words(argv: list[str]) -> tuple[str, ...] | None:
     return None
 
 
-# the actions the table models, by class and nargs: store of one value, store_true
-_PLAIN_ACTIONS = ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))
-
-
-def _table(leaf: argparse.ArgumentParser):
-    """The leaf's grammar as `_plain_args` reads it, taken from its actions;
-    None, so that argparse reads every argv, when it holds an action the table
-    does not model or a typed action with a string default."""
-    options, positionals, defaults = {}, [], {}
-    for action in leaf._actions:
-        if type(action) is argparse._HelpAction:
-            continue
-        if (type(action), action.nargs) not in _PLAIN_ACTIONS \
-                or getattr(action, "deprecated", False) \
-                or action.type is not None and isinstance(action.default, str):
-            return None
-        entry = action, leaf._registry_get("type", action.type, action.type)
+def _table(leaf: argparse.ArgumentParser) -> tuple:
+    """The leaf's grammar as `_plain_args` reads it, taken from its actions
+    after help (the first), each a store of one value or a store_true."""
+    options, positionals, defaults = {}, [], dict(leaf._defaults)
+    for action in leaf._actions[1:]:
+        entry = action, action.type or str
         options.update(dict.fromkeys(action.option_strings, entry))
         if not action.option_strings:
             positionals.append(entry)
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in leaf._defaults.items():
-        defaults.setdefault(dest, value)
+        defaults[action.dest] = action.default
     required = [a for a in leaf._actions if a.required and a.option_strings]
-    return (tuple(leaf.prefix_chars), options, positionals, required,
+    return (options, positionals, required,
             [(g.required, g._group_actions) for g in leaf._mutually_exclusive_groups],
             defaults)
 
@@ -387,19 +379,19 @@ def _table(leaf: argparse.ArgumentParser):
 def _plain_args(table, argv: list[str]) -> argparse.Namespace | None:
     """The Namespace that the leaf's parse_known_args returns for argv with
     nothing left over, when argv is plain: each option spelled in full at
-    most once, no value or positional starting with a prefix character, and
-    all required, exclusive, type and choice rules kept.  Otherwise None:
-    argparse reads argv, and alone prints help and usage errors."""
-    prefix, options, positionals, required, groups, defaults = table
+    most once, no value or positional starting with "-", and all required,
+    exclusive, type and choice rules kept.  Otherwise None: argparse reads
+    argv, and alone prints help and usage errors."""
+    options, positionals, required, groups, defaults = table
     given, places, tokens = {}, iter(positionals), iter(argv)
     for token in tokens:
-        if not token.startswith(prefix):
+        if not token.startswith("-"):
             (action, convert), text = next(places, (None, None)), token
         else:
             action, convert = options.get(token, (None, None))
-            # a missing value reads as a prefix character, and defers
-            text = None if action is None or action.nargs == 0 else next(tokens, prefix[0])
-        if action is None or action in given or text is not None and text.startswith(prefix):
+            # a missing value reads as "-", and defers
+            text = None if action is None or action.nargs == 0 else next(tokens, "-")
+        if action is None or action in given or text is not None and text.startswith("-"):
             return None
         try:
             value = action.const if text is None else convert(text)
@@ -412,8 +404,7 @@ def _plain_args(table, argv: list[str]) -> argparse.Namespace | None:
         return None
     for needed, members in groups:
         present = [a for a in members if a in given]
-        # a member given its default counts as absent in argparse before 3.13
-        if len(present) > 1 or needed and not any(given[a] is not a.default for a in present):
+        if len(present) > 1 or needed and not present:
             return None
     return argparse.Namespace(**{**defaults, **{a.dest: v for a, v in given.items()}})
 
@@ -444,8 +435,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     global _PARSER
     words = _command_words(argv)
     if words is not None:
-        table = _leaf(words)[1]
-        args = table and _plain_args(table, argv[len(words):])
+        args = _plain_args(_leaf(words)[1], argv[len(words):])
         if args is not None:
             return args
     if _PARSER is None:

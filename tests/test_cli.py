@@ -439,11 +439,11 @@ def test_all_params_routes(capsys, tmp_path, monkeypatch):
     assert tables == [6] and solves == []
 
 
-def _cap_network(path):
-    # 12 parameters over 12 variables, each rule reading two of each
-    names = [f"x{i}" for i in range(12)]
+def _cap_network(path, n=12):
+    # 12 parameters over n variables, each rule reading two of each
+    names = [f"x{i}" for i in range(n)]
     params = [f"p{i}" for i in range(12)]
-    rules = [f"{x}' = (x{(i + 1) % 12} & p{i}) ^ (x{(i + 2) % 12} | !p{(i + 1) % 12})"
+    rules = [f"{x}' = (x{(i + 1) % n} & p{i % 12}) ^ (x{(i + 2) % n} | !p{(i + 1) % 12})"
              for i, x in enumerate(names)]
     path.write_text(f"network cap\nvars: {', '.join(names)}\nparams: {', '.join(params)}\n"
                     + "\n".join(rules) + "\n")
@@ -467,6 +467,36 @@ def test_all_params_at_the_cap_is_one_pass(capsys, tmp_path):
         label = ",".join(f"{p}={v}" for p, v in setting.items())
         points = " ".join("".join(map(str, p)) for p in net.fixed_points(setting, "groebner"))
         assert lines[c] == f"{label}: {points}"
+
+
+def test_all_params_table_cap(capsys, tmp_path, monkeypatch):
+    # the agreement table spans k + n variables: 20 + 12 took 14 s
+    model, _ = _cap_network(tmp_path / "wide.bn", 20)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-points", model, "--all-params")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("operon: --all-params is capped at 30 parameters and variables together "
+                   "on the tables (got 32); use --set\n")
+    # "groebner" solves each setting alone, past the cap
+    calls = []
+    monkeypatch.setattr(boolnet.BooleanNetwork, "fixed_points_by_setting",
+                        lambda net, method: calls.append(method) or [])
+    assert run(capsys, "fixed-points", model, "--all-params", "--method", "groebner") \
+        == (0, "", "")
+    assert calls == ["groebner"]
+    monkeypatch.undo()
+    # the cap itself is allowed, on every route
+    monkeypatch.setattr(cli, "MAX_ALL_PARAMS_TABLE", 6)
+    for method in ([], ["--method", "enumerate"], ["--method", "groebner"]):
+        code, out, err = run(capsys, "fixed-points", _parameter_network(tmp_path / "four.bn", 4),
+                             "--all-params", *method)
+        assert code == 0 and err == "" and "p0=1,p1=1,p2=1,p3=1" in out
+    code, out, err = run(capsys, "fixed-points", _parameter_network(tmp_path / "five.bn", 5),
+                         "--all-params")
+    assert (code, out) == (1, "")
+    assert err == ("operon: --all-params is capped at 6 parameters and variables together "
+                   "on the tables (got 7); use --set\n")
 
 
 def test_table_memory_at_the_cap(capsys, tmp_path):
@@ -1013,15 +1043,6 @@ def test_leaf_parser_matches_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn
     assert leaf == outcome()
 
 
-@pytest.mark.parametrize("line", PLAIN_VALID)
-def test_valid_commands_skip_the_whole_tree(capsys, monkeypatch, lac_gf2, lac_bn, lac_ode,
-                                            line):
-    paths = {"GF2": lac_gf2, "BN": lac_bn, "ODE": lac_ode}
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built the whole tree"))
-    assert main([paths.get(word, word) for word in shlex.split(line)]) == 0
-
-
 LEAVES = [words for words, (_, func, _) in cli.COMMANDS.items() if func]
 
 # values drawn for any option or positional, beside each option's choices:
@@ -1048,9 +1069,7 @@ def leaf_argvs(draw, words):
     `-h`, a stray value) or a token left out."""
     leaf, _ = cli._leaf(words)
     chunks, noise = [], [[token] for token in ["--", "-h", "--help", "--bogus", *VALUES]]
-    for action in leaf._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
+    for action in leaf._actions[1:]:
         values = [] if action.nargs == 0 else list(action.choices or ()) + VALUES
         for option in action.option_strings:
             noise += [[option]] + [[option, value] for value in values]
@@ -1087,10 +1106,42 @@ def fast_path_agrees(words, argv) -> bool:
     return True
 
 
+def first_plain(action) -> list[str]:
+    """The action given with its first choice or the first plain value its
+    type takes."""
+    if action.nargs == 0:
+        return action.option_strings[:1]
+    values = action.choices or [v for v in PLAIN if takes(action, v)]
+    return action.option_strings[:1] + [next(iter(values))]
+
+
+def one_argv_per_action(words) -> list[list[str]]:
+    """For each action of the command, the fewest arguments it takes: the
+    positionals, the required options and one member of each required
+    group, then that action."""
+    leaf, _ = cli._leaf(words)
+    actions = leaf._actions[1:]
+    argvs = []
+    for action in actions:
+        chosen = [a for a in actions if a.required or not a.option_strings]
+        for group in leaf._mutually_exclusive_groups:
+            members = group._group_actions
+            if group.required:
+                chosen.append(action if action in members else members[0])
+        if action not in chosen:
+            chosen.append(action)
+        argvs.append([token for a in chosen for token in first_plain(a)])
+    return argvs
+
+
 @pytest.mark.parametrize("words", LEAVES)
 def test_the_table_defers_or_gives_the_parsers_namespace(words):
-    # each interpreter's argparse is the oracle; one hypothesis run per
-    # command, so both outcomes can be counted
+    # each interpreter's argparse is the oracle.  First one argv per action,
+    # so an action the table does not model (count, append, nargs, version)
+    # fails on every run; then one hypothesis run per command, so both
+    # outcomes can be counted
+    for argv in one_argv_per_action(words):
+        assert fast_path_agrees(words, argv), argv
     read = []
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1137,34 +1188,6 @@ def test_valid_argv_never_reaches_argparse(capsys, monkeypatch, tmp_path, bench_
     monkeypatch.setattr(cli, "build_parser", build)
     with pytest.raises(AssertionError, match="argparse read"):
         main(abbreviated)
-
-
-def test_every_command_is_read_by_its_table():
-    # a leaf whose table is None sends every argv to argparse; an action the
-    # table does not model must fail here, not lose the fast path unseen
-    assert [words for words in LEAVES if cli._leaf(words)[1] is None] == []
-
-
-@pytest.mark.parametrize("add", [
-    lambda p: p.add_argument("--x", nargs="+"),
-    lambda p: p.add_argument("--x", nargs="?"),
-    lambda p: p.add_argument("--x", action="append"),
-    lambda p: p.add_argument("--x", action="count"),
-    lambda p: p.add_argument("--x", action="store_false"),
-    lambda p: p.add_argument("--x", action="store_const", const=1),
-    lambda p: p.add_argument("--version", action="version", version="1"),
-    lambda p: p.add_argument("rest", nargs="*"),
-    lambda p: p.add_argument("--x", type=int, default="3"),
-    lambda p: p.add_subparsers(),
-    # argparse warns on stderr when a deprecated option is used (3.13 on)
-] + [lambda p: p.add_argument("--x", deprecated=True)] * (sys.version_info >= (3, 13)))
-def test_an_action_the_table_does_not_model_defers_every_argv(add):
-    parser = argparse.ArgumentParser(prog="p")
-    parser.add_argument("model")
-    parser.add_argument("--y", type=int, default=3, choices=(3, 4))
-    assert cli._table(parser) is not None
-    add(parser)
-    assert cli._table(parser) is None
 
 
 def test_cli_output_is_byte_deterministic(lac_ode):
